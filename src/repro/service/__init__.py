@@ -14,8 +14,9 @@ This package exploits both:
   semantics under differing ``max_embeddings`` caps;
 * :mod:`repro.service.server` — an asyncio JSON-lines TCP server with
   admission control, per-request :class:`~repro.matching.limits.SearchLimits`,
-  chunked streaming of large embedding sets, and procpool dispatch for
-  heavy requests;
+  embedding lists in one binary frame per reply
+  (:mod:`repro.service.wire`), and procpool dispatch for heavy
+  requests;
 * :mod:`repro.service.client` — a small blocking client (used by the
   ``repro query`` CLI command and the tests) with opt-in retry/backoff
   and end-to-end deadlines;

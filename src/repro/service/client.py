@@ -39,6 +39,7 @@ from repro.graph.io import saves_graph
 from repro.obs.log import StructuredLog, new_trace_id, trace_context
 from repro.obs.spans import span
 from repro.service.server import DEFAULT_PORT
+from repro.service.wire import decode_embeddings
 
 T = TypeVar("T")
 
@@ -129,7 +130,8 @@ class QueryReply:
     """One served query: counts, status, cache disposition, embeddings.
 
     ``queue_seconds`` (admission-queue wait) is reported separately from
-    ``server_seconds`` (total server-side handling); ``trace`` is the
+    ``server_seconds`` (total server-side handling), which excludes
+    ``encode_seconds`` (packing the embedding frame); ``trace`` is the
     request's trace id — the one its structured log lines share across
     client, server, and pool workers; ``profile`` is the sampling-
     profiler summary when the query ran with ``profile=``; ``explain``
@@ -144,6 +146,7 @@ class QueryReply:
     embeddings: List[Tuple[int, ...]] = field(default_factory=list)
     queue_seconds: float = 0.0
     server_seconds: float = 0.0
+    encode_seconds: float = 0.0
     trace: Optional[str] = None
     profile: Optional[Dict] = None
     explain: Optional[Dict] = None
@@ -272,6 +275,24 @@ class ServiceClient:
                 )
             raise ServiceError(message)
         return reply
+
+    def _read_embeddings(self, header: Dict) -> List[Tuple[int, ...]]:
+        """Read and decode the frame body announced by ``header``."""
+        size = int(header.get("bytes", 0))
+        try:
+            body = self._file.read(size) if size else b""
+        except OSError as exc:
+            raise ServiceUnavailable(f"connection broke: {exc}") from exc
+        if len(body) != size:
+            # The stream is torn mid-frame: the socket is unusable.
+            self.close()
+            raise ServiceUnavailable(
+                f"connection closed after {len(body)} of {size} reply bytes"
+            )
+        try:
+            return decode_embeddings(body, int(header.get("arity", 0)))
+        except ValueError as exc:
+            raise ServiceError(f"malformed server reply: {exc}") from exc
 
     def _with_retry(
         self,
@@ -417,15 +438,7 @@ class ServiceClient:
             if self.tenant is not None:
                 sub_payload["tenant"] = self.tenant
             header = self.request(sub_payload)
-            embeddings: List[Tuple[int, ...]] = []
-            for _ in range(int(header.get("chunks", 0))):
-                message = self._recv()
-                if "chunk" not in message:
-                    raise ServiceError("missing chunk in streamed response")
-                embeddings.extend(tuple(e) for e in message["chunk"])
-            trailer = self._recv()
-            if not trailer.get("end"):
-                raise ServiceError("missing end-of-stream marker")
+            embeddings = self._read_embeddings(header)
             epoch = header.get("epoch")
             return SubscribeReply(
                 subscription=int(header["subscription"]),
@@ -468,14 +481,13 @@ class ServiceClient:
         workers: int = 1,
         count_only: bool = False,
         cache: bool = True,
-        chunk_size: Optional[int] = None,
         priority: Optional[str] = None,
         deadline: Optional[float] = None,
         profile: Union[bool, int] = False,
         explain: Optional[str] = None,
     ) -> QueryReply:
         """Match ``graph`` (a :class:`Graph` or ``.graph`` text) against
-        the catalog entry ``data``; collects the streamed chunks.
+        the catalog entry ``data``; decodes the reply's embedding frame.
 
         ``priority`` (``"high"``/``"normal"``/``"low"``) selects the
         server's load-shedding class.  ``deadline`` is a wall-clock
@@ -517,8 +529,6 @@ class ServiceClient:
             payload["count_only"] = True
         if not cache:
             payload["cache"] = False
-        if chunk_size is not None:
-            payload["chunk_size"] = chunk_size
         if priority is not None:
             payload["priority"] = priority
         deadline_at = (
@@ -542,7 +552,7 @@ class ServiceClient:
                 )
             if budget is not None:
                 payload["time_limit"] = budget
-            # The attempt span brackets send → last streamed chunk; its
+            # The attempt span brackets send → decoded reply body; its
             # id travels in the payload so the server parents under it —
             # but only when this client has a log to emit the span to:
             # advertising a parent that is never written would leave the
@@ -552,17 +562,7 @@ class ServiceClient:
                 if self.log is not None:
                     payload["span"] = att.id
                 header = self.request(payload)
-                embeddings: List[Tuple[int, ...]] = []
-                for _ in range(int(header.get("chunks", 0))):
-                    message = self._recv()
-                    if "chunk" not in message:
-                        raise ServiceError(
-                            "missing chunk in streamed response"
-                        )
-                    embeddings.extend(tuple(e) for e in message["chunk"])
-                trailer = self._recv()
-                if not trailer.get("end"):
-                    raise ServiceError("missing end-of-stream marker")
+                embeddings = self._read_embeddings(header)
             return QueryReply(
                 num_embeddings=int(header["num_embeddings"]),
                 status=str(header["status"]),
@@ -572,6 +572,7 @@ class ServiceClient:
                 embeddings=embeddings,
                 queue_seconds=float(header.get("queue_seconds", 0.0)),
                 server_seconds=float(header.get("server_seconds", 0.0)),
+                encode_seconds=float(header.get("encode_seconds", 0.0)),
                 trace=header.get("trace", trace),
                 profile=header.get("profile"),
                 explain=header.get("explain"),

@@ -46,6 +46,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph
@@ -491,16 +492,16 @@ class QueryCache:
 
         embeddings: List[Tuple[int, ...]] = []
         if limits.collect:
-            prefix = entry.embeddings[:count]
+            embeddings = entry.embeddings[:count]
             mapping = self._compose(entry.perm, form.perm)
-            if mapping is None:  # identity: the common exact-repeat case
-                embeddings = list(prefix)
-            else:
+            if mapping is not None:  # None: identity, the exact repeat
                 self.counters["translated_hits"] += 1
-                embeddings = [
-                    tuple(e[mapping[u]] for u in range(len(mapping)))
-                    for e in prefix
-                ]
+                if len(mapping) == 1:
+                    # itemgetter with one index returns a scalar.  (Not
+                    # reached today: one vertex composes to the identity.)
+                    embeddings = [(e[mapping[0]],) for e in embeddings]
+                else:
+                    embeddings = list(map(itemgetter(*mapping), embeddings))
         return MatchResult(
             embeddings=embeddings,
             num_embeddings=count,

@@ -1,7 +1,10 @@
 """Asyncio JSON-lines TCP server fronting the GuP engine.
 
 Protocol: newline-delimited JSON both ways.  Each request is one
-object with an ``"op"`` field; each response is one or more lines:
+object with an ``"op"`` field, on one line of at most
+``max_request_bytes`` (default 16 MiB).  Each response is one line,
+except that a reply carrying embeddings is one header line followed
+by a binary body (the :mod:`repro.service.wire` frame):
 
 ``{"op": "ping"}``
     → ``{"ok": true, "pong": true}``
@@ -21,11 +24,14 @@ object with an ``"op"`` field; each response is one or more lines:
    "trace": id, "profile": b|stride}``
     → header ``{"ok": true, "num_embeddings": N, "status": s,
       "cache": "hit"|"miss"|"bypass", "queue_seconds": q,
-      "server_seconds": t, "trace": id, "chunks": k, ...}``, then ``k``
-      lines ``{"chunk": [[...], ...]}``, then ``{"end": true}`` —
-      large embedding sets stream in bounded chunks instead of one
-      giant line.  ``queue_seconds`` is admission-queue wait, reported
-      separately from execution; ``trace`` echoes (or generates) the
+      "server_seconds": t, "encode_seconds": e, "trace": id,
+      "arity": k, "bytes": n, ...}``, then exactly ``n`` raw bytes:
+      the embeddings as little-endian uint32, ``k`` per embedding,
+      row-major (``n`` is 0 for count-only and empty results).  Header
+      and body go out in one write.  ``queue_seconds`` is
+      admission-queue wait, reported separately from execution;
+      ``encode_seconds`` is the time spent packing the body, outside
+      ``server_seconds``; ``trace`` echoes (or generates) the
       request's trace id, the one its structured log lines share;
       ``profile`` attaches a search-level sampling-profiler summary
       (depth histogram, conflicts by kind, backjumps) to the header.
@@ -40,8 +46,9 @@ object with an ``"op"`` field; each response is one or more lines:
       subscriber of that graph.
 ``{"op": "subscribe", "data": name, "graph": text}``
     → header ``{"ok": true, "subscription": id, "num_embeddings": N,
-      "epoch": E, "chunks": k}``, then the current embeddings in ``k``
-      chunk lines and ``{"end": true}``.  Afterwards every ``update``
+      "epoch": E, "arity": k, "bytes": n}``, then the current
+      embeddings as an ``n``-byte frame body, as for ``query``.
+      Afterwards every ``update``
       of that graph pushes one line
       ``{"event": "delta", "subscription": id, "data": name,
       "epoch": E, "added": [...], "removed": [...]}`` with the exact
@@ -75,7 +82,11 @@ object with an ``"op"`` field; each response is one or more lines:
     → ``{"ok": true, "stopping": true}`` and the server stops.
 
 Every error is a single ``{"ok": false, "error": msg}`` line; the
-connection stays usable (malformed requests don't kill it).
+connection stays usable (malformed requests don't kill it).  The one
+exception is a request line longer than ``max_request_bytes``: it is
+answered ``{"ok": false, "error": msg, "reason":
+"request_too_large"}``, counted in ``errors``, and the connection is
+closed.
 
 Concurrency model: the event loop only parses and streams; matching is
 CPU-bound and runs on a thread-pool executor bounded by
@@ -149,8 +160,13 @@ from repro.service.tenancy import (
     TenantState,
     TenantTable,
 )
+from repro.service.wire import encode_embeddings
 
 DEFAULT_PORT = 7464
+
+# Graphs travel inline on one request line; the benchmark wordnet is
+# about 12 KB of text, so this fits graphs ~1000x larger.
+DEFAULT_MAX_REQUEST_BYTES = 16 << 20
 
 PRIORITIES = ("high", "normal", "low")
 
@@ -203,7 +219,7 @@ class MatchingServer:
         max_inflight: int = 2,
         max_pending: int = 8,
         cache_entries: int = 256,
-        chunk_size: int = 512,
+        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_request_workers: int = 8,
         default_time_limit: Optional[float] = None,
         default_recursion_limit: Optional[int] = None,
@@ -225,7 +241,7 @@ class MatchingServer:
         self.catalog = catalog
         self.max_inflight = max(1, max_inflight)
         self.max_pending = max(0, max_pending)
-        self.chunk_size = max(1, chunk_size)
+        self.max_request_bytes = max(1, max_request_bytes)
         self.cache_entries = cache_entries
         self.max_request_workers = max(1, max_request_workers)
         self.default_time_limit = default_time_limit
@@ -416,7 +432,7 @@ class MatchingServer:
             max_workers=1, thread_name_prefix="repro-aux"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=self.max_request_bytes
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -551,9 +567,35 @@ class MatchingServer:
 
     # -- connection handling -------------------------------------------
 
-    async def _send(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+    async def _send(
+        self, writer: asyncio.StreamWriter, payload: Dict, body: bytes = b""
+    ) -> None:
+        """One reply line plus an optional frame body, in one write."""
+        writer.write(json.dumps(payload).encode("utf-8") + b"\n" + body)
         await writer.drain()
+
+    async def _reject_oversized(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer a request line over ``max_request_bytes``; the caller
+        closes the connection.  The rest of the line is read and dropped
+        first: closing on unread input would reset the connection and
+        could discard the reply before the client reads it."""
+        self._bump("errors")
+        self.obs.emit("request_too_large", limit=self.max_request_bytes)
+        await self._send(writer, {
+            "ok": False,
+            "error": f"request line exceeds {self.max_request_bytes} bytes",
+            "reason": "request_too_large",
+        })
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)
+            except asyncio.IncompleteReadError:
+                return
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -577,7 +619,13 @@ class MatchingServer:
                 if rule.action == "delay":
                     await asyncio.sleep(rule.seconds)
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: a last unterminated line
+                except asyncio.LimitOverrunError:
+                    await self._reject_oversized(reader, writer)
+                    break
                 if not line:
                     break
                 line = line.strip()
@@ -677,7 +725,10 @@ class MatchingServer:
         parts = request_line.decode("latin-1").split()
         path = parts[1] if len(parts) >= 2 else "/"
         for _ in range(64):  # drain headers until the blank line
-            header = await reader.readline()
+            try:
+                header = await reader.readline()
+            except ValueError:  # a header over max_request_bytes
+                break
             if not header or header in (b"\r\n", b"\n"):
                 break
         if path.split("?")[0] == "/metrics":
@@ -989,7 +1040,7 @@ class MatchingServer:
         # enumerated on the same epoch the subscription registers under
         # (an update landing in between would make every later diff
         # start from a stale set), and no event line may be pushed
-        # between the header and its chunk stream.
+        # before the snapshot frame.
         async with self._update_lock:
             try:
                 await self._slots.acquire(
@@ -1038,36 +1089,24 @@ class MatchingServer:
                 epoch=epoch, num_embeddings=len(matches),
                 tenant=tstate.spec.name,
             )
-            embeddings = sorted(matches)
-            chunk_count = (
-                len(embeddings) + self.chunk_size - 1
-            ) // self.chunk_size
+            arity, body = encode_embeddings(sorted(matches))
             await self._send(
                 writer,
                 {
                     "ok": True,
                     "subscription": sub_id,
-                    "num_embeddings": len(embeddings),
+                    "num_embeddings": len(matches),
                     "epoch": epoch,
-                    "chunks": chunk_count,
                     "trace": trace,
+                    "arity": arity,
+                    "bytes": len(body),
                 },
+                body,
             )
-            for i in range(chunk_count):
-                await self._send(
-                    writer,
-                    {"chunk": [
-                        list(e)
-                        for e in embeddings[
-                            i * self.chunk_size : (i + 1) * self.chunk_size
-                        ]
-                    ]},
-                )
-            await self._send(writer, {"end": True})
-            # Only start draining events after the snapshot stream is
-            # complete — the first queued diff must never interleave
-            # with the header/chunk lines above (we still hold the
-            # update lock here, so nothing can have been enqueued yet).
+            # Only start draining events after the snapshot frame is
+            # written — the first queued diff must never interleave
+            # with it (we still hold the update lock here, so nothing
+            # can have been enqueued yet).
             sub.sender = asyncio.get_running_loop().create_task(
                 self._sub_sender(sub)
             )
@@ -1279,7 +1318,7 @@ class MatchingServer:
         tstate.inflight += 1
         try:
             try:
-                parsed, chunk_size = self._parse_query(request)
+                parsed = self._parse_query(request)
             except ValueError as exc:
                 self._bump("errors")
                 self.obs.emit(
@@ -1351,8 +1390,8 @@ class MatchingServer:
             server_seconds = time.perf_counter() - started
             stream_started = time.perf_counter()
             stream_t0 = time.monotonic()
-            await self._stream_result(
-                writer, result, cache_state, server_seconds, chunk_size,
+            await self._send_result(
+                writer, result, cache_state, server_seconds,
                 queue_seconds=queue_seconds, trace=trace,
                 profile=prov.get("profile"), explain=prov.get("explain"),
             )
@@ -1411,7 +1450,7 @@ class MatchingServer:
             self._active -= 1
             tstate.inflight -= 1
 
-    def _parse_query(self, request: Dict) -> Tuple[Tuple, int]:
+    def _parse_query(self, request: Dict) -> Tuple:
         name = request.get("data")
         if not isinstance(name, str):
             raise ValueError("query request needs a 'data' catalog name")
@@ -1442,7 +1481,6 @@ class MatchingServer:
         workers = opt_number("workers", 1, int) or 1
         workers = min(workers, self.max_request_workers)
         use_cache = bool(request.get("cache", True))
-        chunk_size = opt_number("chunk_size", self.chunk_size, int) or 1
         # profile: false (off), true (stride-1 sampling), or an int
         # stride — attaches a SamplingProfiler summary to the reply.
         profile = request.get("profile", False)
@@ -1459,9 +1497,7 @@ class MatchingServer:
             raise ValueError("'explain' must be null, 'plan', or 'analyze'")
         if explain is not None and stride > 0:
             raise ValueError("'explain' cannot be combined with 'profile'")
-        return (
-            name, query, limits, workers, use_cache, stride, explain
-        ), chunk_size
+        return name, query, limits, workers, use_cache, stride, explain
 
     def _cache_for(self, name: str) -> QueryCache:
         with self._counters_lock:
@@ -1615,20 +1651,21 @@ class MatchingServer:
     def _bump(self, key: str) -> None:
         self.counters.inc(key)
 
-    async def _stream_result(
+    async def _send_result(
         self,
         writer: asyncio.StreamWriter,
         result: MatchResult,
         cache_state: str,
         server_seconds: float,
-        chunk_size: int,
         queue_seconds: float = 0.0,
         trace: Optional[str] = None,
         profile: Optional[Dict] = None,
         explain: Optional[Dict] = None,
     ) -> None:
-        embeddings = result.embeddings
-        chunk_count = (len(embeddings) + chunk_size - 1) // chunk_size
+        """Write the query reply: header line and frame body."""
+        encode_started = time.perf_counter()
+        arity, body = encode_embeddings(result.embeddings)
+        encode_seconds = time.perf_counter() - encode_started
         header = {
             "ok": True,
             "num_embeddings": result.num_embeddings,
@@ -1638,7 +1675,9 @@ class MatchingServer:
             "elapsed": round(result.total_seconds, 6),
             "server_seconds": round(server_seconds, 6),
             "queue_seconds": round(queue_seconds, 6),
-            "chunks": chunk_count,
+            "encode_seconds": round(encode_seconds, 6),
+            "arity": arity,
+            "bytes": len(body),
         }
         if trace is not None:
             header["trace"] = trace
@@ -1646,16 +1685,7 @@ class MatchingServer:
             header["profile"] = profile
         if explain is not None:
             header["explain"] = explain
-        await self._send(
-            writer,
-            header,
-        )
-        for i in range(chunk_count):
-            await self._send(
-                writer,
-                {"chunk": embeddings[i * chunk_size : (i + 1) * chunk_size]},
-            )
-        await self._send(writer, {"end": True})
+        await self._send(writer, header, body)
 
     def _stats_payload(self) -> Dict:
         with self._counters_lock:

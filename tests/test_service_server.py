@@ -11,6 +11,7 @@ via the counters exposed by the ``stats`` op).
 """
 
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -22,11 +23,12 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.engine import GuPEngine
-from repro.graph.io import save_graph, saves_graph
+from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.service.catalog import GraphCatalog
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ServerThread
+from repro.service.wire import decode_embeddings
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import QuerySetSpec, generate_query_set
 
@@ -118,20 +120,153 @@ class TestEndToEndExactness:
             assert reply.cache == "hit"
             assert_reply_identical(reply, direct)
 
-    def test_count_only_and_chunked_streaming(self, workload, service):
+    def test_count_only_and_framed_reply(self, workload, service):
+        """A reply is one header line plus exactly ``bytes`` of uint32
+        body and nothing after it; count-only replies carry no body."""
         data, queries = workload
         query = queries[1]
         direct = GuPEngine(data).match(
             query, limits=SearchLimits(max_embeddings=50)
         )
-        with ServiceClient(*service.address) as client:
-            chunked = client.query(
-                query, "wordnet", limit=50, chunk_size=7, cache=False
+        request = {"op": "query", "data": "wordnet",
+                   "graph": saves_graph(query), "limit": 50, "cache": False}
+        with socket.create_connection(service.address, timeout=30) as sock:
+            handle = sock.makefile("rwb")
+
+            def roundtrip(payload):
+                handle.write(json.dumps(payload).encode() + b"\n")
+                handle.flush()
+                return json.loads(handle.readline())
+
+            header = roundtrip(request)
+            assert header["encode_seconds"] >= 0.0
+            assert header["arity"] == query.num_vertices
+            assert header["bytes"] == (
+                4 * query.num_vertices * direct.num_embeddings
             )
-            assert_reply_identical(chunked, direct)
+            body = handle.read(header["bytes"])
+            assert decode_embeddings(body, header["arity"]) == direct.embeddings
+            counted = roundtrip({**request, "count_only": True})
+            assert counted["bytes"] == 0
+            assert counted["num_embeddings"] == direct.num_embeddings
+            assert roundtrip({"op": "ping"})["pong"]
+        with ServiceClient(*service.address) as client:
+            assert_reply_identical(
+                client.query(query, "wordnet", limit=50, cache=False), direct
+            )
             counted = client.query(query, "wordnet", limit=50, count_only=True)
             assert counted.embeddings == []
             assert counted.num_embeddings == direct.num_embeddings
+
+    def test_encode_seconds_reported_apart_from_server_seconds(
+        self, workload, service
+    ):
+        data, queries = workload
+        with ServiceClient(*service.address) as client:
+            reply = client.query(queries[2], "wordnet", limit=LIMIT)
+            # The server logs a query after its reply, before it reads
+            # the next request on the connection.
+            assert client.ping()
+        assert reply.embeddings
+        assert reply.encode_seconds >= 0.0
+        assert reply.server_seconds > 0.0
+        record = [
+            r for r in service.server.obs.log.read_records()
+            if r.get("trace") == reply.trace and r.get("event") == "query"
+        ][-1]
+        # Encoding happens in the stream phase, after server_seconds.
+        assert record["server_seconds"] == reply.server_seconds
+        assert reply.encode_seconds <= record["stream_seconds"]
+
+
+class TestFramedCacheHits:
+    """Served == direct through the frame on cache hits of a 1-vertex
+    query (translation must still yield tuples), at cap 0, count-only,
+    on an empty result, and for a subscribe snapshot."""
+
+    @staticmethod
+    def single(label) -> str:
+        return f"t 1 0\nv 0 {label} 0\n"
+
+    def test_one_vertex_hits(self, workload, service):
+        data, _ = workload
+        engine = GuPEngine(data)
+        label = data.labels[0]
+        query = self.single(label)
+        with ServiceClient(*service.address) as client:
+            for kwargs in ({}, {"limit": 0}, {"limit": 3},
+                           {"count_only": True}):
+                direct = engine.match(
+                    loads_graph(query),
+                    limits=SearchLimits(
+                        max_embeddings=kwargs.get("limit"),
+                        collect=not kwargs.get("count_only", False),
+                    ),
+                )
+                client.query(query, "wordnet")  # complete entry cached
+                reply = client.query(query, "wordnet", **kwargs)
+                assert reply.cache == "hit"
+                assert_reply_identical(reply, direct)
+                assert all(type(e) is tuple and len(e) == 1
+                           for e in reply.embeddings)
+
+    def test_empty_result_hit(self, workload, service):
+        data, _ = workload
+        query = self.single(max(data.labels) + 1)  # a label data lacks
+        with ServiceClient(*service.address) as client:
+            assert client.query(query, "wordnet").cache == "miss"
+            reply = client.query(query, "wordnet")
+        assert reply.cache == "hit"
+        assert reply.num_embeddings == 0 and reply.embeddings == []
+        assert reply.status == "complete"
+
+    def test_subscribe_snapshot_frame(self, workload, service):
+        data, _ = workload
+        query = self.single(data.labels[0])
+        direct = GuPEngine(data).match(loads_graph(query))
+        with ServiceClient(*service.address) as client:
+            reply = client.subscribe(query, "wordnet")
+        assert reply.num_embeddings == direct.num_embeddings
+        assert reply.embeddings == sorted(direct.embeddings)
+
+
+class TestRequestLineLimit:
+    """Request lines past ``max_request_bytes`` get one structured,
+    counted error and a clean close — never a traceback or bare EOF."""
+
+    @staticmethod
+    def send_raw(address, payload: dict, read_to_eof: bool):
+        """One request line over a raw socket: the reply, then (if
+        ``read_to_eof``) whatever follows it until the server closes."""
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(json.dumps(payload).encode() + b"\n")
+            handle = sock.makefile("rb")
+            reply = json.loads(handle.readline())
+            return reply, handle.read() if read_to_eof else None
+
+    def test_70_kib_line_within_default_limit(self, service):
+        reply, _ = self.send_raw(
+            service.address, {"op": "ping", "pad": "x" * (70 << 10)},
+            read_to_eof=False,
+        )
+        assert reply == {"ok": True, "pong": True}
+
+    def test_line_over_limit_is_structured_error(self, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        catalog = GraphCatalog(tmp_path / "catalog")
+        with ServerThread(catalog, max_request_bytes=4096) as thread:
+            reply, rest = self.send_raw(
+                thread.address, {"op": "ping", "pad": "x" * 20_000},
+                read_to_eof=True,
+            )
+            assert reply["ok"] is False
+            assert reply["reason"] == "request_too_large"
+            assert "4096" in reply["error"]
+            assert rest == b"", "connection must close after the error"
+            with ServiceClient(*thread.address) as client:
+                assert client.ping()  # the server keeps serving
+                assert client.stats()["server"]["errors"] == 1
+        assert not caplog.records, "oversized line raised in the handler"
 
 
 class TestProtocol:
