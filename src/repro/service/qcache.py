@@ -496,12 +496,7 @@ class QueryCache:
             mapping = self._compose(entry.perm, form.perm)
             if mapping is not None:  # None: identity, the exact repeat
                 self.counters["translated_hits"] += 1
-                if len(mapping) == 1:
-                    # itemgetter with one index returns a scalar.  (Not
-                    # reached today: one vertex composes to the identity.)
-                    embeddings = [(e[mapping[0]],) for e in embeddings]
-                else:
-                    embeddings = list(map(itemgetter(*mapping), embeddings))
+                embeddings = list(map(itemgetter(*mapping), embeddings))
         return MatchResult(
             embeddings=embeddings,
             num_embeddings=count,

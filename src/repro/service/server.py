@@ -2,7 +2,7 @@
 
 Protocol: newline-delimited JSON both ways.  Each request is one
 object with an ``"op"`` field, on one line of at most
-``max_request_bytes`` (default 16 MiB).  Each response is one line,
+``MAX_REQUEST_BYTES`` (16 MiB).  Each response is one line,
 except that a reply carrying embeddings is one header line followed
 by a binary body (the :mod:`repro.service.wire` frame):
 
@@ -83,10 +83,11 @@ by a binary body (the :mod:`repro.service.wire` frame):
 
 Every error is a single ``{"ok": false, "error": msg}`` line; the
 connection stays usable (malformed requests don't kill it).  The one
-exception is a request line longer than ``max_request_bytes``: it is
+exception is a request line longer than ``MAX_REQUEST_BYTES``: it is
 answered ``{"ok": false, "error": msg, "reason":
 "request_too_large"}``, counted in ``errors``, and the connection is
-closed.
+closed.  The same bound paces reading: a connection buffers up to
+twice it (~32 MiB) before the server stops reading from it.
 
 Concurrency model: the event loop only parses and streams; matching is
 CPU-bound and runs on a thread-pool executor bounded by
@@ -165,8 +166,11 @@ from repro.service.wire import encode_embeddings
 DEFAULT_PORT = 7464
 
 # Graphs travel inline on one request line; the benchmark wordnet is
-# about 12 KB of text, so this fits graphs ~1000x larger.
-DEFAULT_MAX_REQUEST_BYTES = 16 << 20
+# about 12 KB of text, so this fits graphs ~1000x larger.  It is also
+# asyncio's flow-control threshold: a connection's reader pauses only
+# once 2x this is buffered, so a client pipelining requests faster
+# than they are served can hold up to ~32 MiB of server memory.
+MAX_REQUEST_BYTES = 16 << 20
 
 PRIORITIES = ("high", "normal", "low")
 
@@ -219,7 +223,6 @@ class MatchingServer:
         max_inflight: int = 2,
         max_pending: int = 8,
         cache_entries: int = 256,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_request_workers: int = 8,
         default_time_limit: Optional[float] = None,
         default_recursion_limit: Optional[int] = None,
@@ -241,7 +244,6 @@ class MatchingServer:
         self.catalog = catalog
         self.max_inflight = max(1, max_inflight)
         self.max_pending = max(0, max_pending)
-        self.max_request_bytes = max(1, max_request_bytes)
         self.cache_entries = cache_entries
         self.max_request_workers = max(1, max_request_workers)
         self.default_time_limit = default_time_limit
@@ -432,7 +434,7 @@ class MatchingServer:
             max_workers=1, thread_name_prefix="repro-aux"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=self.max_request_bytes
+            self._handle_connection, host, port, limit=MAX_REQUEST_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -577,15 +579,15 @@ class MatchingServer:
     async def _reject_oversized(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Answer a request line over ``max_request_bytes``; the caller
+        """Answer a request line over ``MAX_REQUEST_BYTES``; the caller
         closes the connection.  The rest of the line is read and dropped
         first: closing on unread input would reset the connection and
         could discard the reply before the client reads it."""
         self._bump("errors")
-        self.obs.emit("request_too_large", limit=self.max_request_bytes)
+        self.obs.emit("request_too_large", limit=MAX_REQUEST_BYTES)
         await self._send(writer, {
             "ok": False,
-            "error": f"request line exceeds {self.max_request_bytes} bytes",
+            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
             "reason": "request_too_large",
         })
         while True:
@@ -727,8 +729,8 @@ class MatchingServer:
         for _ in range(64):  # drain headers until the blank line
             try:
                 header = await reader.readline()
-            except ValueError:  # a header over max_request_bytes
-                break
+            except ValueError:  # a header over MAX_REQUEST_BYTES: skip it
+                continue
             if not header or header in (b"\r\n", b"\n"):
                 break
         if path.split("?")[0] == "/metrics":

@@ -27,6 +27,7 @@ from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.service.catalog import GraphCatalog
 from repro.service.client import ServiceClient, ServiceError
+from repro.service import server as server_module
 from repro.service.server import ServerThread
 from repro.service.wire import decode_embeddings
 from repro.workload.datasets import load_dataset
@@ -231,42 +232,67 @@ class TestFramedCacheHits:
 
 
 class TestRequestLineLimit:
-    """Request lines past ``max_request_bytes`` get one structured,
+    """Request lines past ``MAX_REQUEST_BYTES`` get one structured,
     counted error and a clean close — never a traceback or bare EOF."""
 
+    @pytest.fixture
+    def small_limit(self, tmp_path, monkeypatch, caplog):
+        """A server whose line limit is 4096 bytes; asserts that asyncio
+        logged nothing (no handler traceback) while it ran."""
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 4096)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with ServerThread(GraphCatalog(tmp_path / "catalog")) as thread:
+            yield thread
+        assert not caplog.records, "oversized line raised in the handler"
+
     @staticmethod
-    def send_raw(address, payload: dict, read_to_eof: bool):
-        """One request line over a raw socket: the reply, then (if
-        ``read_to_eof``) whatever follows it until the server closes."""
+    def send_raw(address, line: bytes, read_to_eof: bool):
+        """One raw request over a socket: its first reply line, then (if
+        ``read_to_eof``) whatever follows until the server closes."""
         with socket.create_connection(address, timeout=30) as sock:
-            sock.sendall(json.dumps(payload).encode() + b"\n")
+            sock.sendall(line)
             handle = sock.makefile("rb")
-            reply = json.loads(handle.readline())
-            return reply, handle.read() if read_to_eof else None
+            first = handle.readline()
+            return first, handle.read() if read_to_eof else None
+
+    @staticmethod
+    def json_line(payload: dict) -> bytes:
+        return json.dumps(payload).encode() + b"\n"
 
     def test_70_kib_line_within_default_limit(self, service):
-        reply, _ = self.send_raw(
-            service.address, {"op": "ping", "pad": "x" * (70 << 10)},
+        first, _ = self.send_raw(
+            service.address,
+            self.json_line({"op": "ping", "pad": "x" * (70 << 10)}),
             read_to_eof=False,
         )
-        assert reply == {"ok": True, "pong": True}
+        assert json.loads(first) == {"ok": True, "pong": True}
 
-    def test_line_over_limit_is_structured_error(self, tmp_path, caplog):
-        caplog.set_level(logging.ERROR, logger="asyncio")
-        catalog = GraphCatalog(tmp_path / "catalog")
-        with ServerThread(catalog, max_request_bytes=4096) as thread:
-            reply, rest = self.send_raw(
-                thread.address, {"op": "ping", "pad": "x" * 20_000},
-                read_to_eof=True,
-            )
-            assert reply["ok"] is False
-            assert reply["reason"] == "request_too_large"
-            assert "4096" in reply["error"]
-            assert rest == b"", "connection must close after the error"
-            with ServiceClient(*thread.address) as client:
-                assert client.ping()  # the server keeps serving
-                assert client.stats()["server"]["errors"] == 1
-        assert not caplog.records, "oversized line raised in the handler"
+    def test_line_over_limit_is_structured_error(self, small_limit):
+        first, rest = self.send_raw(
+            small_limit.address,
+            self.json_line({"op": "ping", "pad": "x" * 20_000}),
+            read_to_eof=True,
+        )
+        reply = json.loads(first)
+        assert reply["ok"] is False
+        assert reply["reason"] == "request_too_large"
+        assert "4096" in reply["error"]
+        assert rest == b"", "connection must close after the error"
+        with ServiceClient(*small_limit.address) as client:
+            assert client.ping()  # the server keeps serving
+            assert client.stats()["server"]["errors"] == 1
+
+    def test_http_header_over_limit_still_answered(self, small_limit):
+        request = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            + b"X-Pad: " + b"x" * 20_000 + b"\r\nAccept: */*\r\n\r\n"
+        )
+        status, rest = self.send_raw(
+            small_limit.address, request, read_to_eof=True
+        )
+        assert status.startswith(b"HTTP/1.0 200")
+        body = rest.split(b"\r\n\r\n", 1)[1]
+        assert json.loads(body)["ok"] is True
 
 
 class TestProtocol:
