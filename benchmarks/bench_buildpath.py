@@ -1,11 +1,9 @@
 """Build-path perf trajectory: bitmap GCS construction vs the seed set builder.
 
 Runs GCS construction (``GuPEngine.build`` — seeding, filtering,
-candidate-edge materialization, reservation generation) with three
-backend columns — ``"bitmap"`` (:mod:`repro.filtering.masks`, the
-dense-mask default), ``"set"`` (the seed set/dict pipeline kept
-verbatim), and ``"words"`` (the bitmap pipeline with
-``mask_backend="words"`` — word-array mask kernels, DESIGN.md §11) —
+candidate-edge materialization, reservation generation) with both build
+backends — ``"bitmap"`` (:mod:`repro.filtering.masks`, the dense-mask
+default) and ``"set"`` (the seed set/dict pipeline kept verbatim) —
 over the fig6/fig7 workload grid (the six query sets of
 :data:`benchmarks.conftest.SET_SPECS` on wordnet, easy random-walk bulk
 plus the mined hard tail).  Both backends produce byte-identical GCSes
@@ -58,21 +56,10 @@ from repro.core.config import GuPConfig  # noqa: E402
 from repro.core.engine import GuPEngine  # noqa: E402
 
 DATASET = "wordnet"  # the fig6/fig7 dataset
-BACKENDS = ("set", "bitmap", "words")
+BACKENDS = ("set", "bitmap")
 FULL_SETS = tuple(SET_SPECS)
 SMOKE_SETS = ("8S", "8D")
 DEFAULT_OUT = ROOT / "BENCH_buildpath.json"
-
-# Per-column engine configs.  ``mask_backend`` is pinned explicitly so a
-# REPRO_MASK_BACKEND override (the CI words matrix job) cannot skew the
-# reference columns.  ``"words"`` is the stacked configuration — bitmap
-# build pipeline + word-array mask kernels (DESIGN.md §11) — so its
-# speedup column reads directly against the seed set builder.
-CONFIGS = {
-    "set": GuPConfig(build_backend="set", mask_backend="int"),
-    "bitmap": GuPConfig(build_backend="bitmap", mask_backend="int"),
-    "words": GuPConfig(build_backend="bitmap", mask_backend="words"),
-}
 
 
 def _geomean(values):
@@ -87,7 +74,9 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
     asserted identical (candidates, candidate edges, reservations).
     """
     data = dataset(DATASET)
-    engines = {b: GuPEngine(data, CONFIGS[b]) for b in BACKENDS}
+    engines = {
+        b: GuPEngine(data, GuPConfig(build_backend=b)) for b in BACKENDS
+    }
     for engine in engines.values():
         engine.artifacts  # prebuild the per-graph artifacts outside timing
 
@@ -98,8 +87,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
         for b in BACKENDS
     }
     per_query_speedups = []
-    words_speedups = []
-    words_vs_int = []
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -114,7 +101,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                 for b in BACKENDS
             }
             set_speedups = []
-            set_words_speedups = []
             for query in queries:
                 walls = {}
                 gcses = {}
@@ -134,18 +120,14 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                     bucket["reservations"] += len(gcs.reservations)
                     bucket["wall_seconds"] += best
                     bucket["builds"] += 1
-                assert all(
-                    gcses["set"].cs.candidates == gcses[b].cs.candidates
+                assert (
+                    gcses["set"].cs.candidates == gcses["bitmap"].cs.candidates
                     and gcses["set"].cs.num_candidate_edges
-                    == gcses[b].cs.num_candidate_edges
-                    and gcses["set"].reservations == gcses[b].reservations
-                    for b in ("bitmap", "words")
+                    == gcses["bitmap"].cs.num_candidate_edges
+                    and gcses["set"].reservations == gcses["bitmap"].reservations
                 ), "build backends must produce identical GCSes"
                 per_query_speedups.append(walls["set"] / walls["bitmap"])
                 set_speedups.append(per_query_speedups[-1])
-                words_speedups.append(walls["set"] / walls["words"])
-                set_words_speedups.append(words_speedups[-1])
-                words_vs_int.append(walls["bitmap"] / walls["words"])
             entry = {}
             for backend in BACKENDS:
                 bucket = set_totals[backend]
@@ -164,12 +146,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                 entry["set"]["wall_seconds"] / entry["bitmap"]["wall_seconds"], 3
             )
             entry["geomean_speedup"] = round(_geomean(set_speedups), 3)
-            entry["words_wall_speedup"] = round(
-                entry["set"]["wall_seconds"] / entry["words"]["wall_seconds"], 3
-            )
-            entry["words_geomean_speedup"] = round(
-                _geomean(set_words_speedups), 3
-            )
             per_set[set_name] = entry
     finally:
         if gc_was_enabled:
@@ -192,18 +168,10 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
     overall["geomean_speedup_per_query"] = round(
         _geomean(per_query_speedups), 3
     )
-    overall["words_wall_speedup"] = round(
-        totals["set"]["wall_seconds"] / totals["words"]["wall_seconds"], 3
-    )
-    overall["words_geomean_speedup_per_query"] = round(
-        _geomean(words_speedups), 3
-    )
-    overall["words_vs_int_geomean"] = round(_geomean(words_vs_int), 3)
-    assert all(
-        totals["set"]["candidates"] == totals[b]["candidates"]
-        and totals["set"]["candidate_edges"] == totals[b]["candidate_edges"]
-        and totals["set"]["reservations"] == totals[b]["reservations"]
-        for b in ("bitmap", "words")
+    assert (
+        totals["set"]["candidates"] == totals["bitmap"]["candidates"]
+        and totals["set"]["candidate_edges"] == totals["bitmap"]["candidate_edges"]
+        and totals["set"]["reservations"] == totals["bitmap"]["reservations"]
     ), "build backends must produce identical GCS totals"
     return {"sets": per_set, "overall": overall}
 
@@ -245,11 +213,6 @@ def main(argv=None) -> int:
     print(
         f"  wall speedup {overall['wall_speedup']}x | "
         f"per-query geomean {overall['geomean_speedup_per_query']}x"
-    )
-    print(
-        f"  words vs seed: wall {overall['words_wall_speedup']}x | "
-        f"geomean {overall['words_geomean_speedup_per_query']}x | "
-        f"vs int {overall['words_vs_int_geomean']}x"
     )
     print(f"wrote {args.out}")
     return 0

@@ -1,28 +1,23 @@
 """Hot-path perf trajectory: bitmap backend vs the seed list-based search.
 
-Runs full GuP (all guards + backjumping) with three backend columns —
-``"bitmap"`` (:mod:`repro.core.backtrack`, the dense-index default),
+Runs full GuP (all guards + backjumping) with both candidate backends —
+``"bitmap"`` (:mod:`repro.core.backtrack`, the dense-index default) and
 ``"list"`` (:mod:`repro.core.backtrack_ref`, the seed implementation kept
-verbatim), and ``"words"`` (the bitmap search with
-``mask_backend="words"`` — word-array mask kernels, DESIGN.md §11) —
-over the fig6/fig7 workload grid (the six query sets of
+verbatim) — over the fig6/fig7 workload grid (the six query sets of
 :data:`benchmarks.conftest.SET_SPECS` on wordnet, easy random-walk bulk
-plus the mined hard tail, under the recursion-budget harness).  All
+plus the mined hard tail, under the recursion-budget harness).  Both
 backends explore byte-identical search trees (``tests/test_bitmap_cs.py``
-and ``tests/test_config_matrix.py`` prove it), so recursions and
-refinements match exactly and the only difference is wall time per
-recursion.
+proves it), so recursions and refinements match exactly and the only
+difference is wall time per recursion.
 
 Emits ``BENCH_hotpath.json`` at the repo root with, per query set and
 overall:
 
-* recursions/sec and refinements/sec for every backend (search phase
+* recursions/sec and refinements/sec for both backends (search phase
   only, best-of-N per query);
 * the wall-aggregate speedup (hard, recursion-capped queries dominate
   this) and the per-query geometric-mean speedup (each workload point
-  weighted equally — the headline number), plus the same pair for the
-  words column (vs the seed, the stacked-trajectory reading) and the
-  words-vs-int geomean;
+  weighted equally — the headline number);
 * a ``smoke`` section from a tiny sub-grid that ``check_perf.py`` uses
   as its regression baseline.
 
@@ -54,22 +49,10 @@ from repro.core.config import GuPConfig  # noqa: E402
 from repro.core.engine import GuPEngine  # noqa: E402
 
 DATASET = "wordnet"  # the fig6/fig7 dataset
-BACKENDS = ("list", "bitmap", "words")
+BACKENDS = ("list", "bitmap")
 FULL_SETS = tuple(SET_SPECS)
 SMOKE_SETS = ("8S", "8D")
 DEFAULT_OUT = ROOT / "BENCH_hotpath.json"
-
-# Per-column engine configs.  ``mask_backend`` is pinned explicitly so a
-# REPRO_MASK_BACKEND override (the CI words matrix job) cannot skew the
-# reference columns.  ``"words"`` is the full stacked configuration —
-# bitmap candidate backend + word-array mask kernels — so its speedup
-# column reads directly against the seed, like every prior trajectory
-# column.
-CONFIGS = {
-    "list": GuPConfig(candidate_backend="list", mask_backend="int"),
-    "bitmap": GuPConfig(candidate_backend="bitmap", mask_backend="int"),
-    "words": GuPConfig(candidate_backend="bitmap", mask_backend="words"),
-}
 
 
 def _geomean(values):
@@ -84,15 +67,15 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
     best-of-``repeats`` per query to suppress scheduler noise.
     """
     data = dataset(DATASET)
-    engines = {b: GuPEngine(data, CONFIGS[b]) for b in BACKENDS}
+    engines = {
+        b: GuPEngine(data, GuPConfig(candidate_backend=b)) for b in BACKENDS
+    }
     limits = VIRTUAL_SCALE.limits()
 
     per_set = {}
     totals = {b: {"recursions": 0, "refine_ops": 0, "wall_seconds": 0.0}
               for b in BACKENDS}
     per_query_speedups = []
-    words_speedups = []
-    words_vs_int = []
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -106,7 +89,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                 for b in BACKENDS
             }
             set_speedups = []
-            set_words_speedups = []
             for query in queries:
                 walls = {}
                 for backend in BACKENDS:
@@ -125,9 +107,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                     bucket["wall_seconds"] += best
                 per_query_speedups.append(walls["list"] / walls["bitmap"])
                 set_speedups.append(per_query_speedups[-1])
-                words_speedups.append(walls["list"] / walls["words"])
-                set_words_speedups.append(words_speedups[-1])
-                words_vs_int.append(walls["bitmap"] / walls["words"])
             entry = {}
             for backend in BACKENDS:
                 bucket = set_totals[backend]
@@ -145,12 +124,6 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                 entry["list"]["wall_seconds"] / entry["bitmap"]["wall_seconds"], 3
             )
             entry["geomean_speedup"] = round(_geomean(set_speedups), 3)
-            entry["words_wall_speedup"] = round(
-                entry["list"]["wall_seconds"] / entry["words"]["wall_seconds"], 3
-            )
-            entry["words_geomean_speedup"] = round(
-                _geomean(set_words_speedups), 3
-            )
             per_set[set_name] = entry
     finally:
         if gc_was_enabled:
@@ -173,17 +146,8 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
     overall["geomean_speedup_per_query"] = round(
         _geomean(per_query_speedups), 3
     )
-    overall["words_wall_speedup"] = round(
-        totals["list"]["wall_seconds"] / totals["words"]["wall_seconds"], 3
-    )
-    overall["words_geomean_speedup_per_query"] = round(
-        _geomean(words_speedups), 3
-    )
-    overall["words_vs_int_geomean"] = round(_geomean(words_vs_int), 3)
     assert (
-        totals["list"]["recursions"]
-        == totals["bitmap"]["recursions"]
-        == totals["words"]["recursions"]
+        totals["list"]["recursions"] == totals["bitmap"]["recursions"]
     ), "backends must explore identical search trees"
     return {"sets": per_set, "overall": overall}
 
@@ -225,11 +189,6 @@ def main(argv=None) -> int:
     print(
         f"  wall speedup {overall['wall_speedup']}x | "
         f"per-query geomean {overall['geomean_speedup_per_query']}x"
-    )
-    print(
-        f"  words vs seed: wall {overall['words_wall_speedup']}x | "
-        f"geomean {overall['words_geomean_speedup_per_query']}x | "
-        f"vs int {overall['words_vs_int_geomean']}x"
     )
     print(f"wrote {args.out}")
     return 0

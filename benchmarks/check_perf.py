@@ -4,18 +4,14 @@ maintenance, service degradation, observability overhead.
 Five gates, each a few seconds of work:
 
 * **hotpath** — re-runs the *smoke* sub-grid of
-  :mod:`benchmarks.bench_hotpath` and compares the bitmap and words
-  search backends' recursions/sec against the committed baseline in
+  :mod:`benchmarks.bench_hotpath` and compares the bitmap search
+  backend's recursions/sec against the committed baseline in
   ``BENCH_hotpath.json``; also fails if the bitmap search is no longer
-  faster than the seed list backend at all, or if the words mask
-  backend's geomean speedup vs the seed drops below the 1.3x
-  acceptance floor.
+  faster than the seed list backend at all.
 * **buildpath** — re-runs the smoke sub-grid of
-  :mod:`benchmarks.bench_buildpath` and compares the bitmap and words
-  build columns' builds/sec against ``BENCH_buildpath.json``; also
-  fails if the bitmap builder is no longer faster than the seed set
-  builder, or if the words column's geomean speedup vs the seed drops
-  below the 1.3x acceptance floor.
+  :mod:`benchmarks.bench_buildpath` and compares the bitmap build
+  column's builds/sec against ``BENCH_buildpath.json``; also fails if
+  the bitmap builder is no longer faster than the seed set builder.
 * **dynamic** — re-runs the small-delta smoke grid of
   :mod:`benchmarks.bench_dynamic` and compares the incremental
   ``DataArtifacts.apply_delta`` geomean speedup over a cold rebuild
@@ -91,39 +87,22 @@ ANALYZE_OVERHEAD_CEILING = 1.15
 """EXPLAIN ANALYZE runs the identical search plus attribution
 (stage counts, report, sidecar write); that bookkeeping may cost at
 most 15% of the plain cache-bypass p50 latency."""
-WORDS_SPEEDUP_FLOOR = 1.3
-"""Acceptance floor for the words mask backend: its geomean speedup vs
-the seed backend (list search / set builder) on the fig6/fig7 smoke grid
-must stay >= 1.3x on the hot path AND the build path — the stacked
-trajectory must not regress below the PR 7 acceptance bar."""
 
 
 def check_hotpath(baseline_path: Path, tolerance: float, repeats: int) -> bool:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     base_rps = baseline["smoke"]["overall"]["bitmap"]["recursions_per_sec"]
-    base_words_rps = baseline["smoke"]["overall"]["words"]["recursions_per_sec"]
 
     fresh = run_hot_grid(HOT_SMOKE_SETS, repeats=repeats, smoke=True)
     now_rps = fresh["overall"]["bitmap"]["recursions_per_sec"]
     speedup = fresh["overall"]["wall_speedup"]
-    now_words_rps = fresh["overall"]["words"]["recursions_per_sec"]
-    words_geomean = fresh["overall"]["words_geomean_speedup_per_query"]
 
     floor = base_rps * (1.0 - tolerance)
-    words_floor = base_words_rps * (1.0 - tolerance)
     print(
         f"[hotpath] bitmap smoke recursions/sec: {now_rps:,} "
         f"(baseline {base_rps:,}, floor {floor:,.0f})"
     )
     print(f"[hotpath] bitmap vs seed list backend on the smoke grid: {speedup}x")
-    print(
-        f"[hotpath] words smoke recursions/sec: {now_words_rps:,} "
-        f"(baseline {base_words_rps:,}, floor {words_floor:,.0f})"
-    )
-    print(
-        f"[hotpath] words vs seed list backend geomean: {words_geomean}x "
-        f"(floor {WORDS_SPEEDUP_FLOOR}x)"
-    )
 
     ok = True
     if now_rps < floor:
@@ -135,47 +114,23 @@ def check_hotpath(baseline_path: Path, tolerance: float, repeats: int) -> bool:
     if speedup < 1.0:
         print("FAIL: bitmap search backend is slower than the seed list backend")
         ok = False
-    if now_words_rps < words_floor:
-        print(
-            f"FAIL: words-backend recursions/sec dropped more than "
-            f"{tolerance:.0%} vs the committed baseline"
-        )
-        ok = False
-    if words_geomean < WORDS_SPEEDUP_FLOOR:
-        print(
-            f"FAIL: words backend is below the {WORDS_SPEEDUP_FLOOR}x "
-            f"geomean acceptance floor vs the seed list backend"
-        )
-        ok = False
     return ok
 
 
 def check_buildpath(baseline_path: Path, tolerance: float, repeats: int) -> bool:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     base_bps = baseline["smoke"]["overall"]["bitmap"]["builds_per_sec"]
-    base_words_bps = baseline["smoke"]["overall"]["words"]["builds_per_sec"]
 
     fresh = run_build_grid(BUILD_SMOKE_SETS, repeats=repeats, smoke=True)
     now_bps = fresh["overall"]["bitmap"]["builds_per_sec"]
     speedup = fresh["overall"]["wall_speedup"]
-    now_words_bps = fresh["overall"]["words"]["builds_per_sec"]
-    words_geomean = fresh["overall"]["words_geomean_speedup_per_query"]
 
     floor = base_bps * (1.0 - tolerance)
-    words_floor = base_words_bps * (1.0 - tolerance)
     print(
         f"[buildpath] bitmap smoke builds/sec: {now_bps:,} "
         f"(baseline {base_bps:,}, floor {floor:,.1f})"
     )
     print(f"[buildpath] bitmap vs seed set builder on the smoke grid: {speedup}x")
-    print(
-        f"[buildpath] words smoke builds/sec: {now_words_bps:,} "
-        f"(baseline {base_words_bps:,}, floor {words_floor:,.1f})"
-    )
-    print(
-        f"[buildpath] words vs seed set builder geomean: {words_geomean}x "
-        f"(floor {WORDS_SPEEDUP_FLOOR}x)"
-    )
 
     ok = True
     if now_bps < floor:
@@ -186,18 +141,6 @@ def check_buildpath(baseline_path: Path, tolerance: float, repeats: int) -> bool
         ok = False
     if speedup < 1.0:
         print("FAIL: bitmap build backend is slower than the seed set builder")
-        ok = False
-    if now_words_bps < words_floor:
-        print(
-            f"FAIL: words-backend builds/sec dropped more than "
-            f"{tolerance:.0%} vs the committed baseline"
-        )
-        ok = False
-    if words_geomean < WORDS_SPEEDUP_FLOOR:
-        print(
-            f"FAIL: words backend is below the {WORDS_SPEEDUP_FLOOR}x "
-            f"geomean acceptance floor vs the seed set builder"
-        )
         ok = False
     return ok
 

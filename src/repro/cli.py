@@ -764,8 +764,7 @@ def _print_explain(report: dict) -> None:
     print(f"  explain ({report.get('mode')}): "
           f"ordering {report.get('ordering')}, "
           f"filter {report.get('filter')}, backends "
-          f"{backend.get('candidate')}/{backend.get('build')}"
-          f"/{backend.get('mask')}")
+          f"{backend.get('candidate')}/{backend.get('build')}")
     print(f"    order: {report.get('order')}")
     for stage in report.get("stages") or []:
         print(f"    stage {stage.get('stage')}: "

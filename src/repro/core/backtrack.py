@@ -77,10 +77,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.config import GuPConfig
 from repro.core.gcs import GuardedCandidateSpace
 from repro.core.nogood import NogoodStore, make_nogood_store
-from repro.filtering.mask_kernels import get_kernels
 from repro.matching.limits import SearchLimits
 from repro.matching.result import SearchStats, TerminationStatus
-from repro.utils.bitset import iter_bits
+from repro.utils.bitset import bits_of, iter_bits
 from repro.utils.timer import Deadline
 
 Pair = int
@@ -225,14 +224,6 @@ class GuPSearch:
         self._symmetry_prev = symmetry_prev
         self._collect = self.limits.collect
         self._max_emb = self.limits.max_embeddings
-        # Mask kernels (DESIGN.md §11): the local-candidate decode and
-        # the watch-frame popcount run on position bitmaps as wide as
-        # the candidate sets — the two search-side loops worth routing
-        # through the selected backend.  Query-vertex-width masks
-        # (conflict masks, nogood domains) stay on the int idiom.
-        _kern = get_kernels(self.config.mask_backend)
-        self._positions = _kern.positions
-        self._popcount = _kern.popcount
 
         # Per-run search state.
         self._deadline: Deadline = Deadline(None)
@@ -481,8 +472,7 @@ class GuPSearch:
         n_ref = 0
         has_watch = watched is not None
         last = k + 1 == n
-        popcount = self._popcount
-        for p in self._positions(local[k]):
+        for p in bits_of(local[k]):
             v = cands_k[p]
             n_seen += 1
             conflict_mask: Optional[int] = None
@@ -749,7 +739,7 @@ class GuPSearch:
                         child_watched.clear()
                     for j2 in forward_core:
                         frame = child_local[j2]
-                        own_count += popcount(frame)
+                        own_count += frame.bit_count()
                         prev = child_watched.get(j2)
                         child_watched[j2] = frame if prev is None else prev | frame
                     self._watch_total += own_count

@@ -8,20 +8,8 @@ and the VC matching order (§3.1).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-
-def _default_mask_backend() -> str:
-    """Config default for ``mask_backend``; overridable via environment.
-
-    ``REPRO_MASK_BACKEND=words`` flips the default for a whole process —
-    the CI matrix job uses it to run the entire tier-1 suite on the
-    words kernels without editing any test.  Explicit constructor
-    arguments always win over the environment.
-    """
-    return os.environ.get("REPRO_MASK_BACKEND", "int")
 
 
 @dataclass(frozen=True)
@@ -74,20 +62,6 @@ class GuPConfig:
         reference).  Both produce byte-identical guarded candidate
         spaces — candidates, candidate edges, reservations — and hence
         identical search results (``tests/test_build_masks.py``).
-    mask_backend:
-        Kernel provider for the mask hot loops
-        (:mod:`repro.filtering.mask_kernels`): ``"int"`` (the default —
-        every mask operation is the arbitrary-precision Python-int
-        idiom, the reference twin) or ``"words"`` (masks are lowered to
-        fixed-width arrays of 64-bit words inside the kernels —
-        vectorized survival sweeps, popcounts, decodes, threshold
-        ladders, with a numpy fast path auto-detected at import).
-        Orthogonal to ``candidate_backend`` / ``build_backend``; all
-        combinations produce byte-identical embeddings, stats, GCSes,
-        and serialized artifacts (``tests/test_mask_kernels.py``,
-        ``tests/test_config_matrix.py``).  The process-wide default can
-        be flipped with ``REPRO_MASK_BACKEND=words`` (the CI words
-        matrix job does).
     """
 
     reservation_limit: Optional[int] = 3
@@ -102,7 +76,6 @@ class GuPConfig:
     break_symmetry: bool = False
     candidate_backend: str = "bitmap"
     build_backend: str = "bitmap"
-    mask_backend: str = field(default_factory=_default_mask_backend)
 
     def __post_init__(self) -> None:
         if self.candidate_backend not in ("bitmap", "list"):
@@ -114,11 +87,6 @@ class GuPConfig:
             raise ValueError(
                 f"unknown build_backend {self.build_backend!r}; "
                 "expected 'bitmap' or 'set'"
-            )
-        if self.mask_backend not in ("int", "words"):
-            raise ValueError(
-                f"unknown mask_backend {self.mask_backend!r}; "
-                "expected 'int' or 'words'"
             )
 
     @property

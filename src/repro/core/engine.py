@@ -24,7 +24,6 @@ from repro.core.backtrack import GuPSearch
 from repro.core.config import GuPConfig
 from repro.core.gcs import BuildInvariantCache, GuardedCandidateSpace, build_gcs
 from repro.filtering.artifacts import DataArtifacts
-from repro.filtering.mask_kernels import get_kernels
 from repro.graph.graph import Graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, TerminationStatus
@@ -66,10 +65,6 @@ class GuPEngine:
                     "artifacts were built for a different data graph"
                 )
         self._artifacts: Optional[DataArtifacts] = artifacts
-        # Kernel provider for the config's mask backend; build_gcs
-        # re-derives its own from the config, this one serves the
-        # engine-level call sites (delta patches).
-        self.kernels = get_kernels(self.config.mask_backend)
         # An inherited invariant cache stays valid across data-graph
         # changes: every cache key fully determines its value (orders
         # are keyed by the exact candidate masks, DAGs by the exact
@@ -126,9 +121,7 @@ class GuPEngine:
 
         new_graph, summary = _apply(self.data, delta)
         if self._artifacts is not None:
-            self._artifacts = self._artifacts.apply_delta(
-                new_graph, summary, kernels=self.kernels
-            )
+            self._artifacts = self._artifacts.apply_delta(new_graph, summary)
         self.data = new_graph
         return summary
 

@@ -32,7 +32,6 @@ from repro.core.reservation import (
 from repro.filtering.artifacts import DataArtifacts
 from repro.filtering.candidate_space import CandidateSpace, build_candidate_space
 from repro.filtering.dag import QueryDag, build_query_dag
-from repro.filtering.mask_kernels import get_kernels
 from repro.filtering.masks import MaskView, build_candidate_space_masks
 from repro.filtering.nlf import nlf_candidates
 from repro.graph.algorithms import two_core_edges
@@ -276,7 +275,6 @@ def build_gcs(
     if artifacts is not None and artifacts.data is not data:
         raise ValueError("artifacts were built for a different data graph")
     use_masks = config.build_backend == "bitmap"
-    kernels = get_kernels(config.mask_backend)
     if seed_masks is not None:
         if not use_masks:
             raise ValueError("seed_masks requires build_backend='bitmap'")
@@ -292,7 +290,7 @@ def build_gcs(
         initial_masks = (
             list(seed_masks)
             if seed_masks is not None
-            else artifacts.nlf_candidate_masks(query, kernels=kernels)
+            else artifacts.nlf_candidate_masks(query)
         )
         initial: List[Sequence[int]] = [MaskView(m) for m in initial_masks]
     elif artifacts is not None:
@@ -324,7 +322,6 @@ def build_gcs(
             method=config.filter_method,
             base_masks=reordered_masks,
             dag=dag,
-            kernels=kernels,
             stage_log=stage_log,
         )
     else:
@@ -347,7 +344,7 @@ def build_gcs(
 
     if config.use_reservation:
         reservations = generate_reservation_guards(
-            cs, size_limit=config.reservation_limit, kernels=kernels
+            cs, size_limit=config.reservation_limit
         )
     else:
         reservations = {}

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.filtering.candidate_space import CandidateSpace
-from repro.filtering.mask_kernels import INT_KERNELS
 from repro.utils.bipartite import has_saturating_matching
 from repro.utils.vertexcover import constrained_vertex_cover
 
@@ -34,7 +33,6 @@ def is_matchable(
     cs: CandidateSpace,
     position: int,
     guard: FrozenSet[int],
-    kernels=None,
 ) -> bool:
     """Lemma 3.7 matchability of ``guard`` as a reservation of position ``i``.
 
@@ -58,7 +56,6 @@ def is_matchable(
     if inverse_masks is not None and len(guard) <= 3:
         if not guard:
             return True  # vacuous, as in the matching-based path below
-        popcount = (kernels or INT_KERNELS).popcount
         below = (1 << position) - 1
         masks = []
         for w in guard:
@@ -69,13 +66,13 @@ def is_matchable(
         if len(masks) == 1:
             return True
         if len(masks) == 2:
-            return popcount(masks[0] | masks[1]) >= 2
+            return (masks[0] | masks[1]).bit_count() >= 2
         a, b, c = masks
         return (
-            popcount(a | b) >= 2
-            and popcount(a | c) >= 2
-            and popcount(b | c) >= 2
-            and popcount(a | b | c) >= 3
+            (a | b).bit_count() >= 2
+            and (a | c).bit_count() >= 2
+            and (b | c).bit_count() >= 2
+            and (a | b | c).bit_count() >= 3
         )
     for w in guard:
         if not cs.inverse_candidates_below(w, position):
@@ -105,7 +102,6 @@ def _reservation_graph_edges(
 def generate_reservation_guards(
     cs: CandidateSpace,
     size_limit: Optional[int] = 3,
-    kernels=None,
 ) -> ReservationGuards:
     """Algorithm 1: reservation guards for every candidate vertex.
 
@@ -119,7 +115,7 @@ def generate_reservation_guards(
     below is kept verbatim for the set-based builder.
     """
     if cs.inverse_masks is not None:
-        return _generate_reservation_guards_masks(cs, size_limit, kernels=kernels)
+        return _generate_reservation_guards_masks(cs, size_limit)
     query = cs.query
     n = query.num_vertices
     guards: ReservationGuards = {}
@@ -153,7 +149,6 @@ def generate_reservation_guards(
 def _generate_reservation_guards_masks(
     cs: CandidateSpace,
     size_limit: Optional[int] = 3,
-    kernels=None,
 ) -> ReservationGuards:
     """Mask twin of the seed generation loop — identical guards, faster.
 
@@ -184,7 +179,7 @@ def _generate_reservation_guards_masks(
         def admissible(s: FrozenSet[int], _i: int = i, _cache=cache) -> bool:
             hit = _cache.get(s)
             if hit is None:
-                hit = _cache[s] = is_matchable(cs, _i, s, kernels=kernels)
+                hit = _cache[s] = is_matchable(cs, _i, s)
             return hit
 
         for v in cs.candidates[i]:

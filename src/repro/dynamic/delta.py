@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.graph.graph import Graph
-from repro.utils.words import pack_indices as mask_of
+from repro.utils.bitset import mask_of
 
 PathLike = Union[str, Path]
 

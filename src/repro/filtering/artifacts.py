@@ -47,7 +47,6 @@ import pickle
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.filtering.mask_kernels import INT_KERNELS
 from repro.filtering.nlf import _nlf_ok
 from repro.graph.graph import Graph
 from repro.utils.bitset import mask_of
@@ -63,6 +62,15 @@ bitmaps, per-vertex adjacency bitmaps)."""
 
 class ArtifactsFormatError(ValueError):
     """A serialized artifacts blob is corrupt, stale, or mismatched."""
+
+
+def _threshold_mask(counts: List[int], needed: int) -> int:
+    """Mask of indices ``v`` with ``counts[v] >= needed``."""
+    mask = 0
+    for v, count in enumerate(counts):
+        if count >= needed:
+            mask |= 1 << v
+    return mask
 
 
 def _label_sort_key(label: object) -> Tuple[str, str]:
@@ -95,7 +103,6 @@ class DataArtifacts:
         "_nlf_count_masks",
         "_nlf2_tables",
         "_nlf2_count_masks",
-        "_adjacency_ops",
     )
 
     builds_performed = 0
@@ -154,18 +161,14 @@ class DataArtifacts:
         self._nlf_count_masks: Dict[Tuple[object, int], int] = {}
         self._nlf2_tables: Optional[List[Dict[object, int]]] = None
         self._nlf2_count_masks: Dict[Tuple[object, int], int] = {}
-        self._adjacency_ops: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Pickling (procpool workers, debugging dumps)
     #
     # Only the canonical persisted state travels: the graph and the
     # int bitmaps/buckets.  Derived caches — mask ladders, count
-    # vectors, lowered adjacency ops (which may hold a numpy matrix) —
-    # are dropped and rebuilt lazily, so two artifacts that saw
-    # different mask backends (or different query workloads) pickle to
-    # the *same bytes*.  ``tests/test_config_matrix.py`` relies on this
-    # for the procpool leg of the differential grid.
+    # vectors — are dropped and rebuilt lazily, so two artifacts that
+    # saw different query workloads pickle to the *same bytes*.
     # ------------------------------------------------------------------
 
     def __getstate__(self):
@@ -188,23 +191,6 @@ class DataArtifacts:
             self.reuse_report,
         ) = state
         self._init_mask_caches()
-
-    def adjacency_ops(self, kernels=None):
-        """The (cached) survival-kernel lowering of ``adjacency_bitmaps``.
-
-        One instance per backend per artifacts object — the words
-        backend's dense ``uint64`` matrix is built once and shared by
-        every GCS construction against this data graph.
-        """
-        if kernels is None:
-            kernels = INT_KERNELS
-        ops = self._adjacency_ops.get(kernels.backend)
-        if ops is None:
-            ops = kernels.adjacency_ops(
-                self.adjacency_bitmaps, self.data.num_vertices
-            )
-            self._adjacency_ops[kernels.backend] = ops
-        return ops
 
     def ldf_candidates(self, query: Graph) -> List[List[int]]:
         """LDF candidate lists (== :func:`repro.filtering.ldf.ldf_candidates`)."""
@@ -238,15 +224,13 @@ class DataArtifacts:
     # Dense build path: candidate masks over data-vertex ids
     # ------------------------------------------------------------------
 
-    def ldf_mask(self, label: object, min_degree: int, kernels=None) -> int:
+    def ldf_mask(self, label: object, min_degree: int) -> int:
         """LDF candidate *mask*: vertices with ``label`` and degree >= bound.
 
         The label bucket is degree-descending, so the mask is a bucket
         prefix located by one bisect; each distinct ``(label, prefix)``
         is assembled once and cached for the artifacts' lifetime —
-        repeated queries pay one dict hit.  The cache is shared across
-        mask backends (kernels only change *how* the prefix is packed,
-        never the resulting int).
+        repeated queries pay one dict hit.
         """
         bucket = self.label_buckets.get(label)
         if bucket is None:
@@ -258,17 +242,14 @@ class DataArtifacts:
         key = (label, end)
         cached = self._ldf_masks.get(key)
         if cached is None:
-            pack = (kernels or INT_KERNELS).mask_of
-            cached = self._ldf_masks[key] = pack(
-                vs[:end], self.data.num_vertices
-            )
+            cached = self._ldf_masks[key] = mask_of(vs[:end])
         return cached
 
     def _nlf_count_vector(self, label: object) -> List[int]:
         """Per-vertex count of label-``label`` neighbors (lazy per label).
 
         One O(|V|) table scan per distinct label, shared by every
-        threshold in that label's ladder — and by both mask backends.
+        threshold in that label's ladder.
         """
         vector = self._nlf_count_vectors.get(label)
         if vector is None:
@@ -280,7 +261,7 @@ class DataArtifacts:
             self._nlf_count_vectors[label] = vector
         return vector
 
-    def nlf_count_mask(self, label: object, count: int, kernels=None) -> int:
+    def nlf_count_mask(self, label: object, count: int) -> int:
         """Mask of data vertices with >= ``count`` label-``label`` neighbors.
 
         NLF's per-candidate frequency-table comparison factors into one
@@ -291,19 +272,17 @@ class DataArtifacts:
         key = (label, count)
         cached = self._nlf_count_masks.get(key)
         if cached is None:
-            threshold = (kernels or INT_KERNELS).threshold_mask
-            cached = threshold(self._nlf_count_vector(label), count)
+            cached = _threshold_mask(self._nlf_count_vector(label), count)
             self._nlf_count_masks[key] = cached
         return cached
 
-    def nlf2_count_mask(self, label: object, count: int, kernels=None) -> int:
+    def nlf2_count_mask(self, label: object, count: int) -> int:
         """Like :meth:`nlf_count_mask` over the distance-<=2 ball counts."""
         key = (label, count)
         cached = self._nlf2_count_masks.get(key)
         if cached is None:
             tables = self.nlf2_tables()
-            threshold = (kernels or INT_KERNELS).threshold_mask
-            cached = threshold(
+            cached = _threshold_mask(
                 [counts.get(label, 0) for counts in tables], count
             )
             self._nlf2_count_masks[key] = cached
@@ -317,22 +296,22 @@ class DataArtifacts:
             self._nlf2_tables = _two_hop_label_counts(self.data)
         return self._nlf2_tables
 
-    def ldf_candidate_masks(self, query: Graph, kernels=None) -> List[int]:
+    def ldf_candidate_masks(self, query: Graph) -> List[int]:
         """Per-query-vertex LDF masks (decode == :meth:`ldf_candidates`)."""
         return [
-            self.ldf_mask(query.label(u), query.degree(u), kernels=kernels)
+            self.ldf_mask(query.label(u), query.degree(u))
             for u in query.vertices()
         ]
 
-    def nlf_candidate_masks(self, query: Graph, kernels=None) -> List[int]:
+    def nlf_candidate_masks(self, query: Graph) -> List[int]:
         """Per-query-vertex LDF+NLF masks (decode == :meth:`nlf_candidates`)."""
         masks: List[int] = []
         for u in query.vertices():
-            mask = self.ldf_mask(query.label(u), query.degree(u), kernels=kernels)
+            mask = self.ldf_mask(query.label(u), query.degree(u))
             for label, needed in query.neighbor_label_frequency(u).items():
                 if not mask:
                     break
-                mask &= self.nlf_count_mask(label, needed, kernels=kernels)
+                mask &= self.nlf_count_mask(label, needed)
             masks.append(mask)
         return masks
 
@@ -340,7 +319,7 @@ class DataArtifacts:
     # Incremental maintenance (DESIGN.md §9)
     # ------------------------------------------------------------------
 
-    def apply_delta(self, new_graph: Graph, summary, kernels=None) -> "DataArtifacts":
+    def apply_delta(self, new_graph: Graph, summary) -> "DataArtifacts":
         """Patched artifacts for ``new_graph`` (the delta-applied graph).
 
         ``summary`` is the :class:`repro.dynamic.delta.DeltaSummary`
@@ -363,13 +342,9 @@ class DataArtifacts:
 
         ``reuse_report`` on the returned instance quantifies the reuse;
         the class-level ``patches_performed`` counter increments instead
-        of ``builds_performed``.  ``kernels`` routes the adjacency-row
-        bit flips (the per-edge part of the patch) through the selected
-        mask backend; the patched rows are identical ints either way.
+        of ``builds_performed``.
         """
         DataArtifacts.patches_performed += 1
-        if kernels is None:
-            kernels = INT_KERNELS
         touched = summary.touched_vertices
         touched_labels = summary.touched_labels
         n_new = summary.num_vertices_after
@@ -408,9 +383,12 @@ class DataArtifacts:
 
         adjacency = list(self.adjacency_bitmaps)
         adjacency.extend(0 for _ in summary.added_vertices)
-        kernels.flip_edge_bits(
-            adjacency, summary.added_edges, summary.removed_edges
-        )
+        for u, v in summary.added_edges:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+        for u, v in summary.removed_edges:
+            adjacency[u] &= ~(1 << v)
+            adjacency[v] &= ~(1 << u)
         patched.adjacency_bitmaps = tuple(adjacency)
 
         # Lazy ladders: keep what provably survived, patch the rest.
@@ -428,10 +406,9 @@ class DataArtifacts:
                 else:
                     mask &= ~(1 << v)
             patched._nlf_count_masks[(label, count)] = mask
-        # Count vectors and lowered adjacency ops are derived caches tied
-        # to the *old* rows; rebuilt lazily against the patched state.
+        # Count vectors are derived caches tied to the *old* rows;
+        # rebuilt lazily against the patched state.
         patched._nlf_count_vectors = {}
-        patched._adjacency_ops = {}
         patched._nlf2_tables = None
         patched._nlf2_count_masks = {}
 
@@ -538,10 +515,9 @@ def loads_artifacts(blob: bytes, data: Graph) -> DataArtifacts:
         or len(adjacency_bitmaps) != data.num_vertices
     ):
         raise ArtifactsFormatError("adjacency bitmaps have wrong length")
-    # Bitmaps must be the canonical nonnegative-int representation — a
-    # payload carrying word arrays (or anything else a mask backend uses
-    # internally) is stale by definition, never silently adapted: the
-    # at-rest format is backend-independent (DESIGN.md §11).
+    # Bitmaps must be canonical nonnegative Python ints — a payload
+    # carrying anything else (word arrays, bytes, negative ints) is
+    # corrupt or foreign, never silently adapted.
     if any(type(m) is not int or m < 0 for m in label_bitmaps.values()) or any(
         type(m) is not int or m < 0 for m in adjacency_bitmaps
     ):

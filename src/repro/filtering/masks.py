@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.filtering.candidate_space import CandidateSpace
 from repro.filtering.dag import QueryDag, build_query_dag
-from repro.filtering.mask_kernels import INT_KERNELS
 from repro.graph.graph import Graph
 from repro.utils.bipartite import has_saturating_matching
 from repro.utils.bitset import bits_of
@@ -76,13 +75,38 @@ class MaskView(Sequence):
         return f"MaskView({self._decode()!r})"
 
 
+def survivors(
+    adjacency: Sequence[int], mask: int, constraining_masks: List[int]
+) -> int:
+    """Bits of ``mask`` whose adjacency hits every constraining mask."""
+    new = mask
+    rem = mask
+    if len(constraining_masks) == 1:
+        # The common case (tree-ish query DAGs): no inner loop at all.
+        c0 = constraining_masks[0]
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            if not adjacency[low.bit_length() - 1] & c0:
+                new ^= low
+        return new
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        adj = adjacency[low.bit_length() - 1]
+        for c_mask in constraining_masks:
+            if not adj & c_mask:
+                new ^= low
+                break
+    return new
+
+
 def dag_graph_dp_masks(
     query: Graph,
     adjacency: Sequence[int],
     base_masks: Sequence[int],
     max_rounds: int = 3,
     dag: Optional[QueryDag] = None,
-    ops=None,
     stage_log=None,
 ) -> List[int]:
     """Mask twin of :func:`repro.filtering.dagdp.dag_graph_dp`.
@@ -93,11 +117,6 @@ def dag_graph_dp_masks(
     direction a vertex carries a dirty flag, set when a constraining
     neighbor's mask shrinks and cleared on examination.
 
-    ``ops`` selects the survival kernel (an ``adjacency_ops`` from
-    :mod:`repro.filtering.mask_kernels`); the sweep schedule itself is
-    single-copy and backend-independent, which is what makes the two
-    mask backends structurally — not just observably — identical.
-
     ``stage_log`` (a :class:`repro.obs.explain.FilterStageLog`) records
     the surviving-candidate popcounts after each executed round plus
     the swept DAG — reads only, so a logged run is identical to a plain
@@ -106,8 +125,6 @@ def dag_graph_dp_masks(
     n = query.num_vertices
     if n == 0:
         return []
-    if ops is None:
-        ops = INT_KERNELS.adjacency_ops(adjacency)
     masks = list(base_masks)
     if dag is None:
         dag = build_query_dag(query, [m.bit_count() for m in masks])
@@ -127,7 +144,7 @@ def dag_graph_dp_masks(
                 continue
             dirty[u] = False
             old = masks[u]
-            new = ops.survivors(old, [masks[c] for c in cons])
+            new = survivors(adjacency, old, [masks[c] for c in cons])
             if new != old:
                 masks[u] = new
                 changed = True
@@ -150,18 +167,15 @@ def dag_graph_dp_masks(
 
 
 def consistency_prune_masks(
-    query: Graph, adjacency: Sequence[int], masks: Sequence[int], ops=None
+    query: Graph, adjacency: Sequence[int], masks: Sequence[int]
 ) -> List[int]:
     """Mask twin of ``candidate_space._consistency_prune``.
 
     Runs the (unique) greatest fixpoint of "every candidate has an
     adjacent candidate for each query neighbor" as a vertex worklist;
     schedule differences from the AC-6 set version cannot change the
-    result, only the route to it.  ``ops`` selects the survival kernel
-    (see :func:`dag_graph_dp_masks`).
+    result, only the route to it.
     """
-    if ops is None:
-        ops = INT_KERNELS.adjacency_ops(adjacency)
     masks = list(masks)
     nbrs = [query.neighbors(u) for u in query.vertices()]
     queued = [bool(nbrs[u]) for u in query.vertices()]
@@ -170,7 +184,7 @@ def consistency_prune_masks(
         u = pending.popleft()
         queued[u] = False
         old = masks[u]
-        new = ops.survivors(old, [masks[u2] for u2 in nbrs[u]])
+        new = survivors(adjacency, old, [masks[u2] for u2 in nbrs[u]])
         if new != old:
             masks[u] = new
             for u2 in nbrs[u]:
@@ -245,7 +259,6 @@ def build_candidate_space_masks(
     method: str = "dagdp",
     base_masks: Optional[Sequence[int]] = None,
     dag: Optional[QueryDag] = None,
-    kernels=None,
     stage_log=None,
 ) -> CandidateSpace:
     """Mask twin of :func:`repro.filtering.candidate_space.build_candidate_space`.
@@ -253,32 +266,22 @@ def build_candidate_space_masks(
     ``artifacts`` is a :class:`repro.filtering.artifacts.DataArtifacts`
     for ``data``; ``base_masks`` optionally supplies precomputed LDF+NLF
     masks (callers that already seeded for order selection avoid
-    refiltering); ``dag`` optionally reuses a memoized query DAG;
-    ``kernels`` selects the mask kernel provider
-    (:func:`repro.filtering.mask_kernels.get_kernels` — default int).
-    The ``nlf2`` and ``gql`` filters always run the int idiom (they are
-    dominated by per-candidate bipartite/table work, not mask sweeps);
-    this is a documented fallback, not an accident, and their results
-    are backend-independent by construction.
+    refiltering); ``dag`` optionally reuses a memoized query DAG.
     """
-    if kernels is None:
-        kernels = INT_KERNELS
     if base_masks is None:
-        base_masks = artifacts.nlf_candidate_masks(query, kernels=kernels)
+        base_masks = artifacts.nlf_candidate_masks(query)
     adjacency = artifacts.adjacency_bitmaps
-    ops = artifacts.adjacency_ops(kernels)
     if stage_log is not None:
         stage_log.record_masks("seed", base_masks)
     if method == "ldf":
-        masks = artifacts.ldf_candidate_masks(query, kernels=kernels)
+        masks = artifacts.ldf_candidate_masks(query)
     elif method == "nlf":
         masks = list(base_masks)
     elif method == "nlf2":
         masks = nlf2_candidate_masks(query, artifacts, base_masks)
     elif method == "dagdp":
         masks = dag_graph_dp_masks(
-            query, adjacency, base_masks, dag=dag, ops=ops,
-            stage_log=stage_log,
+            query, adjacency, base_masks, dag=dag, stage_log=stage_log,
         )
     elif method == "gql":
         masks = gql_candidate_masks(query, artifacts, base_masks)
@@ -288,13 +291,13 @@ def build_candidate_space_masks(
         raise ValueError(f"unknown filter {method!r}; expected one of {FILTERS}")
     if stage_log is not None and method != "dagdp":
         stage_log.record_masks(method, masks)
-    masks = consistency_prune_masks(query, adjacency, masks, ops=ops)
+    masks = consistency_prune_masks(query, adjacency, masks)
     if stage_log is not None:
         stage_log.record_masks("consistency", masks)
     return CandidateSpace(
         query,
         data,
-        [kernels.positions(m) for m in masks],
+        [bits_of(m) for m in masks],
         candidate_masks=masks,
         adjacency_bitmaps=adjacency,
     )

@@ -19,7 +19,7 @@ collector only copies results the pool produced anyway, and analyze
 calls the *ordinary* ``GuPEngine.match`` on the very GCS it inspected
 — so an analyze run returns byte-identical embeddings / stats / status
 to an unobserved run (``tests/test_explain_differential.py`` proves it
-across candidate backends × mask backends × workers).
+across candidate backends × workers).
 
 Analyze summaries are persisted by the server as a versioned
 ``analyze.json`` sidecar next to the catalog entry's artifact files
@@ -143,7 +143,6 @@ def plan_report(gcs, config, stage_log: Optional[FilterStageLog] = None) -> Dict
         "backend": {
             "candidate": config.candidate_backend,
             "build": config.build_backend,
-            "mask": config.mask_backend,
         },
         "stages": stages,
         "dag": (

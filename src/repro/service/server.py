@@ -1419,7 +1419,6 @@ class MatchingServer:
                     workers=prov.get("workers"),
                     candidate_backend=config.candidate_backend,
                     build_backend=config.build_backend,
-                    mask_backend=config.mask_backend,
                     num_embeddings=result.num_embeddings,
                     status=result.status.value,
                     queue_seconds=round(queue_seconds, 6),

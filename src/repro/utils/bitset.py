@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
-from repro.utils.words import EmptyMaskError
-
 __all__ = [
     "EmptyMaskError",
     "mask_of",
@@ -23,6 +21,10 @@ __all__ = [
     "highest_bit",
     "lowest_bit",
 ]
+
+
+class EmptyMaskError(ValueError):
+    """A bit-position query (lowest/highest set bit) hit the zero mask."""
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -59,10 +61,8 @@ def bit_count(mask: int) -> int:
 def highest_bit(mask: int) -> int:
     """Position of the highest set bit.
 
-    Raises :class:`EmptyMaskError` on the zero mask — the same typed
-    error the words backend raises, so the "no such bit" case is
-    representation-independent instead of a sentinel in one backend and
-    an exception in the other.
+    Raises :class:`EmptyMaskError` on the zero mask rather than
+    returning a sentinel.
     """
     if mask == 0:
         raise EmptyMaskError("highest_bit of the zero mask")

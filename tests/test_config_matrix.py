@@ -14,12 +14,8 @@ import pytest
 
 from repro.baselines.vf2 import Vf2Matcher
 from repro.core.config import GuPConfig
-from repro.core.engine import GuPEngine, match
-from repro.dynamic.continuous import ContinuousMatcher
-from repro.dynamic.delta import GraphDelta
+from repro.core.engine import match
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
-from repro.workload.datasets import load_dataset
-from repro.workload.querygen import QuerySetSpec, generate_query_set
 
 ORACLE = Vf2Matcher()
 
@@ -89,118 +85,3 @@ def test_every_config_on_one_instance():
     for config in CONFIGS:
         got = match(query, data, config=config).embedding_set()
         assert got == expected, config
-
-
-# -- mask_backend twin grid ------------------------------------------------
-#
-# The words mask backend must be bit-for-bit the int twin: not just the
-# same embedding *set*, but the same embedding list (enumeration order),
-# the same SearchStats (every recursion, every guard firing), and the
-# same termination status — crossed with the other backend knobs so a
-# kernel bug can't hide behind a particular candidate or build pipeline.
-
-MASK_CROSS = [
-    {},
-    {"candidate_backend": "list"},
-    {"build_backend": "set"},
-    {"candidate_backend": "list", "build_backend": "set"},
-    {"filter_method": "dagdp", "ordering": "ri"},
-    {"use_reservation": False, "use_backjumping": False,
-     "use_nogood_vertex": False, "use_nogood_edge": False},
-]
-
-
-def _twin_configs(knobs):
-    return (
-        GuPConfig(mask_backend="int", **knobs),
-        GuPConfig(mask_backend="words", **knobs),
-    )
-
-
-def assert_twin_results(int_result, words_result, context):
-    assert words_result.embeddings == int_result.embeddings, context
-    assert words_result.num_embeddings == int_result.num_embeddings, context
-    assert words_result.status == int_result.status, context
-    assert words_result.stats == int_result.stats, context
-
-
-class TestMaskBackendTwin:
-    @pytest.mark.parametrize(
-        "index", range(len(MASK_CROSS)),
-        ids=["+".join(sorted(k)) or "defaults" for k in MASK_CROSS],
-    )
-    def test_words_twin_on_randomized_instances(self, index):
-        knobs = MASK_CROSS[index]
-        int_cfg, words_cfg = _twin_configs(knobs)
-        for query, data in instances(seed=index * 101 + 13, count=8):
-            assert_twin_results(
-                match(query, data, config=int_cfg),
-                match(query, data, config=words_cfg),
-                knobs,
-            )
-
-    @pytest.fixture(scope="class")
-    def fig6_workload(self):
-        data = load_dataset("wordnet", scale=0.25, seed=2023)
-        queries = generate_query_set(
-            data, QuerySetSpec(8, "sparse"), count=3, seed=7
-        )
-        return data, list(queries)
-
-    def test_words_twin_on_fig6_set(self, fig6_workload):
-        data, queries = fig6_workload
-        int_cfg, words_cfg = _twin_configs({})
-        int_engine = GuPEngine(data, int_cfg)
-        words_engine = GuPEngine(data, words_cfg)
-        for query in queries:
-            assert_twin_results(
-                int_engine.match(query), words_engine.match(query), "fig6"
-            )
-
-    def test_words_twin_through_procpool(self, fig6_workload):
-        # The pool pickles DataArtifacts into workers; the words engine
-        # must round-trip through that and still replay the int twin's
-        # exact enumeration (root-order concatenation, DESIGN.md §6).
-        data, queries = fig6_workload
-        int_cfg, words_cfg = _twin_configs({})
-        int_engine = GuPEngine(data, int_cfg)
-        words_engine = GuPEngine(data, words_cfg)
-        for query in queries:
-            par = words_engine.match(query, workers=2)
-            assert_twin_results(
-                int_engine.match(query, workers=2), par, "fig6+procpool"
-            )
-            # and the pool itself is exact: same list as sequential words
-            assert par.embeddings == words_engine.match(query).embeddings
-
-    def test_words_twin_through_delta_sequence(self):
-        # ContinuousMatcher patches artifacts in place via apply_delta;
-        # the words engine routes the bit flips through flip_edge_bits,
-        # and every epoch's standing-match set must stay identical.
-        rng = random.Random(4242)
-        data = erdos_renyi_graph(16, 30, num_labels=2, seed=5)
-        query = random_connected_graph(3, 3, num_labels=2, seed=6)
-        int_cfg, words_cfg = _twin_configs({})
-        matchers = (
-            ContinuousMatcher(data, int_cfg),
-            ContinuousMatcher(data, words_cfg),
-        )
-        assert matchers[0].register("q", query) == matchers[1].register(
-            "q", query
-        )
-        for step in range(6):
-            edges = list(matchers[0].graph.edges())
-            remove = tuple(rng.sample(edges, min(2, len(edges))))
-            add = []
-            while len(add) < 2:
-                u, v = rng.randrange(16), rng.randrange(16)
-                e = (min(u, v), max(u, v))
-                if u != v and not matchers[0].graph.has_edge(u, v) \
-                        and e not in add and e not in remove:
-                    add.append(e)
-            delta = GraphDelta(add_edges=tuple(add), remove_edges=remove)
-            diffs = [m.apply(delta) for m in matchers]
-            assert diffs[0]["q"].added == diffs[1]["q"].added, step
-            assert diffs[0]["q"].removed == diffs[1]["q"].removed, step
-            assert matchers[0].matches("q") == matchers[1].matches("q"), step
-            assert matchers[0].counters == matchers[1].counters, step

@@ -3,7 +3,7 @@
 The load-bearing invariant of `repro.obs.explain`: introspection may
 add time, never change results.  The grid below proves an analyzed run
 byte-identical (embeddings, SearchStats, status) to a plain match
-across both candidate backends, both mask backends, and the procpool —
+across both candidate backends and the procpool —
 the combinations whose code paths actually differ.  Alongside: plan
 reports without running search, qcache ``peek`` never perturbing the
 cache, the versioned ``analyze.json`` sidecar's bounds, and a served
@@ -58,13 +58,10 @@ class TestAnalyzeDifferential:
     """analyze == plain match, across every backend combination."""
 
     @pytest.mark.parametrize("candidate_backend", ["bitmap", "list"])
-    @pytest.mark.parametrize("mask_backend", ["int", "words"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_grid(self, world, candidate_backend, mask_backend, workers):
+    def test_grid(self, world, candidate_backend, workers):
         data, query = world
-        config = GuPConfig(
-            candidate_backend=candidate_backend, mask_backend=mask_backend
-        )
+        config = GuPConfig(candidate_backend=candidate_backend)
         limits = SearchLimits(max_embeddings=50)
         plain = GuPEngine(data, config=config).match(
             query, limits=limits, workers=workers
@@ -83,7 +80,6 @@ class TestAnalyzeDifferential:
         assert report["backend"] == {
             "candidate": candidate_backend,
             "build": config.build_backend,
-            "mask": mask_backend,
         }
         if workers > 1:
             assert len(report["tasks"]) >= 1

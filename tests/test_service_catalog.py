@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.filtering.artifacts import (
     ArtifactsFormatError,
@@ -312,62 +311,33 @@ print(json.dumps({
         assert GraphCatalog(root).warm("g") is False
 
 
-class TestMaskBackendCanonicalStore:
-    """The artifacts sidecar is backend-agnostic (DESIGN.md §11): masks
-    at rest are canonical Python ints, so which ``mask_backend`` built —
-    or warmed — the artifacts must not leak into the stored bytes, and a
-    payload that *does* carry lowered word arrays is corrupt."""
+class TestCanonicalStore:
+    """Masks at rest are canonical Python ints: query-time derived
+    caches must not leak into the stored bytes, and a payload carrying
+    anything else (e.g. word arrays) is corrupt."""
 
-    def test_sidecar_bytes_identical_across_backends(self, instance, tmp_path):
-        data, queries = instance
-        stores = {}
-        for backend in ("int", "words"):
-            root = tmp_path / backend
-            catalog = GraphCatalog(root, config=GuPConfig(mask_backend=backend))
-            catalog.add("g", data)
-            # Warm the engine through real matches so backend-specific
-            # derived caches (mask ladders, lowered adjacency ops) exist
-            # before the live artifacts are re-serialized.
-            engine = catalog.engine("g")
-            for query in queries:
-                engine.match(query, limits=SearchLimits(max_embeddings=100))
-            meta = json.loads(
-                (root / "g" / META_FILE).read_text(encoding="utf-8")
-            )
-            stores[backend] = {
-                "disk": (root / "g" / ARTIFACTS_FILE).read_bytes(),
-                "checksum": meta["artifacts_sha256"],
-                "warm_dump": dumps_artifacts(engine.artifacts),
-            }
-        assert stores["int"]["disk"] == stores["words"]["disk"]
-        assert stores["int"]["checksum"] == stores["words"]["checksum"]
-        # Re-serializing the warmed live artifacts reproduces the disk
-        # bytes exactly — derived caches never reach the payload.
-        for backend in ("int", "words"):
-            assert stores[backend]["warm_dump"] == stores[backend]["disk"]
-
-    def test_sidecar_loads_under_the_other_backend(self, instance, tmp_path):
+    def test_warm_dump_matches_disk_bytes(self, instance, tmp_path):
         data, queries = instance
         root = tmp_path / "cat"
-        GraphCatalog(root, config=GuPConfig(mask_backend="words")).add(
-            "g", data
-        )
-        for backend in ("int", "words"):
-            catalog = GraphCatalog(root, config=GuPConfig(mask_backend=backend))
-            engine = catalog.engine("g")
-            assert catalog.counters["artifact_loads"] == 1
-            assert catalog.counters["artifact_rebuilds"] == 0
-            assert_matches_direct(engine, data, queries)
+        catalog = GraphCatalog(root)
+        catalog.add("g", data)
+        # Warm the engine through real matches so derived caches (mask
+        # ladders, count vectors) exist before the live artifacts are
+        # re-serialized.
+        engine = catalog.engine("g")
+        for query in queries:
+            engine.match(query, limits=SearchLimits(max_embeddings=100))
+        disk = (root / "g" / ARTIFACTS_FILE).read_bytes()
+        assert dumps_artifacts(engine.artifacts) == disk
 
     def test_mixed_width_payload_rejected_then_rebuilt(self, instance, tmp_path):
         """A forged payload whose adjacency bitmaps are ``array('Q')``
-        word arrays — the lowered representation a buggy words kernel
-        could have leaked to disk — is non-canonical: the loader rejects
-        it outright and the catalog recovers with one clean rebuild."""
+        64-bit word arrays instead of ints is non-canonical: the loader
+        rejects it outright and the catalog recovers with one clean
+        rebuild."""
         import hashlib
         import pickle
-
-        from repro.utils.words import nwords_for, to_words
+        from array import array
 
         data, queries = instance
         root = tmp_path / "cat"
@@ -375,8 +345,10 @@ class TestMaskBackendCanonicalStore:
         entry = root / "g"
 
         payload = list(pickle.loads((entry / ARTIFACTS_FILE).read_bytes()))
-        nwords = nwords_for(data.num_vertices)
-        payload[7] = tuple(to_words(m, nwords) for m in payload[7])
+        nbytes = 8 * max(1, (data.num_vertices + 63) // 64)
+        payload[7] = tuple(
+            array("Q", m.to_bytes(nbytes, "little")) for m in payload[7]
+        )
         forged = pickle.dumps(tuple(payload), protocol=pickle.HIGHEST_PROTOCOL)
         (entry / ARTIFACTS_FILE).write_bytes(forged)
         meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))

@@ -508,3 +508,17 @@ class TestServeSubprocessSmoke:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+
+    def test_server_imports_stay_numpy_free(self):
+        # numpy is not a runtime dependency: the serving process must not
+        # pay its import time and resident memory.
+        code = (
+            "import sys, repro.cli, repro.service.server, repro.core.procpool; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -37,9 +37,8 @@ class TestBasics:
         assert lowest_bit(0b100100) == 2
 
     def test_zero_mask_raises_typed_error(self):
-        # Regression (PR 7): the zero mask used to return the -1
-        # sentinel here while the words backend raised — the "no such
-        # bit" case is now one typed ValueError in both representations.
+        # The zero mask has no such bit: a typed ValueError, never a
+        # -1 sentinel that would index from the end of a list.
         with pytest.raises(EmptyMaskError):
             highest_bit(0)
         with pytest.raises(EmptyMaskError):
