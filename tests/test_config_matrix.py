@@ -14,8 +14,12 @@ import pytest
 
 from repro.baselines.vf2 import Vf2Matcher
 from repro.core.config import GuPConfig
-from repro.core.engine import match
+from repro.core.engine import GuPEngine, match
+from repro.dynamic.continuous import ContinuousMatcher
+from repro.dynamic.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
+from repro.workload.datasets import load_dataset
+from repro.workload.querygen import QuerySetSpec, generate_query_set
 
 ORACLE = Vf2Matcher()
 
@@ -85,3 +89,116 @@ def test_every_config_on_one_instance():
     for config in CONFIGS:
         got = match(query, data, config=config).embedding_set()
         assert got == expected, config
+
+
+# -- reference twin grid ---------------------------------------------------
+#
+# The default pipeline (bitmap candidates, int-mask build) must be
+# bit-for-bit the reference pipeline (list candidates, set build): not
+# just the same embedding *set*, but the same embedding list
+# (enumeration order), the same SearchStats (every recursion, every
+# guard firing), and the same termination status — crossed with the
+# guard, filter and order knobs so a mask-kernel bug can't hide behind
+# a particular configuration.
+
+TWIN_CROSS = [
+    {},
+    {"filter_method": "dagdp", "ordering": "ri"},
+    {"filter_method": "gql", "ordering": "gql"},
+    {"filter_method": "nlf", "ordering": "vc"},
+    {"reservation_limit": None, "ne_two_core_only": False},
+    {"use_reservation": False, "use_backjumping": False,
+     "use_nogood_vertex": False, "use_nogood_edge": False},
+]
+
+REFERENCE = {"candidate_backend": "list", "build_backend": "set"}
+
+
+def _twin_configs(knobs):
+    return GuPConfig(**knobs), GuPConfig(**REFERENCE, **knobs)
+
+
+def assert_twin_results(mask_result, reference_result, context):
+    assert mask_result.embeddings == reference_result.embeddings, context
+    assert mask_result.num_embeddings == reference_result.num_embeddings, context
+    assert mask_result.status == reference_result.status, context
+    assert mask_result.stats == reference_result.stats, context
+
+
+class TestReferenceTwin:
+    @pytest.mark.parametrize(
+        "index", range(len(TWIN_CROSS)),
+        ids=["+".join(sorted(k)) or "defaults" for k in TWIN_CROSS],
+    )
+    def test_mask_twin_on_randomized_instances(self, index):
+        knobs = TWIN_CROSS[index]
+        mask_cfg, ref_cfg = _twin_configs(knobs)
+        for query, data in instances(seed=index * 101 + 13, count=8):
+            assert_twin_results(
+                match(query, data, config=mask_cfg),
+                match(query, data, config=ref_cfg),
+                knobs,
+            )
+
+    @pytest.fixture(scope="class")
+    def fig6_workload(self):
+        data = load_dataset("wordnet", scale=0.25, seed=2023)
+        queries = generate_query_set(
+            data, QuerySetSpec(8, "sparse"), count=3, seed=7
+        )
+        return data, list(queries)
+
+    def test_mask_twin_on_fig6_set(self, fig6_workload):
+        data, queries = fig6_workload
+        mask_cfg, ref_cfg = _twin_configs({})
+        mask_engine = GuPEngine(data, mask_cfg)
+        ref_engine = GuPEngine(data, ref_cfg)
+        for query in queries:
+            assert_twin_results(
+                mask_engine.match(query), ref_engine.match(query), "fig6"
+            )
+
+    def test_mask_twin_through_procpool(self, fig6_workload):
+        # The pool pickles DataArtifacts into workers; the int masks
+        # must round-trip through that and still replay the reference
+        # twin's exact enumeration (root-order concatenation, DESIGN.md §6).
+        data, queries = fig6_workload
+        mask_cfg, ref_cfg = _twin_configs({})
+        mask_engine = GuPEngine(data, mask_cfg)
+        ref_engine = GuPEngine(data, ref_cfg)
+        for query in queries:
+            par = mask_engine.match(query, workers=2)
+            assert_twin_results(
+                par, ref_engine.match(query, workers=2), "fig6+procpool"
+            )
+            # and the pool itself is exact: same list as sequential
+            assert par.embeddings == mask_engine.match(query).embeddings
+
+    def test_mask_twin_through_delta_sequence(self):
+        # ContinuousMatcher patches artifacts in place via apply_delta,
+        # flipping adjacency bits (it is mask-native, so it has no
+        # reference build of its own); every epoch's diff must replay to
+        # exactly the reference twin's fresh match on the new graph.
+        rng = random.Random(4242)
+        data = erdos_renyi_graph(16, 30, num_labels=2, seed=5)
+        query = random_connected_graph(3, 3, num_labels=2, seed=6)
+        _, ref_cfg = _twin_configs({})
+        matcher = ContinuousMatcher(data)
+        standing = set(matcher.register("q", query))
+        assert standing == match(query, data, config=ref_cfg).embedding_set()
+        for step in range(6):
+            edges = list(matcher.graph.edges())
+            remove = tuple(rng.sample(edges, min(2, len(edges))))
+            add = []
+            while len(add) < 2:
+                u, v = rng.randrange(16), rng.randrange(16)
+                e = (min(u, v), max(u, v))
+                if u != v and not matcher.graph.has_edge(u, v) \
+                        and e not in add and e not in remove:
+                    add.append(e)
+            delta = GraphDelta(add_edges=tuple(add), remove_edges=remove)
+            diff = matcher.apply(delta)["q"]
+            standing = (standing - set(diff.removed)) | set(diff.added)
+            fresh = match(query, matcher.graph, config=ref_cfg)
+            assert standing == fresh.embedding_set(), step
+            assert set(matcher.matches("q")) == standing, step

@@ -3,7 +3,7 @@
 The load-bearing invariant of `repro.obs.explain`: introspection may
 add time, never change results.  The grid below proves an analyzed run
 byte-identical (embeddings, SearchStats, status) to a plain match
-across both candidate backends and the procpool —
+across both candidate backends, both build backends and the procpool —
 the combinations whose code paths actually differ.  Alongside: plan
 reports without running search, qcache ``peek`` never perturbing the
 cache, the versioned ``analyze.json`` sidecar's bounds, and a served
@@ -58,10 +58,13 @@ class TestAnalyzeDifferential:
     """analyze == plain match, across every backend combination."""
 
     @pytest.mark.parametrize("candidate_backend", ["bitmap", "list"])
+    @pytest.mark.parametrize("build_backend", ["bitmap", "set"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_grid(self, world, candidate_backend, workers):
+    def test_grid(self, world, candidate_backend, build_backend, workers):
         data, query = world
-        config = GuPConfig(candidate_backend=candidate_backend)
+        config = GuPConfig(
+            candidate_backend=candidate_backend, build_backend=build_backend
+        )
         limits = SearchLimits(max_embeddings=50)
         plain = GuPEngine(data, config=config).match(
             query, limits=limits, workers=workers
