@@ -11,9 +11,11 @@ bitmaps, and filter artifacts be *patched* instead of rebuilt.
 :class:`~repro.graph.graph.Graph` without re-deriving any untouched CSR
 row: adjacency rows, neighbor frozensets, and NLF tables of vertices
 not incident to an edited edge are shared (the same objects) with the
-source graph.  The returned :class:`DeltaSummary` records exactly what
-was touched — vertices, labels, NLF rows — and is the contract every
-downstream maintainer patches against
+source graph, and so are the ``.graph`` text blocks behind
+:func:`~repro.graph.io.graph_checksum` when the source has them.  The
+returned :class:`DeltaSummary` records exactly what was touched —
+vertices, labels, NLF rows — and is the contract every downstream
+maintainer patches against
 (:meth:`repro.filtering.artifacts.DataArtifacts.apply_delta`,
 :class:`repro.dynamic.continuous.ContinuousMatcher`, the service
 catalog's ``update``).
@@ -37,6 +39,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.graph.graph import Graph
+from repro.graph.io import patch_text_blocks
 from repro.utils.bitset import mask_of
 
 PathLike = Union[str, Path]
@@ -182,9 +185,9 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
     The new graph is frozen and independent, but shares every untouched
     per-vertex structure with the source: adjacency row tuples, neighbor
     frozensets, and (when the source had them materialized) NLF table
-    rows are reused by reference, so the cost is proportional to the
-    delta plus the vertex count (two flat-array splices), not to the
-    edge count.
+    rows and ``.graph`` text blocks are reused by reference, so the
+    cost is proportional to the delta plus the vertex count (flat-array
+    and block-list splices), not to the edge count.
     """
     delta.validate(graph)
     n_old = graph.num_vertices
@@ -236,6 +239,7 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
             nlf[v] = freq
 
     new_graph = Graph._from_sorted_rows(labels, rows, neighbor_sets, nlf=nlf)
+    patch_text_blocks(graph, new_graph, touched)
 
     summary = DeltaSummary(
         num_vertices_before=n_old,

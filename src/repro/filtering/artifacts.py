@@ -43,6 +43,7 @@ stale or corrupted store.
 
 from __future__ import annotations
 
+import io
 import pickle
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
@@ -437,7 +438,8 @@ def dumps_artifacts(artifacts: DataArtifacts) -> bytes:
     graph's materialized NLF tables, so :func:`loads_artifacts` restores
     the full warm state — including the NLF cache that
     ``DataArtifacts.__init__`` would otherwise recompute — without any
-    per-vertex work.
+    per-vertex work.  The bytes are a function of the artifacts' values,
+    so equal artifacts serialize identically however they were made.
     """
     data = artifacts.data
     payload = (
@@ -454,7 +456,14 @@ def dumps_artifacts(artifacts: DataArtifacts) -> bytes:
         artifacts.label_bitmaps,
         artifacts.adjacency_bitmaps,
     )
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    # No memo: the bytes then depend on the payload's values only, not
+    # on which equal label strings happen to be one object (a loaded or
+    # delta-patched instance shares them differently from a cold build).
+    pickler.fast = True
+    pickler.dump(payload)
+    return buffer.getvalue()
 
 
 def loads_artifacts(blob: bytes, data: Graph) -> DataArtifacts:

@@ -61,6 +61,7 @@ class Graph:
         "_num_edges",
         "_nlf",
         "_checksum",
+        "_text",
     )
 
     def __init__(
@@ -107,6 +108,9 @@ class Graph:
         # Content checksum, computed lazily by repro.graph.io.graph_checksum
         # (instances are immutable, so one hash serves every caller).
         self._checksum: Optional[str] = None
+        # Per-vertex ``.graph`` text blocks, built lazily by
+        # repro.graph.io and patched across deltas like ``_nlf``.
+        self._text: Optional[Tuple[List[str], List[str]]] = None
 
     @classmethod
     def _from_sorted_rows(
@@ -145,6 +149,7 @@ class Graph:
         }
         graph._nlf = nlf if nlf is not None else []
         graph._checksum = None
+        graph._text = None
         return graph
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ as strings otherwise.
 from __future__ import annotations
 
 import hashlib
-import io as _io
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -118,15 +117,63 @@ def load_graph(path: PathLike, strict: bool = False) -> Graph:
         return loads_graph(handle.read(), strict=strict)
 
 
+def _vertex_line(graph: Graph, v: int) -> str:
+    return f"v {v} {graph.label(v)} {graph.degree(v)}\n"
+
+
+def _edge_block(graph: Graph, u: int) -> str:
+    return "".join([f"e {u} {w}\n" for w in graph.neighbors(u) if w > u])
+
+
+def _text_blocks(graph: Graph) -> Tuple[List[str], List[str]]:
+    """The graph's ``.graph`` text as per-vertex blocks: one ``v`` line
+    and one ``e`` block (the edges to higher ids) per vertex.
+
+    Built on first use and cached on the instance (graphs are
+    immutable); :func:`patch_text_blocks` carries them across a delta.
+    """
+    blocks = graph._text
+    if blocks is None:
+        vertices = graph.vertices()
+        blocks = (
+            [_vertex_line(graph, v) for v in vertices],
+            [_edge_block(graph, u) for u in vertices],
+        )
+        graph._text = blocks
+    return blocks
+
+
+def patch_text_blocks(old: Graph, new: Graph, touched: Iterable[int]) -> None:
+    """Give ``new`` the text blocks of ``old`` with the ``touched``
+    vertices' blocks re-formatted.
+
+    ``new`` is ``old`` after a delta whose touched vertices (endpoints
+    of edited edges, plus every added vertex) are ``touched``: an edge
+    ``(u, v)`` lives in the block of ``min(u, v)`` and changes the
+    degree column of both, so every other block is byte-identical and
+    shared.  A no-op when ``old`` never materialized its blocks, like
+    the NLF patch in :func:`repro.dynamic.delta.apply_delta`.
+    """
+    if old._text is None:
+        return
+    v_lines, e_blocks = (list(part) for part in old._text)
+    grow = new.num_vertices - old.num_vertices
+    v_lines.extend([""] * grow)
+    e_blocks.extend([""] * grow)
+    for v in touched:
+        v_lines[v] = _vertex_line(new, v)
+        e_blocks[v] = _edge_block(new, v)
+    new._text = (v_lines, e_blocks)
+
+
 def saves_graph(graph: Graph) -> str:
     """Serialize a graph to ``.graph``-format text."""
-    out = _io.StringIO()
-    out.write(f"t {graph.num_vertices} {graph.num_edges}\n")
-    for v in graph.vertices():
-        out.write(f"v {v} {graph.label(v)} {graph.degree(v)}\n")
-    for u, v in graph.edges():
-        out.write(f"e {u} {v}\n")
-    return out.getvalue()
+    v_lines, e_blocks = _text_blocks(graph)
+    return (
+        f"t {graph.num_vertices} {graph.num_edges}\n"
+        + "".join(v_lines)
+        + "".join(e_blocks)
+    )
 
 
 def save_graph(graph: Graph, path: PathLike) -> None:
@@ -147,7 +194,9 @@ def graph_checksum(graph: Graph) -> str:
     Computed once per instance and cached on it (graphs are immutable),
     so the service paths that hash the same graph repeatedly — catalog
     ``add``/``info``, epoch metadata on ``update`` — re-serialize
-    nothing after the first call.
+    nothing after the first call.  A delta-applied graph hashes the
+    text blocks patched from its source (:func:`patch_text_blocks`),
+    so it formats only the touched vertices.
     """
     cached = graph._checksum
     if cached is None:

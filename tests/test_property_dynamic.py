@@ -28,6 +28,7 @@ from repro.dynamic.delta import GraphDelta, apply_delta
 from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
 from repro.graph.builder import GraphBuilder, graph_from_adjacency
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
+from repro.graph.io import graph_checksum, loads_graph, saves_graph
 
 LABELS = ("A", "B", "C")
 
@@ -108,6 +109,33 @@ def test_artifact_patches_equal_cold_rebuild_along_edit_sequences(
             probe
         )
         graph, artifacts = new_graph, patched
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    nd=st.integers(min_value=1, max_value=12),
+    edge_factor=st.floats(min_value=0.0, max_value=2.0),
+    steps=st.integers(min_value=1, max_value=5),
+)
+def test_patched_text_blocks_equal_a_block_free_reparse(
+    seed, nd, edge_factor, steps
+):
+    """``saves_graph``/``graph_checksum`` of a delta-applied graph, whose
+    text blocks were patched from its source's, equal those of the same
+    graph re-parsed from text (which has no blocks yet)."""
+    rng = random.Random(seed)
+    graph = erdos_renyi_graph(
+        nd, int(nd * edge_factor), num_labels=len(LABELS), seed=seed
+    )
+    graph_checksum(graph)  # materialize the blocks the chain patches
+    for _ in range(steps):
+        graph, _ = apply_delta(graph, random_delta(rng, graph))
+        assert graph._text is not None
+        fresh = loads_graph(saves_graph(graph))
+        assert fresh._text is None
+        assert saves_graph(graph) == saves_graph(fresh)
+        assert graph_checksum(graph) == graph_checksum(fresh)
 
 
 @settings(max_examples=15, deadline=None)

@@ -22,8 +22,9 @@ from repro.filtering.artifacts import (
     dumps_artifacts,
     loads_artifacts,
 )
+from repro.graph.builder import graph_from_adjacency
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.graph.io import graph_checksum, save_graph, saves_graph
+from repro.graph.io import graph_checksum, loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.service.catalog import (
     ARTIFACTS_FILE,
@@ -329,6 +330,17 @@ class TestCanonicalStore:
             engine.match(query, limits=SearchLimits(max_embeddings=100))
         disk = (root / "g" / ARTIFACTS_FILE).read_bytes()
         assert dumps_artifacts(engine.artifacts) == disk
+
+    def test_dump_bytes_depend_on_values_not_identity(self):
+        """Equal string labels held as distinct objects (a graph parsed
+        from text, a reloaded payload) serialize like a cold build."""
+        data = graph_from_adjacency(
+            ["ab", "cd", "ab", "cd", 7], [(0, 1), (1, 2), (2, 3), (3, 4)]
+        )
+        cold = dumps_artifacts(DataArtifacts(data))
+        parsed = loads_graph(saves_graph(data))
+        assert dumps_artifacts(DataArtifacts(parsed)) == cold
+        assert dumps_artifacts(loads_artifacts(cold, parsed)) == cold
 
     def test_mixed_width_payload_rejected_then_rebuilt(self, instance, tmp_path):
         """A forged payload whose adjacency bitmaps are ``array('Q')``

@@ -5,8 +5,10 @@ kills the process (``InjectedCrash``) at *every* declared persistence
 point (:func:`repro.service.catalog.txn_points`), reopens the store
 cold, and asserts the entry is **byte-identical** to either the state
 before the operation or the state after an uninterrupted run — never
-anything in between.  The point list is generated, so adding a hook to
-the catalog automatically extends the sweep.
+anything in between.  Updates are swept on both of their paths: the
+delta-log append, and the compaction an entry whose log is one record
+short takes.  The point list is generated, so adding a hook to the
+catalog automatically extends the sweep.
 
 Alongside it: forged torn states (partial writes journaling could not
 have produced), procpool worker-death differentials, client
@@ -38,10 +40,13 @@ from repro.core.procpool import (
 from repro.dynamic.delta import GraphDelta
 from repro.graph.builder import graph_from_adjacency
 from repro.matching.limits import SearchLimits
+from repro.service import catalog as catalog_module
 from repro.service.catalog import (
     ARTIFACTS_FILE,
     GRAPH_FILE,
     JOURNAL_FILE,
+    LOG_COMPACT_RECORDS,
+    LOG_FILE,
     META_FILE,
     CatalogError,
     GraphCatalog,
@@ -78,6 +83,40 @@ def bipartite_world():
     return data, ab_query
 
 
+def toggles(count):
+    """``count`` valid updates of the bipartite world that flip edge
+    (2, 5) on and off, leaving DELTA applicable."""
+    for i in range(count):
+        edge = ((2, 5),)
+        yield (
+            GraphDelta(add_edges=edge) if i % 2 == 0
+            else GraphDelta(remove_edges=edge)
+        )
+
+
+@pytest.fixture(scope="module")
+def short_log(tmp_path_factory):
+    """A store whose delta log is one record short of compaction, so
+    its next update commits a full snapshot instead of appending."""
+    root = tmp_path_factory.mktemp("short-log")
+    catalog = GraphCatalog(root)
+    catalog.add("g", bipartite_world()[0])
+    for delta in toggles(LOG_COMPACT_RECORDS - 1):
+        catalog.update("g", delta)
+    return root
+
+
+def update_store(root: Path, point: str, short_log: Path) -> int:
+    """The store an update crashing at ``point`` starts from: fresh
+    from ``add`` for a log-append point, the short-log store for a
+    compaction point.  Returns the entry's epoch."""
+    if point in txn_points("compact"):
+        shutil.copytree(short_log, root)
+    else:
+        GraphCatalog(root).add("g", bipartite_world()[0])
+    return GraphCatalog(root).info("g")["epoch"]
+
+
 def snapshot(directory: Path):
     """``{filename: bytes}`` for one entry directory ({} if absent)."""
     if not directory.exists():
@@ -108,7 +147,9 @@ def expected_side(op: str, point: str) -> str:
     survive; from it on, everything must."""
     if op == "remove":
         return "old" if point == "catalog.remove.begin" else "new"
-    if point == "catalog.txn.begin" or ".txn.tmp." in point:
+    if point in ("catalog.txn.begin", "catalog.log.begin"):
+        return "old"
+    if ".txn.tmp." in point:
         return "old"
     return "new"
 
@@ -150,17 +191,22 @@ class TestCrashPointSweep:
             1 if rollforward_expected("add", point) else 0
         )
 
-    @pytest.mark.parametrize("point", txn_points("update"))
-    def test_update(self, tmp_path, point):
-        data, _ = bipartite_world()
+    @pytest.mark.parametrize(
+        "point", txn_points("update") + txn_points("compact")
+    )
+    def test_update(self, tmp_path, point, short_log):
         root = tmp_path / "store"
-        GraphCatalog(root).add("g", data)
+        epoch = update_store(root, point, short_log)
         before = snapshot(root / "g")
         # Reference: the same update, uninterrupted, on a tree copy.
         shutil.copytree(root, tmp_path / "ref")
         GraphCatalog(tmp_path / "ref").update("g", DELTA)
         after = snapshot(tmp_path / "ref" / "g")
         assert before != after
+        if point in txn_points("compact"):
+            assert after[LOG_FILE] == b""  # the snapshot absorbed the log
+        else:  # an append leaves the snapshot alone
+            assert after[META_FILE] == before[META_FILE]
 
         plan = crash_at(point)
         with pytest.raises(InjectedCrash):
@@ -173,10 +219,10 @@ class TestCrashPointSweep:
         info = fresh.info("g")
         engine = fresh.engine("g")
         if side == "old":
-            assert info["epoch"] == 1
+            assert info["epoch"] == epoch
             assert not engine.data.has_edge(0, 3)
         else:
-            assert info["epoch"] == 2
+            assert info["epoch"] == epoch + 1
             assert engine.data.has_edge(0, 3)
         assert fresh.counters["artifact_rebuilds"] == 0
         assert fresh.counters["txn_rollbacks"] == 0
@@ -221,38 +267,42 @@ class TestCrashPointSweep:
         plan.record_history = True
         catalog = GraphCatalog(tmp_path, faults=plan)
         catalog.add("g", data)
-        catalog.update("g", DELTA)
+        appends = LOG_COMPACT_RECORDS - 1
+        for delta in toggles(appends):
+            catalog.update("g", delta)
+        catalog.update("g", DELTA)  # the log is full: this one compacts
         catalog.remove("g")
         assert tuple(plan.history) == (
-            txn_points("add") + txn_points("update") + txn_points("remove")
+            txn_points("add")
+            + txn_points("update") * appends
+            + txn_points("compact")
+            + txn_points("remove")
         )
 
     @pytest.mark.parametrize(
-        "point", ["catalog.txn.tmp.artifacts.bin", "catalog.txn.journal"]
+        "point", ["catalog.log.begin", "catalog.txn.tmp.artifacts.bin"]
     )
-    def test_disk_full_is_reported_and_recoverable(self, tmp_path, point):
+    def test_disk_full_is_reported_and_recoverable(
+        self, tmp_path, point, short_log
+    ):
         """ENOSPC surfaces as OSError; the store still recovers clean."""
-        data, _ = bipartite_world()
-        GraphCatalog(tmp_path).add("g", data)
-        before = snapshot(tmp_path / "g")
-        shutil.copytree(tmp_path / "g", tmp_path / "ref")
-        GraphCatalog(tmp_path).update("g", DELTA)
-        shutil.rmtree(tmp_path / "g")
-        shutil.move(tmp_path / "ref", tmp_path / "g")
+        root = tmp_path / "store"
+        epoch = update_store(root, point, short_log)
+        before = snapshot(root / "g")
 
         plan = FaultPlan([FaultRule(point, "oserror")])
         with pytest.raises(OSError) as exc_info:
-            GraphCatalog(tmp_path, faults=plan).update("g", DELTA)
+            GraphCatalog(root, faults=plan).update("g", DELTA)
         assert exc_info.value.errno == errno.ENOSPC
 
-        fresh = recover(tmp_path, "g")
+        fresh = recover(root, "g")
         side = expected_side("update", point)
         info = fresh.info("g")
         if side == "old":
-            assert snapshot(tmp_path / "g") == before
-            assert info["epoch"] == 1
+            assert snapshot(root / "g") == before
+            assert info["epoch"] == epoch
         else:
-            assert info["epoch"] == 2
+            assert info["epoch"] == epoch + 1
 
 
 class TestForgedTornStates:
@@ -265,11 +315,13 @@ class TestForgedTornStates:
     def setup_store(self, root):
         data, _ = bipartite_world()
         GraphCatalog(root).add("g", data)
-        # Materialize the epoch-2 file contents via a real update on a
-        # scratch copy, then restore the epoch-1 store.
+        # Materialize the epoch-2 snapshot files via a real compacting
+        # update on a scratch copy, then restore the epoch-1 store.
         scratch = root.parent / "scratch"
         shutil.copytree(root, scratch)
-        GraphCatalog(scratch).update("g", DELTA)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 1)
+            GraphCatalog(scratch).update("g", DELTA)
         new = snapshot(scratch / "g")
         shutil.rmtree(scratch)
         return new
