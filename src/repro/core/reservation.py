@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.filtering.candidate_space import CandidateSpace
 from repro.utils.bipartite import has_saturating_matching
+from repro.utils.bitset import iter_bits
 from repro.utils.vertexcover import constrained_vertex_cover
 
 ReservationGuards = Dict[Tuple[int, int], FrozenSet[int]]
@@ -152,16 +153,21 @@ def _generate_reservation_guards_masks(
 ) -> ReservationGuards:
     """Mask twin of the seed generation loop — identical guards, faster.
 
-    Two shortcuts, both *exact* (proven equal output by
-    ``tests/test_build_masks.py``):
+    Forward adjacency is decoded from the CS's forward bitmap tables
+    (positions of ``C(u_j)``), the only candidate-edge tables a
+    mask-built CS holds eagerly.  Two shortcuts, both *exact* (proven
+    equal output by ``tests/test_build_masks.py``):
 
-    * **All-trivial covers.**  When every forward-adjacent candidate
-      ``v'`` still carries its trivial guard ``{v'}``, every edge of
-      ``E_R`` is the self-loop ``(v', v')`` (``v' != v``), so the *only*
-      vertex cover is the full endpoint set — no greedy needed.  Since
-      matchability is anti-monotone (subsets of matchable sets are
-      matchable), the greedy's incremental admissibility checks succeed
-      iff the full set is matchable: one test replaces the whole walk.
+    * **All-trivial covers.**  ``nontrivial[j]`` marks the positions of
+      ``C(u_j)`` whose guard is not the trivial ``{v'}``, so one AND
+      tells whether every forward-adjacent candidate ``v'`` still
+      carries its trivial guard.  Then every edge of ``E_R`` is the
+      self-loop ``(v', v')`` (``v' != v``: a graph has no self-loops),
+      so the *only* vertex cover is the full endpoint set — no greedy
+      needed.  Since matchability is anti-monotone (subsets of
+      matchable sets are matchable), the greedy's incremental
+      admissibility checks succeed iff the full set is matchable: one
+      test replaces the whole walk, and a popcount over ``r`` skips it.
       An empty endpoint set mirrors the seed's empty-``E_R`` case — the
       empty cover is accepted without a matchability test.
     * **Memoized matchability.**  ``is_matchable(cs, i, S)`` is a pure
@@ -170,10 +176,16 @@ def _generate_reservation_guards_masks(
     """
     query = cs.query
     n = query.num_vertices
+    candidates = cs.candidates
     guards: ReservationGuards = {}
+    nontrivial = [0] * n
 
     for i in range(n - 1, -1, -1):
-        forward = [j for j in query.neighbors(i) if j > i]
+        forward = [
+            (j, cs.edge_bitmap_map(i, j), candidates[j], nontrivial[j])
+            for j in query.neighbors(i)
+            if j > i
+        ]
         cache: Dict[FrozenSet[int], bool] = {}
 
         def admissible(s: FrozenSet[int], _i: int = i, _cache=cache) -> bool:
@@ -182,26 +194,30 @@ def _generate_reservation_guards_masks(
                 hit = _cache[s] = is_matchable(cs, _i, s)
             return hit
 
-        for v in cs.candidates[i]:
+        marked = 0
+        for p, v in enumerate(candidates[i]):
             best: FrozenSet[int] = frozenset((v,))  # trivial reservation
             trivial = True
-            for j in forward:
-                adjacent = cs.adjacent_candidates(i, v, j)
-                all_trivial = True
-                for v2 in adjacent:
-                    g = guards[(j, v2)]
-                    if len(g) != 1 or v2 not in g:
-                        all_trivial = False
-                        break
-                if all_trivial:
-                    members = [v2 for v2 in adjacent if v2 != v]
-                    if size_limit is not None and len(members) > size_limit:
+            for j, table, cand_j, marked_j in forward:
+                bm = table.get(v, 0)
+                if not bm & marked_j:
+                    if size_limit is not None and bm.bit_count() > size_limit:
                         continue
+                    members = []
+                    while bm:
+                        low = bm & -bm
+                        bm ^= low
+                        members.append(cand_j[low.bit_length() - 1])
                     candidate = frozenset(members)
                     if members and not admissible(candidate):
                         continue
                 else:
-                    edges = _reservation_graph_edges(cs, guards, i, v, j)
+                    edges: List[Tuple[int, int]] = []
+                    for q in iter_bits(bm):
+                        v2 = cand_j[q]
+                        for w in guards[(j, v2)]:
+                            if w != v:
+                                edges.append((v2, w))
                     cover = constrained_vertex_cover(
                         edges, size_limit, admissible
                     )
@@ -212,6 +228,9 @@ def _generate_reservation_guards_masks(
                     best = candidate
                     trivial = False
             guards[(i, v)] = best
+            if len(best) != 1 or v not in best:
+                marked |= 1 << p
+        nontrivial[i] = marked
     return guards
 
 

@@ -6,7 +6,9 @@ substrate every matcher in this repository searches.  It stores
 * ``C(u_i)`` — the sorted candidate list of each query vertex;
 * candidate edges — for each query edge ``(u_i, u_j)`` and each candidate
   ``v`` of ``u_i``, the sorted list of candidates of ``u_j`` adjacent to
-  ``v`` in the data graph (both directions are materialized);
+  ``v`` in the data graph, in both directions (a mask-built CS
+  materializes only the forward ``i < j`` bitmaps and derives the rest
+  on first access);
 * the inverse index ``C^{-1}(v)`` — the query vertices for which data
   vertex ``v`` is a candidate — needed by the matchability conditions of
   Lemma 3.7;
@@ -32,6 +34,7 @@ from repro.filtering.ldf import ldf_candidates
 from repro.filtering.nlf import nlf_candidates
 from repro.filtering.nlf2 import nlf2_candidates
 from repro.graph.graph import Graph
+from repro.utils.bitset import iter_bits
 
 _EMPTY: Tuple[int, ...] = ()
 _EMPTY_BITMAPS: Dict[int, int] = {}
@@ -44,8 +47,8 @@ class CandidateSpace:
         "query",
         "data",
         "candidates",
-        "candidate_sets",
         "positions",
+        "_candidate_sets",
         "_edge_lists",
         "_edge_bitmaps",
         "_full_masks",
@@ -68,10 +71,12 @@ class CandidateSpace:
 
         ``candidate_masks`` / ``adjacency_bitmaps`` optionally supply the
         dense build path's data-vertex-id bitmaps (``candidates`` decoded
-        as masks, and per-data-vertex adjacency masks): candidate-edge
-        materialization then replaces the per-neighbor membership probes
-        with one AND per candidate and decodes only the survivors.  The
-        resulting structures are byte-identical either way.
+        as masks, and per-data-vertex adjacency masks).  Such a CS
+        eagerly builds only the forward ``(i < j)`` bitmap tables, with
+        one AND per candidate, and ``inverse_masks``; every other
+        structure is derived from them on first access (threads racing
+        on a first access at worst derive it twice, to equal values).
+        The accessors return identical values either way.
         """
         if len(candidates) != query.num_vertices:
             raise ValueError("one candidate list per query vertex required")
@@ -80,9 +85,6 @@ class CandidateSpace:
         self.candidates: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(sorted(c)) for c in candidates
         )
-        self.candidate_sets: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(c) for c in self.candidates
-        )
         # Dense index: candidate vertex -> position in the sorted C(u_i).
         self.positions: Tuple[Dict[int, int], ...] = tuple(
             {v: p for p, v in enumerate(c)} for c in self.candidates
@@ -90,47 +92,73 @@ class CandidateSpace:
         self._full_masks: Tuple[int, ...] = tuple(
             (1 << len(c)) - 1 for c in self.candidates
         )
+        self._candidate_sets: Optional[Tuple[FrozenSet[int], ...]] = None
+        # Candidate edges per direction (i, j): v -> adjacent C(u_j), as
+        # sorted tuples and as bitmaps over positions of C(u_j).
+        self._edge_lists: Dict[Tuple[int, int], Dict[int, Tuple[int, ...]]] = {}
+        self._edge_bitmaps: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self._inverse: Optional[Dict[int, Tuple[int, ...]]] = None
+        # C^{-1}(v) as query-vertex bitmasks — reservation generation's
+        # matchability tests become mask arithmetic (dense build path
+        # only, so the seed set-based builder stays reference-verbatim).
+        self._inverse_masks: Optional[Dict[int, int]] = None
+        self._inverse_below: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        if candidate_masks is not None and adjacency_bitmaps is not None:
+            self._freeze_masks(candidate_masks, adjacency_bitmaps)
+        else:
+            self._freeze_sets()
 
-        # Candidate edges, both directions: (i, j) -> v -> adjacent C(u_j),
-        # as sorted tuples and as bitmaps over positions of C(u_j).
-        use_masks = candidate_masks is not None and adjacency_bitmaps is not None
-        edge_lists: Dict[Tuple[int, int], Dict[int, Tuple[int, ...]]] = {}
-        edge_bitmaps: Dict[Tuple[int, int], Dict[int, int]] = {}
+    def _freeze_masks(
+        self, candidate_masks: Sequence[int], adjacency_bitmaps: Sequence[int]
+    ) -> None:
+        """Forward bitmap tables and ``inverse_masks`` from the masks."""
+        edge_count = 0
+        for i, j in self.query.edges():
+            table: Dict[int, int] = {}
+            pos_j = self.positions[j]
+            mask_j = candidate_masks[j]
+            for v in self.candidates[i]:
+                rem = adjacency_bitmaps[v] & mask_j
+                if rem:
+                    bm = 0
+                    while rem:
+                        low = rem & -rem
+                        rem ^= low
+                        bm |= 1 << pos_j[low.bit_length() - 1]
+                    table[v] = bm
+                    edge_count += bm.bit_count()
+            self._edge_bitmaps[(i, j)] = table
+        self.num_candidate_edges = edge_count
+        inverse_masks: Dict[int, int] = {}
+        for i, c in enumerate(self.candidates):
+            bit = 1 << i
+            for v in c:
+                inverse_masks[v] = inverse_masks.get(v, 0) | bit
+        self._inverse_masks = inverse_masks
+
+    def _freeze_sets(self) -> None:
+        """The seed materialization: every structure, both directions."""
+        query, data = self.query, self.data
+        edge_lists = self._edge_lists
+        edge_bitmaps = self._edge_bitmaps
         edge_count = 0
         for i, j in query.edges():
             forward: Dict[int, Tuple[int, ...]] = {}
             forward_bm: Dict[int, int] = {}
             backward: Dict[int, List[int]] = {}
             pos_j = self.positions[j]
-            if use_masks:
-                mask_j = candidate_masks[j]
-                for v in self.candidates[i]:
-                    rem = adjacency_bitmaps[v] & mask_j
-                    if rem:
-                        adjacent: List[int] = []
-                        bm = 0
-                        while rem:
-                            low = rem & -rem
-                            rem ^= low
-                            w = low.bit_length() - 1
-                            adjacent.append(w)
-                            bm |= 1 << pos_j[w]
-                            backward.setdefault(w, []).append(v)
-                        forward[v] = tuple(adjacent)
-                        forward_bm[v] = bm
-            else:
-                c_j = self.candidate_sets[j]
-                for v in self.candidates[i]:
-                    adjacent_t = tuple(
-                        w for w in data.neighbors(v) if w in c_j
-                    )
-                    if adjacent_t:
-                        forward[v] = adjacent_t
-                        bm = 0
-                        for w in adjacent_t:
-                            bm |= 1 << pos_j[w]
-                            backward.setdefault(w, []).append(v)
-                        forward_bm[v] = bm
+            c_j = self.candidate_sets[j]
+            for v in self.candidates[i]:
+                adjacent_t = tuple(
+                    w for w in data.neighbors(v) if w in c_j
+                )
+                if adjacent_t:
+                    forward[v] = adjacent_t
+                    bm = 0
+                    for w in adjacent_t:
+                        bm |= 1 << pos_j[w]
+                        backward.setdefault(w, []).append(v)
+                    forward_bm[v] = bm
             edge_lists[(i, j)] = forward
             edge_bitmaps[(i, j)] = forward_bm
             pos_i = self.positions[i]
@@ -145,41 +173,69 @@ class CandidateSpace:
                 backward_bm[w] = bm
             edge_bitmaps[(j, i)] = backward_bm
             edge_count += sum(len(adj) for adj in forward.values())
-        self._edge_lists = edge_lists
-        self._edge_bitmaps = edge_bitmaps
         self.num_candidate_edges = edge_count
 
         inverse: Dict[int, List[int]] = {}
         for i, c in enumerate(self.candidates):
             for v in c:
                 inverse.setdefault(v, []).append(i)
-        self._inverse: Dict[int, Tuple[int, ...]] = {
-            v: tuple(us) for v, us in inverse.items()
-        }
-        # C^{-1}(v) as query-vertex bitmasks — reservation generation's
-        # matchability tests become mask arithmetic (dense build path
-        # only, so the seed set-based builder stays reference-verbatim).
-        self._inverse_masks: Optional[Dict[int, int]] = None
-        if use_masks:
-            inverse_masks: Dict[int, int] = {}
-            for v, us in self._inverse.items():
-                m = 0
-                for i in us:
-                    m |= 1 << i
-                inverse_masks[v] = m
-            self._inverse_masks = inverse_masks
-        self._inverse_below: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._inverse = {v: tuple(us) for v, us in inverse.items()}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
+    @property
+    def candidate_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """``C(u_i)`` as frozensets (O(1) membership), built on first use."""
+        sets = self._candidate_sets
+        if sets is None:
+            sets = self._candidate_sets = tuple(
+                frozenset(c) for c in self.candidates
+            )
+        return sets
+
+    def _bitmap_table(self, i: int, j: int) -> Dict[int, int]:
+        """Bitmap table of direction ``(i, j)``, transposing the reverse
+        table on first use; empty if ``(u_i, u_j)`` is no query edge."""
+        table = self._edge_bitmaps.get((i, j))
+        if table is None:
+            reverse = self._edge_bitmaps.get((j, i))
+            if reverse is None:
+                return _EMPTY_BITMAPS
+            # reverse maps v in C(u_j) to positions of C(u_i); flip it.
+            pos_j = self.positions[j]
+            by_position = [0] * len(self.candidates[i])
+            for v, bm in reverse.items():
+                bit = 1 << pos_j[v]
+                while bm:
+                    low = bm & -bm
+                    bm ^= low
+                    by_position[low.bit_length() - 1] |= bit
+            cand_i = self.candidates[i]
+            table = self._edge_bitmaps[(i, j)] = {
+                cand_i[p]: bm for p, bm in enumerate(by_position) if bm
+            }
+        return table
+
     def adjacent_candidates(self, i: int, v: int, j: int) -> Tuple[int, ...]:
         """Candidates of ``u_j`` adjacent (in the data graph) to ``(u_i, v)``.
 
-        ``u_i`` and ``u_j`` must be adjacent in the query graph.
+        ``u_i`` and ``u_j`` must be adjacent in the query graph.  The
+        tuples of a direction are decoded from its bitmap table on first
+        use.
         """
-        return self._edge_lists[(i, j)].get(v, _EMPTY)
+        lists = self._edge_lists.get((i, j))
+        if lists is None:
+            table = self._bitmap_table(i, j)
+            if not table:
+                return _EMPTY
+            cand_j = self.candidates[j]
+            lists = self._edge_lists[(i, j)] = {
+                w: tuple(cand_j[p] for p in iter_bits(bm))
+                for w, bm in table.items()
+            }
+        return lists.get(v, _EMPTY)
 
     def edge_bitmap(self, i: int, v: int, j: int) -> int:
         """:meth:`adjacent_candidates` as a bitmap over positions of ``C(u_j)``.
@@ -188,7 +244,7 @@ class CandidateSpace:
         Intersecting a local candidate bitmap of ``u_j`` with this value is
         the dense-index form of Definition 3.18's refinement — one int AND.
         """
-        return self._edge_bitmaps[(i, j)].get(v, 0)
+        return self._bitmap_table(i, j).get(v, 0)
 
     def edge_bitmap_map(self, i: int, j: int) -> Dict[int, int]:
         """The whole bitmap table of direction ``(i, j)``: ``v -> bitmap``.
@@ -197,7 +253,7 @@ class CandidateSpace:
         is one dict get plus one AND (missing ``v`` means no adjacent
         candidates — callers default to 0).
         """
-        return self._edge_bitmaps.get((i, j), _EMPTY_BITMAPS)
+        return self._bitmap_table(i, j)
 
     def position(self, i: int, v: int) -> int:
         """Position of ``v`` in the sorted ``C(u_i)``; -1 if not a candidate."""
@@ -209,7 +265,12 @@ class CandidateSpace:
 
     def inverse_candidates(self, v: int) -> Tuple[int, ...]:
         """``C^{-1}(v)``: query vertices having ``v`` as candidate (sorted)."""
-        return self._inverse.get(v, _EMPTY)
+        inverse = self._inverse
+        if inverse is None:
+            inverse = self._inverse = {
+                w: tuple(iter_bits(m)) for w, m in self._inverse_masks.items()
+            }
+        return inverse.get(v, _EMPTY)
 
     @property
     def inverse_masks(self) -> Optional[Dict[int, int]]:

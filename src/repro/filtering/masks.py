@@ -8,7 +8,9 @@ single int over data-vertex ids (bit ``v`` == data vertex ``v``), so
   (:meth:`repro.filtering.artifacts.DataArtifacts.nlf_candidate_masks`);
 * DAG-graph DP's survival test collapses to
   ``adjacency_bitmaps[v] & candidate_mask[u_c] != 0`` — one AND and a
-  zero test per constraining neighbor — and the sweeps are
+  zero test per constraining neighbor — or, once the neighbourhood
+  ``N(c)`` of a constraining mask is cached, to one ``mask & N(c)``
+  for all candidates at once (:func:`survivors`); the sweeps are
   *worklist-driven*: a vertex is re-examined only when some
   constraining neighbor's candidate set shrank since it was last
   examined in that sweep direction (a per-candidate survival test
@@ -18,8 +20,9 @@ single int over data-vertex ids (bit ``v`` == data vertex ``v``), so
 * the consistency prune is a plain mask worklist (its fixpoint is the
   unique greatest one, so any schedule yields the set-based result);
 * :class:`~repro.filtering.candidate_space.CandidateSpace` positions and
-  edge bitmaps are materialized straight from the masks without the
-  intermediate sorted-list/set round-trips.
+  forward edge bitmaps are materialized straight from the masks without
+  the intermediate sorted-list/set round-trips; everything else the CS
+  offers is derived on first access.
 
 Every function decodes to exactly what its set-based counterpart in
 :mod:`repro.filtering.dagdp` / :mod:`repro.filtering.gql_filter` /
@@ -76,9 +79,41 @@ class MaskView(Sequence):
 
 
 def survivors(
-    adjacency: Sequence[int], mask: int, constraining_masks: List[int]
+    adjacency: Sequence[int],
+    mask: int,
+    constraining_masks: List[int],
+    neighbourhoods: Optional[Dict[int, int]] = None,
 ) -> int:
-    """Bits of ``mask`` whose adjacency hits every constraining mask."""
+    """Bits of ``mask`` whose adjacency hits every constraining mask.
+
+    ``neighbourhoods`` optionally caches ``N(c)``, the OR of the
+    adjacency rows of ``c``'s bits, keyed by the mask ``c``.  Adjacency
+    is symmetric, so candidate ``v`` survives ``c`` iff ``v`` is in
+    ``N(c)``: a constraint whose neighbourhood is cached, or which has
+    no more bits than ``mask`` (so building ``N(c)`` costs no more than
+    the per-candidate test), is applied as one AND.  Every other
+    constraint keeps the per-candidate test.
+    """
+    if neighbourhoods is not None:
+        size = mask.bit_count()
+        looped = []
+        for c_mask in constraining_masks:
+            n_c = neighbourhoods.get(c_mask)
+            if n_c is None:
+                if c_mask.bit_count() > size:
+                    looped.append(c_mask)
+                    continue
+                n_c = 0
+                rem = c_mask
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    n_c |= adjacency[low.bit_length() - 1]
+                neighbourhoods[c_mask] = n_c
+            mask &= n_c
+        if not looped or not mask:
+            return mask
+        constraining_masks = looped
     new = mask
     rem = mask
     if len(constraining_masks) == 1:
@@ -108,6 +143,7 @@ def dag_graph_dp_masks(
     max_rounds: int = 3,
     dag: Optional[QueryDag] = None,
     stage_log=None,
+    neighbourhoods: Optional[Dict[int, int]] = None,
 ) -> List[int]:
     """Mask twin of :func:`repro.filtering.dagdp.dag_graph_dp`.
 
@@ -120,11 +156,14 @@ def dag_graph_dp_masks(
     ``stage_log`` (a :class:`repro.obs.explain.FilterStageLog`) records
     the surviving-candidate popcounts after each executed round plus
     the swept DAG — reads only, so a logged run is identical to a plain
-    one.
+    one.  ``neighbourhoods`` is the :func:`survivors` cache; pass the
+    same dict to :func:`consistency_prune_masks` to share it.
     """
     n = query.num_vertices
     if n == 0:
         return []
+    if neighbourhoods is None:
+        neighbourhoods = {}
     masks = list(base_masks)
     if dag is None:
         dag = build_query_dag(query, [m.bit_count() for m in masks])
@@ -144,7 +183,9 @@ def dag_graph_dp_masks(
                 continue
             dirty[u] = False
             old = masks[u]
-            new = survivors(adjacency, old, [masks[c] for c in cons])
+            new = survivors(
+                adjacency, old, [masks[c] for c in cons], neighbourhoods
+            )
             if new != old:
                 masks[u] = new
                 changed = True
@@ -167,15 +208,21 @@ def dag_graph_dp_masks(
 
 
 def consistency_prune_masks(
-    query: Graph, adjacency: Sequence[int], masks: Sequence[int]
+    query: Graph,
+    adjacency: Sequence[int],
+    masks: Sequence[int],
+    neighbourhoods: Optional[Dict[int, int]] = None,
 ) -> List[int]:
     """Mask twin of ``candidate_space._consistency_prune``.
 
     Runs the (unique) greatest fixpoint of "every candidate has an
     adjacent candidate for each query neighbor" as a vertex worklist;
     schedule differences from the AC-6 set version cannot change the
-    result, only the route to it.
+    result, only the route to it.  ``neighbourhoods`` is the
+    :func:`survivors` cache.
     """
+    if neighbourhoods is None:
+        neighbourhoods = {}
     masks = list(masks)
     nbrs = [query.neighbors(u) for u in query.vertices()]
     queued = [bool(nbrs[u]) for u in query.vertices()]
@@ -184,7 +231,9 @@ def consistency_prune_masks(
         u = pending.popleft()
         queued[u] = False
         old = masks[u]
-        new = survivors(adjacency, old, [masks[u2] for u2 in nbrs[u]])
+        new = survivors(
+            adjacency, old, [masks[u2] for u2 in nbrs[u]], neighbourhoods
+        )
         if new != old:
             masks[u] = new
             for u2 in nbrs[u]:
@@ -271,6 +320,8 @@ def build_candidate_space_masks(
     if base_masks is None:
         base_masks = artifacts.nlf_candidate_masks(query)
     adjacency = artifacts.adjacency_bitmaps
+    # N(c) per constraining mask, shared by DAG-DP and the prune.
+    neighbourhoods: Dict[int, int] = {}
     if stage_log is not None:
         stage_log.record_masks("seed", base_masks)
     if method == "ldf":
@@ -282,6 +333,7 @@ def build_candidate_space_masks(
     elif method == "dagdp":
         masks = dag_graph_dp_masks(
             query, adjacency, base_masks, dag=dag, stage_log=stage_log,
+            neighbourhoods=neighbourhoods,
         )
     elif method == "gql":
         masks = gql_candidate_masks(query, artifacts, base_masks)
@@ -291,7 +343,7 @@ def build_candidate_space_masks(
         raise ValueError(f"unknown filter {method!r}; expected one of {FILTERS}")
     if stage_log is not None and method != "dagdp":
         stage_log.record_masks(method, masks)
-    masks = consistency_prune_masks(query, adjacency, masks)
+    masks = consistency_prune_masks(query, adjacency, masks, neighbourhoods)
     if stage_log is not None:
         stage_log.record_masks("consistency", masks)
     return CandidateSpace(

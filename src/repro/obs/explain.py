@@ -3,7 +3,7 @@
 *Plan* answers "what would the engine do": the chosen matching order
 with the per-vertex selection-score components the ordering actually
 consulted, the query DAG the DAG-DP filter swept, the reservation /
-guard inventory, and the backend + mask-kernel selections — all read
+guard inventory, and the candidate and build backends — all read
 off a real :class:`~repro.core.gcs.GuardedCandidateSpace` build, never
 re-derived by a parallel code path that could drift.  *Analyze*
 additionally runs the real search and attributes the work exactly:

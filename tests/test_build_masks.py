@@ -57,26 +57,44 @@ def _instances(seed, count, max_q=7, max_d=24, max_labels=3):
 
 
 def assert_gcs_identical(query, data, config):
-    """Both builders, full structural comparison down to the bitmaps."""
+    """Both builders, full structural comparison down to the bitmaps.
+
+    Candidate edges and the inverse index are compared through the
+    accessors, over every ordered query-edge direction and every
+    candidate, so the mask-built CS's lazily derived structures are
+    held to the same bar as the set builder's eager ones.
+    """
     bitmap = build_gcs(query, data, config)
     listed = build_gcs(
         query, data, dataclasses.replace(config, build_backend="set")
     )
     assert bitmap.order == listed.order
     assert bitmap.query == listed.query
-    assert bitmap.cs.candidates == listed.cs.candidates
-    assert bitmap.cs.positions == listed.cs.positions
-    assert bitmap.cs._edge_lists == listed.cs._edge_lists
-    assert bitmap.cs._edge_bitmaps == listed.cs._edge_bitmaps
-    assert bitmap.cs.num_candidate_edges == listed.cs.num_candidate_edges
-    assert bitmap.cs._inverse == listed.cs._inverse
+    b, s = bitmap.cs, listed.cs
+    assert b.candidates == s.candidates
+    assert b.candidate_sets == s.candidate_sets
+    assert b.positions == s.positions
+    for i, j in bitmap.query.edges():
+        for a, c in ((i, j), (j, i)):
+            table = b.edge_bitmap_map(a, c)
+            assert table == s.edge_bitmap_map(a, c)
+            assert set(table) <= set(s.candidates[a])
+            for v in s.candidates[a]:
+                assert b.edge_bitmap(a, v, c) == s.edge_bitmap(a, v, c)
+                assert b.adjacent_candidates(a, v, c) == (
+                    s.adjacent_candidates(a, v, c)
+                )
+    assert b.num_candidate_edges == s.num_candidate_edges
+    for v in data.vertices():
+        assert b.inverse_candidates(v) == s.inverse_candidates(v)
     assert bitmap.reservations == listed.reservations
     assert bitmap.two_core == listed.two_core
     # The mask-built CS additionally carries the inverse bitmasks.
-    assert bitmap.cs.inverse_masks is not None
-    assert listed.cs.inverse_masks is None
-    for v, us in bitmap.cs._inverse.items():
-        assert tuple(bits_of(bitmap.cs.inverse_masks[v])) == us
+    assert b.inverse_masks is not None
+    assert s.inverse_masks is None
+    assert set(b.inverse_masks) == {v for c in s.candidates for v in c}
+    for v, m in b.inverse_masks.items():
+        assert tuple(bits_of(m)) == s.inverse_candidates(v)
 
 
 def assert_match_identical(query, data, config, limits=None):
@@ -158,6 +176,46 @@ def test_benchmark_workload_identical():
     for query in queries:
         assert_gcs_identical(query, data, GuPConfig())
         assert_match_identical(query, data, GuPConfig(), limits=limits)
+
+
+# ----------------------------------------------------------------------
+# Forward-only candidate-edge tables stay forward-only
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["workers=1", "workers=2", "analyze"])
+def test_match_reads_only_forward_tables(mode, monkeypatch):
+    """GuP's build, search, procpool and EXPLAIN read only the forward
+    ``(i < j)`` bitmap tables of a mask-built CS; a consumer that
+    derives the reverse tables, the tuple lists, the candidate sets or
+    the inverse tuples would show up here."""
+    from repro.workload.datasets import load_dataset
+    from repro.workload.querygen import generate_query
+
+    data = load_dataset("wordnet", scale=0.1, seed=11)
+    query = generate_query(data, 6, "sparse", seed=11)
+    engine = GuPEngine(data)
+    built = []
+    real_build = engine.build
+
+    def spy(*args, **kwargs):
+        gcs = real_build(*args, **kwargs)
+        built.append(gcs)
+        return gcs
+
+    monkeypatch.setattr(engine, "build", spy)
+    if mode == "analyze":
+        _, result = engine.explain(query, mode="analyze")
+    else:
+        result = engine.match(query, workers=int(mode[-1]))
+    assert result.num_embeddings > 0
+    (gcs,) = built
+    cs = gcs.cs
+    assert len(cs.candidates[0]) > 1  # workers=2 really partitions
+    assert set(cs._edge_bitmaps) == set(gcs.query.edges())
+    assert cs._edge_lists == {}
+    assert cs._candidate_sets is None
+    assert cs._inverse is None
 
 
 # ----------------------------------------------------------------------

@@ -253,6 +253,87 @@ class TestSurvivors:
         assert survivors(adjacency, mask, [c]) == survivors(adjacency, mask, [c, c])
 
 
+def _random_mask(rng, n, density):
+    return mask_of(v for v in range(n) if rng.random() < density)
+
+
+def _neighbourhood(adjacency, c):
+    n_c = 0
+    for w in bits_of(c):
+        n_c |= adjacency[w]
+    return n_c
+
+
+class _CountingRows(list):
+    """Adjacency rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestNeighbourhoodSurvivors:
+    """``survivors`` with an ``N(c)`` cache vs the per-candidate test."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_per_candidate_test_across_shrinking_masks(self, seed):
+        # Constraint densities straddle the mask's, so both sides of the
+        # popcount rule are taken; the cache outlives each call while
+        # the mask and the constraints shrink, as in a DAG-DP sweep.
+        rng = random.Random(seed)
+        n = rng.randint(1, 150)
+        adjacency = _random_adjacency(rng, n)
+        neighbourhoods = {}
+        mask = _random_mask(rng, n, rng.choice([0.2, 0.6, 1.0]))
+        cons = [
+            _random_mask(rng, n, rng.choice([0.02, 0.2, 0.6, 0.95]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        for _ in range(6):
+            want = survivors(adjacency, mask, cons)
+            assert want == survivors_oracle(adjacency, mask, cons)
+            assert survivors(adjacency, mask, cons, neighbourhoods) == want
+            for c, n_c in neighbourhoods.items():
+                assert n_c == _neighbourhood(adjacency, c)
+            mask &= _random_mask(rng, n, 0.7)
+            cons = [
+                c & _random_mask(rng, n, 0.8) if rng.random() < 0.5 else c
+                for c in cons
+            ]
+
+    def test_popcount_rule_sides(self):
+        rng = random.Random(11)
+        n = 64
+        adjacency = _CountingRows(_random_adjacency(rng, n))
+        small = 0b1011  # 3 bits: fewer than the mask's, so N(small) is built
+        big = (1 << 40) - 1  # 40 bits: more than the mask's, looped
+        mask = (1 << 20) - 1
+        cache = {}
+        got = survivors(adjacency, mask, [small, big], cache)
+        assert got == survivors_oracle(adjacency, mask, [small, big])
+        assert set(cache) == {small}
+        assert cache[small] == _neighbourhood(adjacency, small)
+        # A mask with more bits than ``big`` builds and caches N(big).
+        wide = (1 << 50) - 1
+        got = survivors(adjacency, wide, [big], cache)
+        assert got == survivors_oracle(adjacency, wide, [big])
+        assert big in cache
+        # Cached neighbourhoods are reused for a narrower mask: no row read.
+        adjacency.reads = 0
+        got = survivors(adjacency, mask, [small, big], cache)
+        assert adjacency.reads == 0
+        assert got == survivors_oracle(adjacency, mask, [small, big])
+
+    def test_empty_inputs(self):
+        adjacency = [0b10, 0b01]
+        assert survivors(adjacency, 0, [0b11], {}) == 0
+        assert survivors(adjacency, 0b11, [], {}) == 0b11
+        assert survivors(adjacency, 0b11, [0], {}) == 0
+
+
 # ----------------------------------------------------------------------
 # Edge-bit flips (DataArtifacts.apply_delta)
 # ----------------------------------------------------------------------
