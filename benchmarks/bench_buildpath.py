@@ -1,12 +1,13 @@
 """Build-path perf trajectory: bitmap GCS construction vs the seed set builder.
 
 Runs GCS construction (``GuPEngine.build`` — seeding, filtering,
-candidate-edge materialization, reservation generation) with both build
-backends — ``"bitmap"`` (:mod:`repro.filtering.masks`, the dense-mask
-default) and ``"set"`` (the seed set/dict pipeline kept verbatim) —
+candidate-edge materialization, reservation generation) with both
+builders — ``"bitmap"`` (:mod:`repro.filtering.masks`, the production
+builder) and ``"set"`` (the seed set/dict pipeline kept verbatim as a
+test oracle, :class:`~repro.core.backtrack_ref.ReferenceEngine`) —
 over the fig6/fig7 workload grid (the six query sets of
 :data:`benchmarks.conftest.SET_SPECS` on wordnet, easy random-walk bulk
-plus the mined hard tail).  Both backends produce byte-identical GCSes
+plus the mined hard tail).  Both builders produce byte-identical GCSes
 (``tests/test_build_masks.py`` proves it; this bench re-asserts
 candidates, candidate-edge counts, and reservations per query), so the
 only difference is wall time per construction.
@@ -14,14 +15,14 @@ only difference is wall time per construction.
 Timings are *warm-path*: engines keep their data-side artifacts and
 build-invariant caches across the best-of-N repeats, exactly like the
 PR 3 service serving repeated/similar queries — the regime the ISSUE
-targets.  Both backends share the same caching, so the ratio compares
+targets.  Both builders share the same caching, so the ratio compares
 the pipelines, not the caches.
 
 Emits ``BENCH_buildpath.json`` at the repo root with, per query set and
 overall:
 
 * builds/sec and total candidate/candidate-edge/reservation counts for
-  both backends (best-of-N per query);
+  both builders (best-of-N per query);
 * the wall-aggregate speedup and the per-query geometric-mean speedup
   (the headline number, target >= 2x);
 * a ``smoke`` section from a tiny sub-grid that ``check_perf.py`` uses
@@ -52,7 +53,7 @@ from benchmarks.conftest import (  # noqa: E402
     easy_query_set,
     hard_query_set,
 )
-from repro.core.config import GuPConfig  # noqa: E402
+from repro.core.backtrack_ref import ReferenceEngine  # noqa: E402
 from repro.core.engine import GuPEngine  # noqa: E402
 
 DATASET = "wordnet"  # the fig6/fig7 dataset
@@ -67,16 +68,14 @@ def _geomean(values):
 
 
 def run_grid(sets, repeats: int = 5, smoke: bool = False):
-    """Measure both build backends over the given query sets.
+    """Measure both builders over the given query sets.
 
     Build phase only (``engine.build``), best-of-``repeats`` per query
-    to suppress scheduler noise; per query the two backends' GCSes are
+    to suppress scheduler noise; per query the two builders' GCSes are
     asserted identical (candidates, candidate edges, reservations).
     """
     data = dataset(DATASET)
-    engines = {
-        b: GuPEngine(data, GuPConfig(build_backend=b)) for b in BACKENDS
-    }
+    engines = {"set": ReferenceEngine(data), "bitmap": GuPEngine(data)}
     for engine in engines.values():
         engine.artifacts  # prebuild the per-graph artifacts outside timing
 
@@ -125,7 +124,7 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                     and gcses["set"].cs.num_candidate_edges
                     == gcses["bitmap"].cs.num_candidate_edges
                     and gcses["set"].reservations == gcses["bitmap"].reservations
-                ), "build backends must produce identical GCSes"
+                ), "builders must produce identical GCSes"
                 per_query_speedups.append(walls["set"] / walls["bitmap"])
                 set_speedups.append(per_query_speedups[-1])
             entry = {}
@@ -172,7 +171,7 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
         totals["set"]["candidates"] == totals["bitmap"]["candidates"]
         and totals["set"]["candidate_edges"] == totals["bitmap"]["candidate_edges"]
         and totals["set"]["reservations"] == totals["bitmap"]["reservations"]
-    ), "build backends must produce identical GCS totals"
+    ), "builders must produce identical GCS totals"
     return {"sets": per_set, "overall": overall}
 
 

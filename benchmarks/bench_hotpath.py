@@ -1,19 +1,21 @@
-"""Hot-path perf trajectory: bitmap backend vs the seed list-based search.
+"""Hot-path perf trajectory: bitmap search vs the seed list-based search.
 
-Runs full GuP (all guards + backjumping) with both candidate backends —
-``"bitmap"`` (:mod:`repro.core.backtrack`, the dense-index default) and
-``"list"`` (:mod:`repro.core.backtrack_ref`, the seed implementation kept
-verbatim) — over the fig6/fig7 workload grid (the six query sets of
+Runs full GuP (all guards + backjumping) with both searches on the same
+production-built GCS — ``"bitmap"`` (:mod:`repro.core.backtrack`, the
+production search) and ``"list"`` (:class:`~repro.core.backtrack_ref.ListGuPSearch`,
+the seed implementation kept verbatim as a test oracle, driven through
+:class:`~repro.core.backtrack_ref.ReferenceEngine`) — over the fig6/fig7
+workload grid (the six query sets of
 :data:`benchmarks.conftest.SET_SPECS` on wordnet, easy random-walk bulk
 plus the mined hard tail, under the recursion-budget harness).  Both
-backends explore byte-identical search trees (``tests/test_bitmap_cs.py``
+searches explore byte-identical search trees (``tests/test_bitmap_cs.py``
 proves it), so recursions and refinements match exactly and the only
 difference is wall time per recursion.
 
 Emits ``BENCH_hotpath.json`` at the repo root with, per query set and
 overall:
 
-* recursions/sec and refinements/sec for both backends (search phase
+* recursions/sec and refinements/sec for both searches (search phase
   only, best-of-N per query);
 * the wall-aggregate speedup (hard, recursion-capped queries dominate
   this) and the per-query geometric-mean speedup (each workload point
@@ -45,7 +47,7 @@ from benchmarks.conftest import (  # noqa: E402
     easy_query_set,
     hard_query_set,
 )
-from repro.core.config import GuPConfig  # noqa: E402
+from repro.core.backtrack_ref import ReferenceEngine  # noqa: E402
 from repro.core.engine import GuPEngine  # noqa: E402
 
 DATASET = "wordnet"  # the fig6/fig7 dataset
@@ -60,16 +62,14 @@ def _geomean(values):
 
 
 def run_grid(sets, repeats: int = 5, smoke: bool = False):
-    """Measure both backends over the given query sets.
+    """Measure both searches over the given query sets.
 
-    Search-phase wall time only (GCS construction is identical work for
-    both backends and excluded, as in the paper's recursion accounting);
+    Search-phase wall time only, both on production-built GCSes
+    (construction is excluded, as in the paper's recursion accounting);
     best-of-``repeats`` per query to suppress scheduler noise.
     """
     data = dataset(DATASET)
-    engines = {
-        b: GuPEngine(data, GuPConfig(candidate_backend=b)) for b in BACKENDS
-    }
+    engines = {"list": ReferenceEngine(data), "bitmap": GuPEngine(data)}
     limits = VIRTUAL_SCALE.limits()
 
     per_set = {}
@@ -93,7 +93,10 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                 walls = {}
                 for backend in BACKENDS:
                     engine = engines[backend]
-                    gcs = engine.build(query)
+                    # A fresh production build per search, right before
+                    # it: both sides time a cache-warm GCS, as the
+                    # committed baseline did.
+                    gcs = engines["bitmap"].build(query)
                     best = None
                     result = None
                     for _ in range(repeats):
@@ -148,7 +151,7 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
     )
     assert (
         totals["list"]["recursions"] == totals["bitmap"]["recursions"]
-    ), "backends must explore identical search trees"
+    ), "searches must explore identical search trees"
     return {"sets": per_set, "overall": overall}
 
 

@@ -4,10 +4,10 @@ maintenance, service degradation, observability overhead.
 Five gates, each a few seconds of work:
 
 * **hotpath** — re-runs the *smoke* sub-grid of
-  :mod:`benchmarks.bench_hotpath` and compares the bitmap search
-  backend's recursions/sec against the committed baseline in
+  :mod:`benchmarks.bench_hotpath` and compares the bitmap search's
+  recursions/sec against the committed baseline in
   ``BENCH_hotpath.json``; also fails if the bitmap search is no longer
-  faster than the seed list backend at all.
+  faster than the seed list search at all.
 * **buildpath** — re-runs the smoke sub-grid of
   :mod:`benchmarks.bench_buildpath` and compares the bitmap build
   column's builds/sec against ``BENCH_buildpath.json``; also fails if
@@ -102,7 +102,7 @@ def check_hotpath(baseline_path: Path, tolerance: float, repeats: int) -> bool:
         f"[hotpath] bitmap smoke recursions/sec: {now_rps:,} "
         f"(baseline {base_rps:,}, floor {floor:,.0f})"
     )
-    print(f"[hotpath] bitmap vs seed list backend on the smoke grid: {speedup}x")
+    print(f"[hotpath] bitmap vs seed list search on the smoke grid: {speedup}x")
 
     ok = True
     if now_rps < floor:
@@ -112,7 +112,7 @@ def check_hotpath(baseline_path: Path, tolerance: float, repeats: int) -> bool:
         )
         ok = False
     if speedup < 1.0:
-        print("FAIL: bitmap search backend is slower than the seed list backend")
+        print("FAIL: bitmap search is slower than the seed list search")
         ok = False
     return ok
 
@@ -140,7 +140,7 @@ def check_buildpath(baseline_path: Path, tolerance: float, repeats: int) -> bool
         )
         ok = False
     if speedup < 1.0:
-        print("FAIL: bitmap build backend is slower than the seed set builder")
+        print("FAIL: bitmap builder is slower than the seed set builder")
         ok = False
     return ok
 

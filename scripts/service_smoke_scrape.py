@@ -12,8 +12,9 @@ path-backed structured request log, drives a query round-trip through
   end);
 * the request log holds a ``query`` line whose trace id matches the
   one the reply header carried;
-* one ``explain="analyze"`` round-trip returns the attribution report,
-  and the Chrome trace exported from that request's span records is
+* one ``explain="analyze"`` round-trip (workers=2) returns the
+  attribution report, its ``search`` recursion and embedding counts
+  equal the reply header's, and the Chrome trace exported from that request's span records is
   well-formed: every span's parent exists, the single root is the
   client attempt, and the procpool worker spans nest under the
   ``engine.search`` phase span.
@@ -135,6 +136,17 @@ def main() -> int:
                 if not analyzed.explain or \
                         analyzed.explain.get("mode") != "analyze":
                     fail(f"no analyze report in reply: {analyzed.explain!r}")
+                search = analyzed.explain.get("search") or {}
+                if search.get("recursions") != analyzed.recursions:
+                    fail(
+                        f"analyze counted {search.get('recursions')} "
+                        f"recursions, the header {analyzed.recursions}"
+                    )
+                if search.get("embeddings_found") != analyzed.num_embeddings:
+                    fail(
+                        f"analyze counted {search.get('embeddings_found')} "
+                        f"embeddings, the header {analyzed.num_embeddings}"
+                    )
                 stats = client.stats()
                 op_text = client.metrics()
             http_text = http_get(host, port, "/metrics")

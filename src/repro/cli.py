@@ -246,9 +246,6 @@ def _add_query_parser(subparsers) -> None:
                    help="total wall-clock budget per query incl. retries")
     p.add_argument("--retries", type=int, default=0,
                    help="retry attempts for shed/broken requests")
-    p.add_argument("--profile", action="store_true",
-                   help="bypass the cache and attach a search-level "
-                        "profiler summary to each reply")
     p.add_argument("--explain", default=None, choices=("plan", "analyze"),
                    help="attach an EXPLAIN report: 'plan' reports the "
                         "matching order/filters without searching, "
@@ -723,7 +720,6 @@ def _cmd_query(args) -> int:
                     cache=not args.no_cache,
                     priority=args.priority,
                     deadline=args.deadline,
-                    profile=args.profile,
                     explain=args.explain,
                 )
                 total += reply.num_embeddings
@@ -735,16 +731,6 @@ def _cmd_query(args) -> int:
                       f"exec {reply.server_seconds:.4f}s)")
                 if reply.explain:
                     _print_explain(reply.explain)
-                if reply.profile:
-                    prof = reply.profile
-                    print(f"  profile: {prof.get('descends', 0)} descends, "
-                          f"{prof.get('conflicts', 0)} conflicts, "
-                          f"{prof.get('backjumps', 0)} backjumps, "
-                          f"max depth {prof.get('max_depth', 0)} "
-                          f"(stride {prof.get('stride', 1)})")
-                    kinds = prof.get("conflicts_by_kind") or {}
-                    for kind in sorted(kinds):
-                        print(f"    conflict[{kind}]: ~{kinds[kind]}")
                 for e in reply.embeddings[: args.max_print]:
                     print("  " + " ".join(
                         f"u{i}->v{v}" for i, v in enumerate(e)))
@@ -760,11 +746,9 @@ def _cmd_query(args) -> int:
 
 def _print_explain(report: dict) -> None:
     """Compact human rendering of an EXPLAIN/ANALYZE report."""
-    backend = report.get("backend") or {}
     print(f"  explain ({report.get('mode')}): "
           f"ordering {report.get('ordering')}, "
-          f"filter {report.get('filter')}, backends "
-          f"{backend.get('candidate')}/{backend.get('build')}")
+          f"filter {report.get('filter')}")
     print(f"    order: {report.get('order')}")
     for stage in report.get("stages") or []:
         print(f"    stage {stage.get('stage')}: "
@@ -779,9 +763,19 @@ def _print_explain(report: dict) -> None:
     if report.get("mode") == "analyze":
         search = report.get("search") or {}
         print(f"    search: {search.get('recursions', 0)} recursions, "
-              f"{search.get('conflicts', 0)} conflicts, "
+              f"{search.get('backjumps', 0)} backjumps, "
               f"{search.get('pruned_by_guards', 0)} guard-pruned, "
-              f"{search.get('nogood_hits', 0)} nogood hits")
+              f"{search.get('nogoods_recorded_vertex', 0)}/"
+              f"{search.get('nogoods_recorded_edge', 0)} "
+              f"vertex/edge nogoods recorded")
+        pruned = [
+            f"{key[len('pruned_'):]} {search[key]}"
+            for key in sorted(search)
+            if key.startswith("pruned_") and key != "pruned_by_guards"
+            and search[key]
+        ]
+        if pruned:
+            print(f"    pruned: {', '.join(pruned)}")
         for task in report.get("tasks") or []:
             print(f"    worker task {task.get('index')} "
                   f"(root v{task.get('vertex')}): "

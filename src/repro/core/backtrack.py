@@ -11,8 +11,8 @@ Query-vertex sets are ``int`` bitmasks throughout (bit ``i`` = ``u_i``).
 
 Dense-index candidate bitmaps
 -----------------------------
-This is the **bitmap backend** (the default; see DESIGN.md "Dense-index
-bitmap layout").  The local candidate set of ``u_j`` is an ``int`` bitmap
+This is the production search (see DESIGN.md "Dense-index bitmap
+layout").  The local candidate set of ``u_j`` is an ``int`` bitmap
 over positions of the sorted ``C(u_j)``, and the candidate space
 materializes every candidate-edge direction as a bitmap over the same
 positions.  Line 6-9 refinement is then a single C-speed AND per forward
@@ -38,10 +38,9 @@ search just bypasses method-call overhead), and the per-pair folding of
 Definition 3.30 is expanded at both call sites.  CPython's per-call cost
 would otherwise dominate the per-recursion budget and hide the win of
 the O(1) refinement.  The readable reference implementation of the same
-algorithm is :mod:`repro.core.backtrack_ref` (``GuPConfig.
-candidate_backend = "list"``); ``tests/test_bitmap_cs.py`` proves the
-two backends return byte-identical embeddings, stats, and termination
-status.
+algorithm is :mod:`repro.core.backtrack_ref`, a test oracle production
+never imports; ``tests/test_bitmap_cs.py`` proves the two searches
+return byte-identical embeddings, stats, and termination status.
 
 Fixed-deadend-mask propagation
 ------------------------------
@@ -92,7 +91,7 @@ _EMPTY_SET: Set[Pair] = set()
 
 
 class GuPSearch:
-    """One guarded backtracking run over a GCS (bitmap backend).
+    """One guarded backtracking run over a GCS (dense candidate bitmaps).
 
     Not reusable: construct a fresh instance per query (the nogood
     store, the search-node counter, and all counters are per-run state).

@@ -1,15 +1,22 @@
 """Reference list-based guarded backtracking (the seed implementation).
 
 This is the pre-dense-index implementation of Algorithm 2, kept verbatim
-as the **list backend** (``GuPConfig.candidate_backend = "list"``): local
-candidate sets are Python lists and refinement visits every surviving
-candidate.  It exists for two reasons:
+as a **test oracle**: local candidate sets are Python lists and
+refinement visits every surviving candidate.  Next to it lives the seed
+set/dict GCS pipeline (:func:`build_gcs_set`) and
+:class:`ReferenceEngine`, a :class:`~repro.core.engine.GuPEngine` that
+builds with the set pipeline and searches sequentially with
+:class:`ListGuPSearch`.  Production never imports this module; it exists
+for two reasons:
 
-* the differential test (``tests/test_bitmap_cs.py``) proves the bitmap
-  backend in :mod:`repro.core.backtrack` returns byte-identical
+* the differential tests (``tests/test_bitmap_cs.py``,
+  ``tests/test_build_masks.py``, ``tests/test_config_matrix.py``) prove
+  the production search in :mod:`repro.core.backtrack` and the mask
+  builder in :mod:`repro.filtering.masks` return byte-identical GCSes,
   embeddings, stats, and termination status;
-* the hot-path benchmark (``benchmarks/bench_hotpath.py``) measures the
-  bitmap backend's speedup against this baseline.
+* the hot-path and build-path benchmarks (``benchmarks/bench_hotpath.py``,
+  ``benchmarks/bench_buildpath.py``) measure production's speedup
+  against these baselines.
 
 Algorithmic documentation lives in :mod:`repro.core.backtrack`; the two
 modules implement the same search over different candidate
@@ -53,13 +60,25 @@ and the recursion unwinds.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import GuPConfig
-from repro.core.gcs import GuardedCandidateSpace
+from repro.core.engine import GuPEngine
+from repro.core.gcs import (
+    BuildInvariantCache,
+    GuardedCandidateSpace,
+    finish_gcs,
+)
 from repro.core.nogood import NogoodStore, make_nogood_store
+from repro.filtering.artifacts import DataArtifacts
+from repro.filtering.candidate_space import build_candidate_space
+from repro.filtering.nlf import nlf_candidates
+from repro.graph.graph import Graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import SearchStats, TerminationStatus
+from repro.ordering.base import make_order
+from repro.utils.bitset import mask_of
 from repro.utils.timer import Deadline
 
 Pair = Tuple[int, int]
@@ -584,3 +603,81 @@ class ListGuPSearch:
                 else:
                     per_v[v2] = cnt
         self._watch_total -= len(pairs)
+
+
+# ----------------------------------------------------------------------
+# The seed set/dict GCS pipeline and the reference engine
+# ----------------------------------------------------------------------
+
+
+def build_gcs_set(
+    query: Graph,
+    data: Graph,
+    config: Optional[GuPConfig] = None,
+    artifacts: Optional[DataArtifacts] = None,
+    invariants: Optional[BuildInvariantCache] = None,
+    stage_log=None,
+) -> GuardedCandidateSpace:
+    """The seed set/dict twin of :func:`repro.core.gcs.build_gcs`.
+
+    Same steps and the same caching, over candidate lists and sets
+    instead of int masks; it yields a byte-identical GCS.  Without
+    ``artifacts`` it runs the seed LDF+NLF scan itself, and without
+    ``invariants`` it feeds the ordering plain candidate lists.
+    """
+    config = config or GuPConfig()
+    started = time.perf_counter()
+    if artifacts is not None and artifacts.data is not data:
+        raise ValueError("artifacts were built for a different data graph")
+
+    if artifacts is not None:
+        initial = artifacts.nlf_candidates(query)
+    else:
+        initial = nlf_candidates(query, data)
+    if invariants is not None:
+        order = invariants.order(
+            config.ordering, query, [mask_of(c) for c in initial]
+        )
+    else:
+        order = make_order(config.ordering, query, initial)
+    reordered = query.relabeled(order)
+    reordered_base = [list(initial[old]) for old in order]
+    dag = None
+    if invariants is not None and config.filter_method == "dagdp":
+        sizes = [len(c) for c in reordered_base]
+        dag = invariants.dag(reordered, sizes)
+    cs = build_candidate_space(
+        reordered, data, method=config.filter_method,
+        base=reordered_base, dag=dag,
+    )
+    if stage_log is not None:
+        # The set pipeline is opaque to per-round hooks; record the
+        # seed and the filtered fixpoint (the stages that exist).
+        stage_log.record("seed", [len(c) for c in reordered_base])
+        stage_log.record(
+            "filtered", [len(c) for c in cs.candidates]
+        )
+    return finish_gcs(query, data, order, cs, config, invariants, started)
+
+
+class ReferenceEngine(GuPEngine):
+    """The seed pipeline behind the production engine's API.
+
+    :meth:`build` runs :func:`build_gcs_set`, and a sequential
+    :meth:`~repro.core.engine.GuPEngine.match` searches with
+    :class:`ListGuPSearch`.  Everything else — symmetry expansion,
+    EXPLAIN, the procpool (which always runs the production search) —
+    is inherited, so a differential test compares exactly the twins.
+    """
+
+    search_class = ListGuPSearch
+
+    def build(self, query: Graph, stage_log=None) -> GuardedCandidateSpace:
+        return build_gcs_set(
+            query,
+            self.data,
+            self.config,
+            artifacts=self.artifacts,
+            invariants=self.invariants,
+            stage_log=stage_log,
+        )

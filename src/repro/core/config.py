@@ -4,6 +4,11 @@ The defaults reproduce the paper's recommended setting: all guards on,
 backjumping on, reservation size limit ``r = 3`` (§4.3.1), nogood guards
 on edges restricted to the query 2-core (§3.3.3), DAG-graph DP filtering
 and the VC matching order (§3.1).
+
+Every knob here changes *what* GuP computes.  None selects an
+implementation: production has one search (:mod:`repro.core.backtrack`)
+and one GCS builder (:mod:`repro.filtering.masks`); the seed twins live
+on as a test oracle in :mod:`repro.core.backtrack_ref`.
 """
 
 from __future__ import annotations
@@ -44,24 +49,6 @@ class GuPConfig:
         Extension (off by default, not in the paper): enumerate one
         representative per query-automorphism class and expand
         afterwards (see :mod:`repro.core.symmetry`).
-    candidate_backend:
-        Local-candidate representation of the search: ``"bitmap"`` (the
-        default — dense-index int bitmaps, refinement is one AND per
-        forward neighbor; :mod:`repro.core.backtrack`) or ``"list"``
-        (the seed per-element implementation kept as a differential /
-        perf reference; :mod:`repro.core.backtrack_ref`).  Both explore
-        identical search trees and produce identical results and stats.
-    build_backend:
-        GCS *construction* representation: ``"bitmap"`` (the default —
-        candidate sets are data-vertex-id int bitmaps end to end:
-        LDF/NLF seeding from precomputed label/degree masks, worklist
-        DAG-graph DP whose survival test is one AND, mask-native
-        candidate-edge materialization, mask-arithmetic reservation
-        matchability; :mod:`repro.filtering.masks`) or ``"set"`` (the
-        seed set/dict pipeline kept as a differential / perf
-        reference).  Both produce byte-identical guarded candidate
-        spaces — candidates, candidate edges, reservations — and hence
-        identical search results (``tests/test_build_masks.py``).
     """
 
     reservation_limit: Optional[int] = 3
@@ -74,20 +61,6 @@ class GuPConfig:
     filter_method: str = "dagdp"
     ordering: str = "vc"
     break_symmetry: bool = False
-    candidate_backend: str = "bitmap"
-    build_backend: str = "bitmap"
-
-    def __post_init__(self) -> None:
-        if self.candidate_backend not in ("bitmap", "list"):
-            raise ValueError(
-                f"unknown candidate_backend {self.candidate_backend!r}; "
-                "expected 'bitmap' or 'list'"
-            )
-        if self.build_backend not in ("bitmap", "set"):
-            raise ValueError(
-                f"unknown build_backend {self.build_backend!r}; "
-                "expected 'bitmap' or 'set'"
-            )
 
     @property
     def needs_masks(self) -> bool:

@@ -48,7 +48,14 @@ class GuPEngine:
     (:mod:`repro.service.catalog`) — via the ``artifacts`` parameter, so
     a fresh engine never pays the per-graph build cost.  The artifacts
     must have been built for (a graph equal to) ``data``.
+
+    ``search_class`` is the sequential Algorithm-2 implementation.  It
+    is a class attribute, not a config knob: production always runs
+    :class:`GuPSearch`, and only the test oracle
+    (:class:`repro.core.backtrack_ref.ReferenceEngine`) overrides it.
     """
+
+    search_class = GuPSearch
 
     def __init__(
         self,
@@ -203,13 +210,7 @@ class GuPEngine:
                     task_collector=task_collector,
                 )
             else:
-                if self.config.candidate_backend == "list":
-                    from repro.core.backtrack_ref import (
-                        ListGuPSearch as search_cls,
-                    )
-                else:
-                    search_cls = GuPSearch
-                search = search_cls(
+                search = self.search_class(
                     gcs, config=self.config, limits=limits,
                     symmetry_prev=symmetry_prev, observer=observer,
                 )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.config import GuPConfig
 from repro.core.nogood import NogoodStore
@@ -30,10 +30,9 @@ from repro.core.reservation import (
     reservation_memory_bytes,
 )
 from repro.filtering.artifacts import DataArtifacts
-from repro.filtering.candidate_space import CandidateSpace, build_candidate_space
+from repro.filtering.candidate_space import CandidateSpace
 from repro.filtering.dag import QueryDag, build_query_dag
 from repro.filtering.masks import MaskView, build_candidate_space_masks
-from repro.filtering.nlf import nlf_candidates
 from repro.graph.algorithms import two_core_edges
 from repro.graph.graph import Graph
 from repro.ordering.base import make_order
@@ -117,25 +116,21 @@ class BuildInvariantCache:
         return got
 
     def order(
-        self,
-        ordering: str,
-        query: Graph,
-        initial: Sequence[Sequence[int]],
-        key_payload: Tuple,
+        self, ordering: str, query: Graph, initial_masks: Sequence[int]
     ) -> List[int]:
-        """Memoized :func:`make_order`.
+        """Memoized :func:`make_order` over the initial candidate masks.
 
-        ``key_payload`` must determine ``initial`` exactly (the dense
-        build path passes the candidate-mask tuple, the set path the
-        tuple-ized candidate lists), so a hit is guaranteed to reproduce
-        the miss's order even for orderings that read candidate
-        *contents*, not just sizes.
+        The key carries the masks in full, so a hit is guaranteed to
+        reproduce the miss's order even for orderings that read
+        candidate *contents*, not just sizes.
         """
-        key = (ordering, query, key_payload)
+        key = (ordering, query, tuple(initial_masks))
         got = self._orders.get(key)
         if got is None:
             self.order_recomputes += 1
-            got = make_order(ordering, query, initial)
+            got = make_order(
+                ordering, query, [MaskView(m) for m in initial_masks]
+            )
             self._orders[key] = got
             self._evict_oldest(self._orders, self.max_entries)
         else:
@@ -149,7 +144,7 @@ _SELF_BUILT_ARTIFACTS: Optional[DataArtifacts] = None
 def _self_built_artifacts(data: Graph) -> DataArtifacts:
     """Per-graph artifacts for artifact-less ``build_gcs`` callers.
 
-    The bitmap build path needs :class:`DataArtifacts`; engines own
+    The build needs :class:`DataArtifacts`; engines own
     theirs, but direct callers (CLI ``inspect``, the parallel
     simulations, analysis helpers) loop queries against one data graph
     without any.  A one-entry memo keyed by graph *identity* makes them
@@ -244,20 +239,21 @@ def build_gcs(
        candidate-edge materialization over the reordered query;
     5. reservation-guard generation (Algorithm 1), unless disabled.
 
-    With ``config.build_backend == "bitmap"`` (the default) the whole
-    pipeline runs in the dense mask domain of
-    :mod:`repro.filtering.masks`; ``"set"`` keeps the seed set/dict
-    pipeline.  Both yield byte-identical GCSes.
+    The whole pipeline runs in the dense mask domain of
+    :mod:`repro.filtering.masks`.  The seed set/dict pipeline it
+    replaced is kept as a test oracle
+    (:func:`repro.core.backtrack_ref.build_gcs_set`); both yield
+    byte-identical GCSes.
 
     ``artifacts`` optionally supplies precomputed data-graph-side filter
     state (:class:`repro.filtering.artifacts.DataArtifacts`) so batch
-    engines skip the per-query LDF scan and NLF table build; the bitmap
-    build path needs them and self-builds when none are passed.
+    engines skip the per-query LDF scan and NLF table build; the build
+    needs them and self-builds when none are passed.
     ``invariants`` optionally memoizes the reordered query's two-core
     edge set and DAG across repeated builds (engines own one).  Results
     are identical with or without either.
 
-    ``seed_masks`` (bitmap backend only) replaces the LDF+NLF seeding
+    ``seed_masks`` replaces the LDF+NLF seeding
     with caller-supplied per-query-vertex candidate masks.  The
     continuous-matching engine (:mod:`repro.dynamic.continuous`) passes
     delta-restricted masks here: restricting ``C(u)`` before filtering
@@ -274,74 +270,62 @@ def build_gcs(
 
     if artifacts is not None and artifacts.data is not data:
         raise ValueError("artifacts were built for a different data graph")
-    use_masks = config.build_backend == "bitmap"
-    if seed_masks is not None:
-        if not use_masks:
-            raise ValueError("seed_masks requires build_backend='bitmap'")
-        if len(seed_masks) != query.num_vertices:
-            raise ValueError(
-                f"seed_masks has {len(seed_masks)} entries for a "
-                f"{query.num_vertices}-vertex query"
-            )
-    if use_masks and artifacts is None:
+    if seed_masks is not None and len(seed_masks) != query.num_vertices:
+        raise ValueError(
+            f"seed_masks has {len(seed_masks)} entries for a "
+            f"{query.num_vertices}-vertex query"
+        )
+    if artifacts is None:
         artifacts = _self_built_artifacts(data)
 
-    if use_masks:
-        initial_masks = (
-            list(seed_masks)
-            if seed_masks is not None
-            else artifacts.nlf_candidate_masks(query)
-        )
-        initial: List[Sequence[int]] = [MaskView(m) for m in initial_masks]
-    elif artifacts is not None:
-        initial = artifacts.nlf_candidates(query)
-    else:
-        initial = nlf_candidates(query, data)
+    initial_masks = (
+        list(seed_masks)
+        if seed_masks is not None
+        else artifacts.nlf_candidate_masks(query)
+    )
     if invariants is not None:
-        key_payload = (
-            tuple(initial_masks)
-            if use_masks
-            else tuple(tuple(c) for c in initial)
-        )
-        order = invariants.order(config.ordering, query, initial, key_payload)
+        order = invariants.order(config.ordering, query, initial_masks)
     else:
-        order = make_order(config.ordering, query, initial)
+        order = make_order(
+            config.ordering, query, [MaskView(m) for m in initial_masks]
+        )
     reordered = query.relabeled(order)
     # The initial candidates only depend on labels/degrees, which the
     # renumbering preserves: reuse them instead of refiltering.
-    if use_masks:
-        reordered_masks = [initial_masks[old] for old in order]
-        dag = None
-        if invariants is not None and config.filter_method == "dagdp":
-            sizes = [m.bit_count() for m in reordered_masks]
-            dag = invariants.dag(reordered, sizes)
-        cs = build_candidate_space_masks(
-            reordered,
-            data,
-            artifacts,
-            method=config.filter_method,
-            base_masks=reordered_masks,
-            dag=dag,
-            stage_log=stage_log,
-        )
-    else:
-        reordered_base = [list(initial[old]) for old in order]
-        dag = None
-        if invariants is not None and config.filter_method == "dagdp":
-            sizes = [len(c) for c in reordered_base]
-            dag = invariants.dag(reordered, sizes)
-        cs = build_candidate_space(
-            reordered, data, method=config.filter_method,
-            base=reordered_base, dag=dag,
-        )
-        if stage_log is not None:
-            # The set pipeline is opaque to per-round hooks; record the
-            # seed and the filtered fixpoint (the stages that exist).
-            stage_log.record("seed", [len(c) for c in reordered_base])
-            stage_log.record(
-                "filtered", [len(c) for c in cs.candidates]
-            )
+    reordered_masks = [initial_masks[old] for old in order]
+    dag = None
+    if invariants is not None and config.filter_method == "dagdp":
+        sizes = [m.bit_count() for m in reordered_masks]
+        dag = invariants.dag(reordered, sizes)
+    cs = build_candidate_space_masks(
+        reordered,
+        data,
+        artifacts,
+        method=config.filter_method,
+        base_masks=reordered_masks,
+        dag=dag,
+        stage_log=stage_log,
+    )
 
+    return finish_gcs(query, data, order, cs, config, invariants, started)
+
+
+def finish_gcs(
+    query: Graph,
+    data: Graph,
+    order: List[int],
+    cs: CandidateSpace,
+    config: GuPConfig,
+    invariants: Optional[BuildInvariantCache],
+    started: float,
+) -> GuardedCandidateSpace:
+    """Step (5) of :func:`build_gcs` plus the two-core, on a filtered CS.
+
+    Shared with the seed set pipeline kept as a test oracle
+    (:func:`repro.core.backtrack_ref.build_gcs_set`); ``started`` is the
+    build's ``perf_counter`` start, so ``build_seconds`` covers it all.
+    """
+    reordered = cs.query
     if config.use_reservation:
         reservations = generate_reservation_guards(
             cs, size_limit=config.reservation_limit

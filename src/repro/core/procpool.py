@@ -135,11 +135,7 @@ def run_root_task(
     The simulation in :mod:`repro.core.parallel` and the process workers
     below both run tasks through this single codepath.
     """
-    if config.candidate_backend == "list":
-        from repro.core.backtrack_ref import ListGuPSearch as search_cls
-    else:
-        search_cls = GuPSearch
-    search = search_cls(
+    search = GuPSearch(
         gcs,
         config=config,
         limits=limits,

@@ -168,13 +168,7 @@ class ContinuousMatcher:
         graph: Graph,
         config: Optional[GuPConfig] = None,
     ) -> None:
-        config = config or GuPConfig()
-        if config.build_backend != "bitmap":
-            raise ValueError(
-                "ContinuousMatcher requires build_backend='bitmap' "
-                "(delta-restricted seeding is mask-native)"
-            )
-        self.engine = GuPEngine(graph, config)
+        self.engine = GuPEngine(graph, config or GuPConfig())
         self._queries: Dict[str, _StandingQuery] = {}
         self.epoch = 0
         self.counters: Dict[str, int] = {

@@ -21,7 +21,7 @@ paper builds on (§2.1, §3.1):
 * :mod:`~repro.filtering.masks` — the dense mask-domain twin of the
   whole pipeline (DESIGN.md §8): candidate sets as data-vertex-id int
   bitmaps, worklist DAG-DP, mask-native CS materialization.  GuP's
-  default build backend; decodes byte-identically to the set pipeline.
+  only production builder; decodes byte-identically to the set pipeline.
 """
 
 from repro.filtering.candidate_space import CandidateSpace, build_candidate_space

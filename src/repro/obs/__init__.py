@@ -1,6 +1,6 @@
 """repro.obs — dependency-free observability for the matching service.
 
-Three pieces, designed to be cheap enough to stay on by default
+Four pieces, designed to be cheap enough to stay on by default
 (``check_perf.py --gate obs`` holds the hot path to ≤5% p50 overhead):
 
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
@@ -10,16 +10,18 @@ Three pieces, designed to be cheap enough to stay on by default
   *are*, so the ``stats`` op and ``/metrics`` read identical storage.
 * :mod:`repro.obs.log` — JSON-lines structured logs with thread-local
   trace-id propagation that crosses the procpool process boundary.
-* :mod:`repro.obs.profile` — a sampling
-  :class:`~repro.analysis.trace.SearchObserver` for ``profile=true``
-  queries.
 * :mod:`repro.obs.spans` — hierarchical timed spans on top of the
   structured log, reconstructable into one causal tree per trace id and
   exportable as Chrome trace-event JSON (``repro trace``).
 * :mod:`repro.obs.explain` — EXPLAIN/ANALYZE report builders: matching
   order + scores + guard inventory (plan) and exact per-stage /
   per-guard / per-worker work attribution (analyze), persisted as a
-  versioned ``analyze.json`` catalog sidecar.
+  versioned ``analyze.json`` catalog sidecar.  ANALYZE is the one way to
+  inspect a served search: its ``search`` block carries the exact
+  recursion, backjump, embedding and per-guard pruning counts.  The
+  per-descend event stream (depths, every conflict) needs an observer,
+  which forces a sequential run, so it stays offline
+  (:class:`~repro.analysis.trace.TraceRecorder`).
 
 :class:`Observability` bundles a registry + log + enabled flag; the
 server owns one and threads it everywhere.
@@ -48,7 +50,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_exposition,
 )
-from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import (
     build_chrome_trace,
     current_span,
@@ -68,7 +69,6 @@ __all__ = [
     "FilterStageLog",
     "MetricsRegistry",
     "Observability",
-    "SamplingProfiler",
     "StructuredLog",
     "build_chrome_trace",
     "current_fields",

@@ -2,10 +2,10 @@
 
 *Plan* answers "what would the engine do": the chosen matching order
 with the per-vertex selection-score components the ordering actually
-consulted, the query DAG the DAG-DP filter swept, the reservation /
-guard inventory, and the candidate and build backends — all read
-off a real :class:`~repro.core.gcs.GuardedCandidateSpace` build, never
-re-derived by a parallel code path that could drift.  *Analyze*
+consulted, the query DAG the DAG-DP filter swept, and the reservation /
+guard inventory — all read off a real
+:class:`~repro.core.gcs.GuardedCandidateSpace` build, never re-derived
+by a parallel code path that could drift.  *Analyze*
 additionally runs the real search and attributes the work exactly:
 per-query-vertex candidate counts after each filter stage (collected
 by :class:`FilterStageLog`, a passive observer the build pipeline
@@ -19,13 +19,13 @@ collector only copies results the pool produced anyway, and analyze
 calls the *ordinary* ``GuPEngine.match`` on the very GCS it inspected
 — so an analyze run returns byte-identical embeddings / stats / status
 to an unobserved run (``tests/test_explain_differential.py`` proves it
-across candidate backends × workers).
+for production and the seed oracle × workers).
 
 Analyze summaries are persisted by the server as a versioned
 ``analyze.json`` sidecar next to the catalog entry's artifact files
 (:meth:`repro.service.catalog.GraphCatalog.store_analysis`) — the
-per-query feature corpus ROADMAP item 5's cost-model planner trains
-on.
+per-query feature corpus a cost-model planner (deferred on the
+ROADMAP) would train on.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ def plan_report(gcs, config, stage_log: Optional[FilterStageLog] = None) -> Dict
         "order": list(gcs.order),
         "vertex_scores": vertex_scores,
         "filter": config.filter_method,
-        "backend": {
-            "candidate": config.candidate_backend,
-            "build": config.build_backend,
-        },
         "stages": stages,
         "dag": (
             {
@@ -208,7 +204,6 @@ def sidecar_record(
         "ordering": report.get("ordering"),
         "order": report.get("order"),
         "filter": report.get("filter"),
-        "backend": report.get("backend"),
         "stages": report.get("stages"),
         "reservations": report.get("reservations"),
         "two_core_edges": report.get("two_core_edges"),

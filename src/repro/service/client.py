@@ -133,9 +133,8 @@ class QueryReply:
     ``server_seconds`` (total server-side handling), which excludes
     ``encode_seconds`` (packing the embedding frame); ``trace`` is the
     request's trace id — the one its structured log lines share across
-    client, server, and pool workers; ``profile`` is the sampling-
-    profiler summary when the query ran with ``profile=``; ``explain``
-    is the EXPLAIN/ANALYZE report when the query ran with ``explain=``.
+    client, server, and pool workers; ``explain`` is the
+    EXPLAIN/ANALYZE report when the query ran with ``explain=``.
     """
 
     num_embeddings: int
@@ -148,7 +147,6 @@ class QueryReply:
     server_seconds: float = 0.0
     encode_seconds: float = 0.0
     trace: Optional[str] = None
-    profile: Optional[Dict] = None
     explain: Optional[Dict] = None
 
 
@@ -483,7 +481,6 @@ class ServiceClient:
         cache: bool = True,
         priority: Optional[str] = None,
         deadline: Optional[float] = None,
-        profile: Union[bool, int] = False,
         explain: Optional[str] = None,
     ) -> QueryReply:
         """Match ``graph`` (a :class:`Graph` or ``.graph`` text) against
@@ -494,12 +491,11 @@ class ServiceClient:
         budget in seconds for the *whole call including retries*: every
         attempt sends the remaining budget as the server-side
         ``time_limit`` (tightened against an explicit ``time_limit``),
-        and no retry starts once the budget is spent.  ``profile``
-        (``True`` or a sampling stride) attaches the server's search
-        profiler summary to the reply.  ``explain`` (``"plan"`` or
-        ``"analyze"``) attaches the server's EXPLAIN/ANALYZE report —
-        ``"plan"`` replies with zero embeddings (the plan only),
-        ``"analyze"`` runs the real search cache-bypassed.
+        and no retry starts once the budget is spent.  ``explain``
+        (``"plan"`` or ``"analyze"``) attaches the server's
+        EXPLAIN/ANALYZE report — ``"plan"`` replies with zero embeddings
+        (the plan only), ``"analyze"`` runs the real search
+        cache-bypassed.
 
         One trace id is generated per *call* and sent with every
         attempt, so a retried query's client attempts, server handling,
@@ -515,8 +511,6 @@ class ServiceClient:
         }
         if self.tenant is not None:
             payload["tenant"] = self.tenant
-        if profile:
-            payload["profile"] = profile
         if explain is not None:
             payload["explain"] = explain
         if limit is not None:
@@ -574,7 +568,6 @@ class ServiceClient:
                 server_seconds=float(header.get("server_seconds", 0.0)),
                 encode_seconds=float(header.get("encode_seconds", 0.0)),
                 trace=header.get("trace", trace),
-                profile=header.get("profile"),
                 explain=header.get("explain"),
             )
 

@@ -21,7 +21,7 @@ by a binary body (the :mod:`repro.service.wire` frame):
     → ``{"ok": true, "entries": [...]}`` / the new entry's info
 ``{"op": "query", "data": name, "graph": text, "limit": N, "workers": W,
    "time_limit": S, "recursion_limit": R, "count_only": b, "cache": b,
-   "trace": id, "profile": b|stride}``
+   "trace": id, "explain": null|"plan"|"analyze"}``
     → header ``{"ok": true, "num_embeddings": N, "status": s,
       "cache": "hit"|"miss"|"bypass", "queue_seconds": q,
       "server_seconds": t, "encode_seconds": e, "trace": id,
@@ -33,8 +33,10 @@ by a binary body (the :mod:`repro.service.wire` frame):
       ``encode_seconds`` is the time spent packing the body, outside
       ``server_seconds``; ``trace`` echoes (or generates) the
       request's trace id, the one its structured log lines share;
-      ``profile`` attaches a search-level sampling-profiler summary
-      (depth histogram, conflicts by kind, backjumps) to the header.
+      ``explain`` attaches an EXPLAIN (``"plan"``: no search, no rows)
+      or ANALYZE (``"analyze"``: the real search, cache bypassed, with
+      exact per-stage and per-guard counts) report to the header.
+      Unknown keys are ignored.
 ``{"op": "update", "name": n, "delta": {"add_vertices": [...],
    "add_edges": [[u, v], ...], "remove_edges": [[u, v], ...]}}``
     → ``{"ok": true, "entry": info, "summary": {...},
@@ -142,7 +144,7 @@ from repro.graph.graph import Graph
 from repro.graph.io import loads_graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, SearchStats, TerminationStatus
-from repro.obs import Observability, SamplingProfiler, new_trace_id, trace_context
+from repro.obs import Observability, new_trace_id, trace_context
 from repro.obs.explain import sidecar_record
 from repro.obs.metrics import CounterGroup
 from repro.obs.spans import emit_spans, new_span_id, span_scope
@@ -1335,15 +1337,15 @@ class MatchingServer:
                 # Per-tenant procpool clamp: one tenant cannot
                 # monopolize worker processes either.
                 (
-                    qname, query, limits, workers, use_cache, stride, explain
+                    qname, query, limits, workers, use_cache, explain
                 ) = parsed
                 parsed = (
                     qname, query, limits,
                     min(workers, tstate.spec.max_workers),
-                    use_cache, stride, explain,
+                    use_cache, explain,
                 )
             name = parsed[0]
-            explain_mode = parsed[6]
+            explain_mode = parsed[5]
             loop = asyncio.get_running_loop()
             started = time.perf_counter()
             queue_t0 = time.monotonic()
@@ -1395,7 +1397,7 @@ class MatchingServer:
             await self._send_result(
                 writer, result, cache_state, server_seconds,
                 queue_seconds=queue_seconds, trace=trace,
-                profile=prov.get("profile"), explain=prov.get("explain"),
+                explain=prov.get("explain"),
             )
             stream_seconds = time.perf_counter() - stream_started
             if self.obs.enabled:
@@ -1405,7 +1407,6 @@ class MatchingServer:
                 hist["search"].observe(result.elapsed_seconds)
                 hist["stream"].observe(stream_seconds)
                 self._request_hist.observe(server_seconds + stream_seconds)
-                config = self.catalog.config
                 self.obs.emit(
                     "query",
                     trace=trace,
@@ -1417,8 +1418,6 @@ class MatchingServer:
                     cache=prov.get("cache_detail", cache_state),
                     engine_source=prov.get("engine_source"),
                     workers=prov.get("workers"),
-                    candidate_backend=config.candidate_backend,
-                    build_backend=config.build_backend,
                     num_embeddings=result.num_embeddings,
                     status=result.status.value,
                     queue_seconds=round(queue_seconds, 6),
@@ -1482,23 +1481,12 @@ class MatchingServer:
         workers = opt_number("workers", 1, int) or 1
         workers = min(workers, self.max_request_workers)
         use_cache = bool(request.get("cache", True))
-        # profile: false (off), true (stride-1 sampling), or an int
-        # stride — attaches a SamplingProfiler summary to the reply.
-        profile = request.get("profile", False)
-        if isinstance(profile, bool):
-            stride = 1 if profile else 0
-        elif isinstance(profile, int) and profile >= 1:
-            stride = profile
-        else:
-            raise ValueError("'profile' must be a boolean or a stride >= 1")
         # explain: null (off), "plan" (report without searching), or
         # "analyze" (run the real search, attribute the work exactly).
         explain = request.get("explain")
         if explain is not None and explain not in ("plan", "analyze"):
             raise ValueError("'explain' must be null, 'plan', or 'analyze'")
-        if explain is not None and stride > 0:
-            raise ValueError("'explain' cannot be combined with 'profile'")
-        return name, query, limits, workers, use_cache, stride, explain
+        return name, query, limits, workers, use_cache, explain
 
     def _cache_for(self, name: str) -> QueryCache:
         with self._counters_lock:
@@ -1525,7 +1513,6 @@ class MatchingServer:
         limits: SearchLimits,
         workers: int,
         use_cache: bool,
-        profile_stride: int,
         explain: Optional[str] = None,
         trace: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -1535,9 +1522,8 @@ class MatchingServer:
 
         Returns ``(result, cache_state, provenance)`` where provenance
         carries the request-log detail: cache hit/truncated-hit, engine
-        source (resident/load/rebuild) + epoch, effective workers, the
-        profiler summary when ``profile_stride > 0``, and the
-        EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
+        source (resident/load/rebuild) + epoch, effective workers, and
+        the EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
         and structured log are bound thread-locally for the duration,
         so the procpool (and its fault hooks) log under this request's
         trace across the process boundary; ``parent_span`` (the request
@@ -1549,10 +1535,6 @@ class MatchingServer:
         with trace_context(trace, log, fields), span_scope(parent_span):
             cache = self._cache_for(name)
             form = None
-            if profile_stride > 0:
-                # A cache hit has no search to observe; profiled runs
-                # always execute the engine.
-                use_cache = False
             if explain == "plan":
                 return self._explain_plan(name, query, limits, use_cache, prov)
             if explain == "analyze":
@@ -1590,17 +1572,10 @@ class MatchingServer:
                 )
                 self._bump("cache_bypass")
                 return result, "bypass", prov
-            observer = None
-            if profile_stride > 0:
-                observer = SamplingProfiler(stride=profile_stride)
-            if workers > 1 and observer is None:
+            if workers > 1:
                 self._bump("procpool_dispatches")
-            prov["workers"] = 1 if observer is not None else workers
-            result = engine.match(
-                query, limits=limits, workers=workers, observer=observer
-            )
-            if observer is not None:
-                prov["profile"] = observer.summary()
+            prov["workers"] = workers
+            result = engine.match(query, limits=limits, workers=workers)
             if use_cache and form is not None:
                 cache.store(form, limits, result)
                 with self._counters_lock:
@@ -1660,7 +1635,6 @@ class MatchingServer:
         server_seconds: float,
         queue_seconds: float = 0.0,
         trace: Optional[str] = None,
-        profile: Optional[Dict] = None,
         explain: Optional[Dict] = None,
     ) -> None:
         """Write the query reply: header line and frame body."""
@@ -1682,8 +1656,6 @@ class MatchingServer:
         }
         if trace is not None:
             header["trace"] = trace
-        if profile is not None:
-            header["profile"] = profile
         if explain is not None:
             header["explain"] = explain
         await self._send(writer, header, body)

@@ -1,8 +1,9 @@
-"""Differential test: the bitmap backend is byte-identical to the seed.
+"""Differential test: the bitmap search is byte-identical to the seed.
 
 The dense-index bitmap search (:mod:`repro.core.backtrack`) and the seed
-list-based search (:mod:`repro.core.backtrack_ref`) must explore the
-exact same search tree: identical embeddings *in order*, identical
+list-based search (:mod:`repro.core.backtrack_ref`, a test oracle that
+production never imports) must explore the exact same search tree, on
+the same production-built GCS: identical embeddings *in order*, identical
 termination status, and identical pruning/recording statistics — every
 counter, not just the result set.  This is what licenses the hot-path
 benchmark to compare their wall clocks as the same algorithm on two
@@ -14,30 +15,34 @@ Covered here:
   representations, filters, orders, reservation limits, symmetry);
 * random workloads with truncation (embedding caps and recursion
   budgets hit mid-search, exercising the abort paths);
-* the synthetic benchmark workloads (one small set per dataset profile).
+* the synthetic benchmark workloads (one small set per dataset profile);
+* production (sequential, procpool, ANALYZE) never importing the oracle.
 """
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import GuPConfig
-from repro.core.engine import match
+from repro.core.engine import GuPEngine
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.matching.limits import SearchLimits
+from tests.oracle_engines import ListSearchEngine
 from tests.test_config_matrix import CONFIGS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def assert_identical(query, data, config, limits=None):
-    bitmap = match(query, data, config=config, limits=limits)
-    listed = match(
-        query,
-        data,
-        config=dataclasses.replace(config, candidate_backend="list"),
-        limits=limits,
-    )
+    """Same production GCS, the two searches on it."""
+    bitmap = GuPEngine(data, config).match(query, limits=limits)
+    listed = ListSearchEngine(data, config).match(query, limits=limits)
     assert bitmap.embeddings == listed.embeddings  # ordered, not set-wise
     assert bitmap.num_embeddings == listed.num_embeddings
     assert bitmap.status == listed.status
@@ -65,7 +70,6 @@ def _instances(seed, count, max_q=7, max_d=24):
 def test_config_grid_identical(index):
     """Every config of the matrix on a handful of random instances."""
     config = CONFIGS[index]
-    assert config.candidate_backend == "bitmap"  # the default
     for query, data in _instances(seed=index * 37 + 5, count=4):
         assert_identical(query, data, config)
 
@@ -130,3 +134,27 @@ def test_max_watches_zero_identical():
         assert emb_a == emb_b
         assert status_a == status_b
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+
+
+def test_production_never_imports_the_oracle():
+    """Sequential, procpool and ANALYZE runs stay off the seed twins."""
+    code = (
+        "import sys\n"
+        "from repro.core.engine import GuPEngine\n"
+        "from repro.workload.datasets import load_dataset\n"
+        "from repro.workload.querygen import generate_query\n"
+        "data = load_dataset('wordnet', scale=0.1, seed=11)\n"
+        "query = generate_query(data, 6, 'sparse', seed=11)\n"
+        "engine = GuPEngine(data)\n"
+        "assert engine.match(query).num_embeddings > 0\n"
+        "assert engine.match(query, workers=2).num_embeddings > 0\n"
+        "engine.explain(query, 'analyze')\n"
+        "assert 'repro.core.backtrack_ref' not in sys.modules, "
+        "'production imported the oracle'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

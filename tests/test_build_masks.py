@@ -1,8 +1,9 @@
 """Differential proof: the bitmap GCS builder is byte-identical to the seed.
 
-The dense mask-domain build pipeline (:mod:`repro.filtering.masks`,
-``GuPConfig.build_backend = "bitmap"``) and the seed set/dict pipeline
-(``"set"``) must produce the *same* guarded candidate space — candidate
+The dense mask-domain build pipeline (:mod:`repro.filtering.masks`, the
+only production builder) and the seed set/dict pipeline kept as a test
+oracle (:func:`repro.core.backtrack_ref.build_gcs_set`) must produce the
+*same* guarded candidate space — candidate
 lists, candidate-edge lists and bitmaps, reservations, two-core — and
 hence identical embeddings, statistics, and termination status.  This
 is what licenses ``benchmarks/bench_buildpath.py`` to compare their
@@ -28,8 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backtrack_ref import ReferenceEngine, build_gcs_set
 from repro.core.config import GuPConfig
-from repro.core.engine import GuPEngine, match
+from repro.core.engine import GuPEngine
 from repro.core.gcs import build_gcs
 from repro.filtering.artifacts import DataArtifacts
 from repro.filtering.dagdp import dag_graph_dp
@@ -37,6 +39,7 @@ from repro.filtering.masks import MaskView, dag_graph_dp_masks
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.matching.limits import SearchLimits
 from repro.utils.bitset import bits_of
+from tests.oracle_engines import ENGINES
 
 
 def _instances(seed, count, max_q=7, max_d=24, max_labels=3):
@@ -65,9 +68,7 @@ def assert_gcs_identical(query, data, config):
     held to the same bar as the set builder's eager ones.
     """
     bitmap = build_gcs(query, data, config)
-    listed = build_gcs(
-        query, data, dataclasses.replace(config, build_backend="set")
-    )
+    listed = build_gcs_set(query, data, config)
     assert bitmap.order == listed.order
     assert bitmap.query == listed.query
     b, s = bitmap.cs, listed.cs
@@ -97,14 +98,10 @@ def assert_gcs_identical(query, data, config):
         assert tuple(bits_of(m)) == s.inverse_candidates(v)
 
 
-def assert_match_identical(query, data, config, limits=None):
-    bitmap = match(query, data, config=config, limits=limits)
-    listed = match(
-        query,
-        data,
-        config=dataclasses.replace(config, build_backend="set"),
-        limits=limits,
-    )
+def assert_match_identical(query, data, config, limits=None, search="bitmap"):
+    """Both builders under the same ``search`` twin."""
+    bitmap = ENGINES["bitmap", search](data, config).match(query, limits=limits)
+    listed = ENGINES["set", search](data, config).match(query, limits=limits)
     assert bitmap.embeddings == listed.embeddings
     assert bitmap.num_embeddings == listed.num_embeddings
     assert bitmap.status == listed.status
@@ -134,7 +131,7 @@ def test_reservation_limits_identical(limit):
 
 
 def test_guard_configs_and_search_identical():
-    """Final results across guard ablations, caps, both search backends."""
+    """Final results across guard ablations, caps, both search twins."""
     rng = random.Random(20260730)
     for t, (query, data) in enumerate(_instances(seed=5150, count=24, max_q=8)):
         config = GuPConfig(
@@ -143,14 +140,16 @@ def test_guard_configs_and_search_identical():
             use_nogood_edge=t % 4 != 0,
             use_backjumping=t % 2 == 1,
             ne_two_core_only=t % 5 != 0,
-            candidate_backend="list" if t % 6 == 0 else "bitmap",
             break_symmetry=(t % 7 == 0),
         )
         limits = SearchLimits(
             max_embeddings=rng.choice([None, 1, 5, 50]),
             max_recursions=rng.choice([None, 25, 400]),
         )
-        assert_match_identical(query, data, config, limits=limits)
+        assert_match_identical(
+            query, data, config, limits=limits,
+            search="list" if t % 6 == 0 else "bitmap",
+        )
 
 
 def test_empty_and_degenerate_queries():
@@ -268,8 +267,8 @@ class TestBuildInvariantCache:
     def test_warm_repeat_recomputes_nothing(self):
         rng = random.Random(42)
         query, data = next(_instances(seed=8, count=1))
-        for backend in ("bitmap", "set"):
-            engine = GuPEngine(data, GuPConfig(build_backend=backend))
+        for engine_cls in (GuPEngine, ReferenceEngine):
+            engine = engine_cls(data)
             first = engine.build(query)
             after_first = engine.invariants.recomputes
             assert after_first > 0

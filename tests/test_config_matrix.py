@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.baselines.vf2 import Vf2Matcher
+from repro.core.backtrack_ref import ReferenceEngine
 from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine, match
 from repro.dynamic.continuous import ContinuousMatcher
@@ -93,8 +94,9 @@ def test_every_config_on_one_instance():
 
 # -- reference twin grid ---------------------------------------------------
 #
-# The default pipeline (bitmap candidates, int-mask build) must be
-# bit-for-bit the reference pipeline (list candidates, set build): not
+# The production pipeline (bitmap candidates, int-mask build) must be
+# bit-for-bit the oracle (``ReferenceEngine``: list candidates, set
+# build; its procpool runs reuse the production search): not
 # just the same embedding *set*, but the same embedding list
 # (enumeration order), the same SearchStats (every recursion, every
 # guard firing), and the same termination status — crossed with the
@@ -111,13 +113,6 @@ TWIN_CROSS = [
      "use_nogood_vertex": False, "use_nogood_edge": False},
 ]
 
-REFERENCE = {"candidate_backend": "list", "build_backend": "set"}
-
-
-def _twin_configs(knobs):
-    return GuPConfig(**knobs), GuPConfig(**REFERENCE, **knobs)
-
-
 def assert_twin_results(mask_result, reference_result, context):
     assert mask_result.embeddings == reference_result.embeddings, context
     assert mask_result.num_embeddings == reference_result.num_embeddings, context
@@ -132,11 +127,11 @@ class TestReferenceTwin:
     )
     def test_mask_twin_on_randomized_instances(self, index):
         knobs = TWIN_CROSS[index]
-        mask_cfg, ref_cfg = _twin_configs(knobs)
+        config = GuPConfig(**knobs)
         for query, data in instances(seed=index * 101 + 13, count=8):
             assert_twin_results(
-                match(query, data, config=mask_cfg),
-                match(query, data, config=ref_cfg),
+                match(query, data, config=config),
+                ReferenceEngine(data, config).match(query),
                 knobs,
             )
 
@@ -150,9 +145,8 @@ class TestReferenceTwin:
 
     def test_mask_twin_on_fig6_set(self, fig6_workload):
         data, queries = fig6_workload
-        mask_cfg, ref_cfg = _twin_configs({})
-        mask_engine = GuPEngine(data, mask_cfg)
-        ref_engine = GuPEngine(data, ref_cfg)
+        mask_engine = GuPEngine(data)
+        ref_engine = ReferenceEngine(data)
         for query in queries:
             assert_twin_results(
                 mask_engine.match(query), ref_engine.match(query), "fig6"
@@ -163,9 +157,8 @@ class TestReferenceTwin:
         # must round-trip through that and still replay the reference
         # twin's exact enumeration (root-order concatenation, DESIGN.md §6).
         data, queries = fig6_workload
-        mask_cfg, ref_cfg = _twin_configs({})
-        mask_engine = GuPEngine(data, mask_cfg)
-        ref_engine = GuPEngine(data, ref_cfg)
+        mask_engine = GuPEngine(data)
+        ref_engine = ReferenceEngine(data)
         for query in queries:
             par = mask_engine.match(query, workers=2)
             assert_twin_results(
@@ -182,10 +175,9 @@ class TestReferenceTwin:
         rng = random.Random(4242)
         data = erdos_renyi_graph(16, 30, num_labels=2, seed=5)
         query = random_connected_graph(3, 3, num_labels=2, seed=6)
-        _, ref_cfg = _twin_configs({})
         matcher = ContinuousMatcher(data)
         standing = set(matcher.register("q", query))
-        assert standing == match(query, data, config=ref_cfg).embedding_set()
+        assert standing == ReferenceEngine(data).match(query).embedding_set()
         for step in range(6):
             edges = list(matcher.graph.edges())
             remove = tuple(rng.sample(edges, min(2, len(edges))))
@@ -199,6 +191,6 @@ class TestReferenceTwin:
             delta = GraphDelta(add_edges=tuple(add), remove_edges=remove)
             diff = matcher.apply(delta)["q"]
             standing = (standing - set(diff.removed)) | set(diff.added)
-            fresh = match(query, matcher.graph, config=ref_cfg)
+            fresh = ReferenceEngine(matcher.graph).match(query)
             assert standing == fresh.embedding_set(), step
             assert set(matcher.matches("q")) == standing, step

@@ -2,9 +2,10 @@
 
 The load-bearing invariant of `repro.obs.explain`: introspection may
 add time, never change results.  The grid below proves an analyzed run
-byte-identical (embeddings, SearchStats, status) to a plain match
-across both candidate backends, both build backends and the procpool —
-the combinations whose code paths actually differ.  Alongside: plan
+byte-identical (embeddings, SearchStats, status) to a plain match for
+production, the seed oracle and the two engines that swap one seed twin
+in, sequential and through the procpool — the combinations whose code
+paths actually differ.  Alongside: plan
 reports without running search, qcache ``peek`` never perturbing the
 cache, the versioned ``analyze.json`` sidecar's bounds, and a served
 query's causal span tree reconstructed from the request log.
@@ -14,7 +15,6 @@ import json
 
 import pytest
 
-from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.graph.builder import graph_from_adjacency
 from repro.matching.limits import SearchLimits
@@ -36,6 +36,7 @@ from repro.service.qcache import QueryCache
 from repro.service.server import ServerThread
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import generate_query
+from tests.oracle_engines import ENGINES
 
 
 @pytest.fixture(scope="module")
@@ -55,35 +56,35 @@ def tiny_world():
 
 
 class TestAnalyzeDifferential:
-    """analyze == plain match, across every backend combination."""
+    """analyze == plain match, production vs oracle and the mixes."""
 
-    @pytest.mark.parametrize("candidate_backend", ["bitmap", "list"])
-    @pytest.mark.parametrize("build_backend", ["bitmap", "set"])
+    @pytest.mark.parametrize("search", ["bitmap", "list"])
+    @pytest.mark.parametrize("build", ["bitmap", "set"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_grid(self, world, candidate_backend, build_backend, workers):
+    def test_grid(self, world, search, build, workers):
         data, query = world
-        config = GuPConfig(
-            candidate_backend=candidate_backend, build_backend=build_backend
-        )
+        engine_cls = ENGINES[build, search]
         limits = SearchLimits(max_embeddings=50)
-        plain = GuPEngine(data, config=config).match(
-            query, limits=limits, workers=workers
-        )
-        report, analyzed = GuPEngine(data, config=config).explain(
+        plain = engine_cls(data).match(query, limits=limits, workers=workers)
+        report, analyzed = engine_cls(data).explain(
             query, mode="analyze", limits=limits, workers=workers
         )
         assert analyzed.embeddings == plain.embeddings
         assert analyzed.num_embeddings == plain.num_embeddings
         assert analyzed.stats == plain.stats
         assert analyzed.status == plain.status
+        # Every twin replays production exactly.
+        production = GuPEngine(data).match(
+            query, limits=limits, workers=workers
+        )
+        assert plain.embeddings == production.embeddings
+        assert plain.stats == production.stats
+        assert plain.status == production.status
         # The report attributes that very run, not a parallel one.
         assert report["mode"] == "analyze"
         assert report["result"]["num_embeddings"] == plain.num_embeddings
         assert report["search"]["recursions"] == plain.stats.recursions
-        assert report["backend"] == {
-            "candidate": candidate_backend,
-            "build": config.build_backend,
-        }
+        assert "backend" not in report
         if workers > 1:
             assert len(report["tasks"]) >= 1
             # Each root partition searches up to the cap before the

@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, structured logs, profiling.
+"""Observability layer: metrics registry, structured logs, search counts.
 
 The load-bearing property is *reconciliation by construction*: the
 ``stats`` op, ``healthz``, and ``/metrics`` all read the same
@@ -25,12 +25,12 @@ from repro.analysis.trace import TraceRecorder
 from repro.core.engine import GuPEngine
 from repro.dynamic.delta import GraphDelta
 from repro.graph.builder import graph_from_adjacency
+from repro.graph.io import saves_graph
 from repro.matching.limits import SearchLimits
 from repro.obs import (
     CounterGroup,
     MetricsRegistry,
     Observability,
-    SamplingProfiler,
     StructuredLog,
     current_log,
     current_trace,
@@ -224,42 +224,46 @@ class TestStructuredLog:
         assert all(len(t) == 16 for t in ids)
 
 
-class TestSamplingProfiler:
+class TestSearchObservers:
     @pytest.fixture(scope="class")
     def world(self):
         data = load_dataset("wordnet", scale=0.1, seed=11)
         query = generate_query(data, 6, "sparse", seed=11)
         return data, query
 
-    def test_stride_one_matches_full_recorder(self, world):
-        data, query = world
+    def test_analyze_counts_equal_the_event_stream(self):
+        # ANALYZE's search block replaces the sampling profiler: its
+        # exact counters must equal the Algorithm-2 event stream a
+        # TraceRecorder sees on the same (sequential) run.
+        data = load_dataset("wordnet", scale=0.25, seed=2023)
         engine = GuPEngine(data)
-        limits = SearchLimits(max_embeddings=50)
-        recorder = TraceRecorder()
-        engine.match(query, limits=limits, observer=recorder)
-        profiler = SamplingProfiler(stride=1)
-        engine.match(query, limits=limits, observer=profiler)
-        summary = profiler.summary()
-        descends = sum(
-            1 for e in recorder.events if e.kind == "descend"
-        )
-        assert summary["descends"] == descends
-        assert summary["max_depth"] >= 1
-
-    def test_stride_scales_histograms(self, world):
-        data, query = world
-        engine = GuPEngine(data)
-        limits = SearchLimits(max_embeddings=50)
-        exact = SamplingProfiler(stride=1)
-        engine.match(query, limits=limits, observer=exact)
-        sampled = SamplingProfiler(stride=4)
-        engine.match(query, limits=limits, observer=sampled)
-        # Exact scalar counts are stride-independent...
-        assert sampled.summary()["descends"] == exact.summary()["descends"]
-        # ...while sampled histograms are scaled estimates of the truth.
-        est = sum(sampled.summary()["depth_hist"].values())
-        true = sum(exact.summary()["depth_hist"].values())
-        assert est == pytest.approx(true, rel=0.5) or abs(est - true) <= 4
+        checked = 0
+        for seed, size, density in (
+            (1, 8, "sparse"), (2, 8, "dense"), (3, 12, "sparse"),
+            (4, 6, "dense"),
+        ):
+            query = generate_query(data, size, density, seed=seed)
+            for limits in (SearchLimits(), SearchLimits(max_embeddings=5)):
+                report, result = engine.explain(
+                    query, "analyze", limits=limits
+                )
+                recorder = TraceRecorder()
+                engine.match(query, limits=limits, observer=recorder)
+                search = report["search"]
+                assert recorder.count("descend") == search["recursions"] - 1
+                assert recorder.count("backjump") == search["backjumps"]
+                assert recorder.count("embedding") == search["embeddings_found"]
+                assert search["embeddings_found"] == result.num_embeddings
+                kinds = recorder.conflicts_by_kind()
+                for kind in ("injectivity", "reservation", "nogood_vertex",
+                             "symmetry"):
+                    assert kinds.get(kind, 0) == search[f"pruned_{kind}"], kind
+                assert set(kinds) <= {
+                    "injectivity", "reservation", "nogood_vertex",
+                    "symmetry", "no_candidate",
+                }
+                checked += search["recursions"]
+        assert checked > 100  # the queries really searched
 
     def test_observed_match_results_identical(self, world):
         data, query = world
@@ -267,85 +271,24 @@ class TestSamplingProfiler:
         limits = SearchLimits(max_embeddings=50)
         plain = engine.match(query, limits=limits)
         observed = engine.match(
-            query, limits=limits, workers=2, observer=SamplingProfiler()
+            query, limits=limits, workers=2, observer=TraceRecorder()
         )
         assert observed.embeddings == plain.embeddings
         assert observed.num_embeddings == plain.num_embeddings
 
-    def test_stride_rare_events_stay_exact(self):
-        # Driven directly through the observer hooks so the arithmetic
-        # is deterministic: rare events (returns, embeddings, backjumps)
-        # are never subsampled, whatever the stride.
-        profiler = SamplingProfiler(stride=5)
-        for _ in range(12):
-            profiler.on_descend(3, 0, 0)
-        for _ in range(7):
-            profiler.on_conflict(3, 0, "empty", 0)
-        for _ in range(4):
-            profiler.on_return(3, 0, False, 0)
-        for _ in range(3):
-            profiler.on_backjump(2, 0)
-        profiler.on_embedding((0, 1))
-        profiler.on_embedding((2, 3))
-        summary = profiler.summary()
-        assert summary["descends"] == 12
-        assert summary["conflicts"] == 7
-        assert summary["returns"] == 4
-        assert summary["backjumps"] == 3
-        assert summary["embeddings"] == 2
-        assert summary["max_depth"] == 3
-
-    def test_stride_histograms_scale_back_exactly(self):
-        # 12 descends at stride 5 sample the 5th and 10th events: two
-        # histogram increments, reported as 2 * 5 = 10; 7 conflicts
-        # sample once, reported as 5.  The scaled estimates are exact
-        # multiples of the stride with string keys.
-        profiler = SamplingProfiler(stride=5)
-        for _ in range(12):
-            profiler.on_descend(3, 0, 0)
-        for _ in range(7):
-            profiler.on_conflict(1, 0, "empty", 0)
-        summary = profiler.summary()
-        assert summary["depth_hist"] == {"3": 10}
-        assert summary["conflicts_by_kind"] == {"empty": 5}
-        # Below the stride nothing has been sampled yet: empty, not 0s.
-        sparse = SamplingProfiler(stride=64)
-        for _ in range(63):
-            sparse.on_descend(1, 0, 0)
-        assert sparse.summary()["depth_hist"] == {}
-        assert sparse.summary()["descends"] == 63
-
-    def test_zero_recursion_search_yields_empty_summary(self):
-        # A query whose label exists nowhere in the data dies in the
-        # filter: the search never descends and the profiler (stride>1)
-        # must report exact zeros, not stale or scaled garbage.
-        data, _ = bipartite_world()
-        query = graph_from_adjacency(["Z"], [])
-        engine = GuPEngine(data)
-        profiler = SamplingProfiler(stride=4)
-        result = engine.match(query, observer=profiler)
-        assert result.num_embeddings == 0
-        summary = profiler.summary()
-        assert summary["descends"] == 0
-        assert summary["conflicts"] == 0
-        assert summary["embeddings"] == 0
-        assert summary["max_depth"] == 0
-        assert summary["depth_hist"] == {}
-        assert summary["conflicts_by_kind"] == {}
-
     def test_embedding_cap_zero_counts_the_first_embedding(self):
         # The engine checks the cap after recording, so cap=0 still
-        # yields the first embedding; the profiler's exact embedding
-        # count must agree with the result at any stride.
+        # yields the first embedding; the observer's embedding events
+        # must agree with the result.
         data, query = bipartite_world()
         engine = GuPEngine(data)
         limits = SearchLimits(max_embeddings=0)
         plain = engine.match(query, limits=limits)
-        profiler = SamplingProfiler(stride=3)
-        observed = engine.match(query, limits=limits, observer=profiler)
+        recorder = TraceRecorder()
+        observed = engine.match(query, limits=limits, observer=recorder)
         assert observed.embeddings == plain.embeddings
         assert observed.num_embeddings == plain.num_embeddings
-        assert profiler.summary()["embeddings"] == observed.num_embeddings
+        assert recorder.count("embedding") == observed.num_embeddings
 
 
 def http_get(host, port, path):
@@ -463,20 +406,24 @@ class TestServerObservability:
                 assert reply.queue_seconds >= 0.0
                 assert reply.server_seconds >= reply.elapsed
                 assert reply.trace and len(reply.trace) == 16
-                assert reply.profile is None
 
-    def test_profile_option_attaches_summary(self, tmp_path):
+    def test_profile_key_is_ignored_like_any_unknown_key(self, tmp_path):
+        # The sampling profiler folded into EXPLAIN ANALYZE; an old
+        # client's "profile": true is now an unknown key, so the query
+        # gets an ordinary (cacheable) reply with no profile header.
         thread, query = serve_world(tmp_path)
         with thread:
             with ServiceClient(*thread.address) as client:
-                reply = client.query(query, "g", profile=True)
-                assert reply.cache == "bypass"  # profiling skips the cache
-                prof = reply.profile
-                assert prof["stride"] == 1
-                assert prof["descends"] > 0
-                assert prof["embeddings"] == 2
-                # Per-phase split rides the ordinary header fields.
-                assert reply.queue_seconds >= 0.0
+                for expected_cache in ("miss", "hit"):
+                    header = client.request({
+                        "op": "query", "data": "g",
+                        "graph": saves_graph(query), "profile": True,
+                    })
+                    embeddings = client._read_embeddings(header)
+                    assert "profile" not in header
+                    assert header["cache"] == expected_cache
+                    assert header["num_embeddings"] == 2
+                    assert len(embeddings) == 2
 
     def test_phase_histograms_count_served_queries(self, tmp_path):
         thread, query = serve_world(tmp_path)
@@ -574,7 +521,7 @@ class TestCli:
             assert proc.returncode == 1
             assert "error" in proc.stderr
 
-    def test_query_prints_queue_exec_split_and_profile(self, tmp_path):
+    def test_query_prints_queue_exec_split_and_analyze(self, tmp_path):
         thread, query = serve_world(tmp_path)
         qpath = tmp_path / "q.graph"
         from repro.graph.io import save_graph
@@ -584,8 +531,16 @@ class TestCli:
             host, port = thread.address
             proc = self.run_cli(
                 "query", str(qpath), "g", "--host", host,
-                "--port", str(port), "--profile",
+                "--port", str(port), "--explain", "analyze",
             )
+            with ServiceClient(host, port) as client:
+                report = client.query(query, "g", explain="analyze").explain
         assert proc.returncode == 0, proc.stderr
         assert "queue " in proc.stdout and "exec " in proc.stdout
-        assert "profile:" in proc.stdout
+        search = report["search"]
+        assert search["recursions"] > 1
+        assert (
+            f"search: {search['recursions']} recursions, "
+            f"{search['backjumps']} backjumps, "
+            f"{search['pruned_by_guards']} guard-pruned"
+        ) in proc.stdout

@@ -56,7 +56,6 @@ CONFIGS = {
     "full": GuPConfig(),
     "baseline": GuPConfig.baseline(),
     "symmetry": GuPConfig(break_symmetry=True),
-    "list_backend": GuPConfig(candidate_backend="list"),
     "explicit_nogoods": GuPConfig(nogood_representation="explicit"),
 }
 
