@@ -256,10 +256,11 @@ def build_gcs(
     ``seed_masks`` replaces the LDF+NLF seeding
     with caller-supplied per-query-vertex candidate masks.  The
     continuous-matching engine (:mod:`repro.dynamic.continuous`) passes
-    delta-restricted masks here: restricting ``C(u)`` before filtering
-    is sound and complete for the restricted enumeration problem, so the
-    search finds exactly the embeddings mapping ``u`` into the
-    restriction.
+    anchored masks here — one query edge pinned onto an added data
+    edge, the other vertices cut to distance balls around it:
+    restricting the candidates before filtering is sound and complete
+    for the restricted enumeration problem, so the search finds exactly
+    the embeddings inside the seeds.
 
     ``stage_log`` (a :class:`repro.obs.explain.FilterStageLog`) records
     per-stage candidate counts for EXPLAIN — a read-only observer, so a

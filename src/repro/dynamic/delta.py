@@ -40,7 +40,6 @@ from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.graph.graph import Graph
 from repro.graph.io import patch_text_blocks
-from repro.utils.bitset import mask_of
 
 PathLike = Union[str, Path]
 
@@ -144,12 +143,7 @@ class DeltaSummary:
     NLF rows (``touched_nlf_rows``, the same ids — an edge edit at
     ``(u, v)`` changes exactly the NLF tables of ``u`` and ``v``) and
     labels (``touched_labels``) are what downstream artifact maintenance
-    must re-derive; everything else is provably unchanged.  The masks
-    are data-vertex-id bitmaps (bit ``v`` == vertex ``v``):
-    ``addition_mask`` covers endpoints of added edges plus added
-    vertices (every *new* embedding must use one of these vertices),
-    ``removal_mask`` covers endpoints of removed edges (every
-    *retracted* embedding must use one of these).
+    must re-derive; everything else is provably unchanged.
     """
 
     num_vertices_before: int
@@ -159,9 +153,6 @@ class DeltaSummary:
     removed_edges: Tuple[Tuple[int, int], ...]
     touched_vertices: Tuple[int, ...]
     touched_labels: FrozenSet[object]
-    touched_mask: int
-    addition_mask: int
-    removal_mask: int
 
     @property
     def touched_nlf_rows(self) -> Tuple[int, ...]:
@@ -249,11 +240,6 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
         removed_edges=delta.remove_edges,
         touched_vertices=tuple(touched),
         touched_labels=frozenset(labels[v] for v in touched),
-        touched_mask=mask_of(touched),
-        addition_mask=mask_of(
-            [w for e in delta.add_edges for w in e]
-        ) | mask_of(range(n_old, n_new)),
-        removal_mask=mask_of([w for e in delta.remove_edges for w in e]),
     )
     return new_graph, summary
 

@@ -12,10 +12,18 @@ The acceptance contract of ``repro.dynamic``:
   re-match result set after every delta.
 """
 
+import random
+
 import pytest
 
+from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
-from repro.dynamic.continuous import ContinuousMatcher, EmbeddingDiff
+from repro.core.gcs import BuildInvariantCache
+from repro.dynamic.continuous import (
+    ContinuousMatcher,
+    EmbeddingDiff,
+    embedding_diff,
+)
 from repro.dynamic.delta import (
     DeltaError,
     GraphDelta,
@@ -27,6 +35,7 @@ from repro.dynamic.delta import (
 )
 from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
 from repro.graph.builder import GraphBuilder, graph_from_adjacency
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import graph_checksum
 
 
@@ -139,17 +148,18 @@ class TestApplyDelta:
         new_graph, summary = apply_delta(graph, delta)
         assert new_graph == graph
         assert summary.touched_vertices == ()
-        assert summary.touched_mask == 0
 
-    def test_masks_partition_roles(self):
+    def test_summary_partitions_roles(self):
         graph = small_graph()
         delta = GraphDelta(
             add_vertices=("D",), add_edges=((0, 3),), remove_edges=((3, 4),)
         )
         _, summary = apply_delta(graph, delta)
-        assert summary.addition_mask == (1 << 0) | (1 << 3) | (1 << 5)
-        assert summary.removal_mask == (1 << 3) | (1 << 4)
-        assert summary.touched_mask == summary.addition_mask | summary.removal_mask
+        assert summary.added_vertices == (5,)
+        assert summary.added_edges == ((0, 3),)
+        assert summary.removed_edges == ((3, 4),)
+        assert summary.touched_vertices == (0, 3, 4, 5)
+        assert summary.touched_labels == {"A", "C", "B", "D"}
 
 
 class TestDeltaFormats:
@@ -409,9 +419,97 @@ class TestContinuousMatcher:
         counters = matcher.counters
         assert counters["deltas_applied"] == 1
         assert counters["additions"] == 1
-        assert counters["restricted_builds"] >= 1
+        # Added edge (3, 5) is A-C: of the 3 query edges x 2 orientations
+        # only (0, 2) <- (3, 5) fits, so one anchored build runs.
+        assert counters["anchored_builds"] == 1
+        assert counters["anchored_skipped"] == 5
 
     def test_diff_object_shape(self):
         diff = EmbeddingDiff(added=[(0, 1)], removed=[])
         assert not diff.is_empty()
         assert EmbeddingDiff().is_empty()
+
+
+SYMMETRIC_QUERIES = {
+    "triangle": graph_from_adjacency([0] * 3, [(0, 1), (1, 2), (0, 2)]),
+    "path": graph_from_adjacency([0] * 4, [(0, 1), (1, 2), (2, 3)]),
+    "star": graph_from_adjacency([0] * 4, [(0, 1), (0, 2), (0, 3)]),
+}
+
+
+def edge_churn_delta(rng, graph, edits=2):
+    """Up to ``edits`` removals plus ``edits`` insertions on ``graph``."""
+    edges = list(graph.edges())
+    remove = tuple(rng.sample(edges, min(edits, len(edges))))
+    add = []
+    for _ in range(20 * edits):
+        u, v = rng.sample(range(graph.num_vertices), 2)
+        e = (min(u, v), max(u, v))
+        if not graph.has_edge(*e) and e not in add and len(add) < edits:
+            add.append(e)
+    return GraphDelta(add_edges=tuple(add), remove_edges=remove)
+
+
+class TestAnchoredDiffs:
+    """The edge-anchored enumeration: exact, new-only, exactly once."""
+
+    @pytest.mark.parametrize("shape", sorted(SYMMETRIC_QUERIES))
+    def test_symmetry_breaking_config_keeps_diffs_exact(self, shape):
+        # With break_symmetry the engine searches one representative
+        # per automorphism class; a pinned anchor breaks that premise,
+        # so the anchored searches must run without it.
+        query = SYMMETRIC_QUERIES[shape]
+        config = GuPConfig(break_symmetry=True)
+        added = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            data = erdos_renyi_graph(9, 16, num_labels=1, seed=seed)
+            matcher = ContinuousMatcher(data, config)
+            matcher.register("q", query)
+            for _ in range(5):
+                before = set(matcher.matches("q"))
+                diff = matcher.apply(edge_churn_delta(rng, matcher.graph))["q"]
+                assert len(set(diff.added)) == len(diff.added)
+                assert before.isdisjoint(diff.added)
+                added += len(diff.added)
+                full = GuPEngine(matcher.graph).match(query).embedding_set()
+                assert set(matcher.matches("q")) == full, (shape, seed)
+        assert added > 0
+
+    def test_isolated_query_vertices_anchor_on_added_vertices(self):
+        # New matches of an edgeless query use added vertices but no
+        # added edge.  (2, 3, 1) takes an added vertex at both isolated
+        # query vertices and must be emitted under the first one only.
+        data = graph_from_adjacency(["A", "B"], [(0, 1)])
+        query = graph_from_adjacency(["A", "A", "B"], [])
+        matcher = ContinuousMatcher(data)
+        assert matcher.register("q", query) == []
+        diff = matcher.apply(GraphDelta(add_vertices=("A", "A")))["q"]
+        assert diff.added == [
+            (0, 2, 1), (0, 3, 1), (2, 0, 1), (2, 3, 1), (3, 0, 1), (3, 2, 1)
+        ]
+        assert matcher.counters["anchored_builds"] == 4
+
+    def test_seeded_builds_stay_out_of_the_invariant_memo(self):
+        # Every diff pins anchors into per-delta seed masks whose memo
+        # keys never hit again; inserting them would evict the live
+        # query's entries from a full memo.
+        data = erdos_renyi_graph(14, 40, num_labels=1, seed=3)
+        query = SYMMETRIC_QUERIES["triangle"]
+        memo = BuildInvariantCache(max_entries=4)
+        engine = GuPEngine(data, invariants=memo)
+        engine.build(query)
+        recomputes = memo.recomputes
+        full = engine.match(query).embedding_set()
+        counters = {"anchored_builds": 0, "anchored_skipped": 0}
+        edges = list(data.edges())[:2 * memo.max_entries]
+        for edge in edges:  # more distinct deltas than the memo holds
+            old, _ = apply_delta(data, GraphDelta(remove_edges=(edge,)))
+            new, summary = apply_delta(old, GraphDelta(add_edges=(edge,)))
+            assert new == data
+            before = GuPEngine(old).match(query).embedding_set()
+            diff = embedding_diff(engine, query, set(before), summary, counters)
+            assert set(diff.added) == full - before
+        assert counters["anchored_builds"] > memo.max_entries
+        engine.build(query)
+        assert memo.recomputes == recomputes

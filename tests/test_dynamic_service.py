@@ -11,21 +11,25 @@ the embedding diff of the update.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.dynamic.delta import GraphDelta, apply_delta, saves_delta
 from repro.filtering.artifacts import DataArtifacts
 from repro.graph.builder import graph_from_adjacency
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import graph_checksum, save_graph
 from repro.matching.limits import SearchLimits
 from repro.service.catalog import CatalogError, GraphCatalog
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.qcache import QueryCache
 from repro.service.server import ServerThread
+from tests.test_dynamic import SYMMETRIC_QUERIES, edge_churn_delta
 
 
 def bipartite_world():
@@ -250,6 +254,37 @@ class TestSubscriptions:
             assert event["added"] == []
             assert event["removed"] == [(0, 1)]
             assert out.subscribers_notified == 1
+
+    def test_symmetry_breaking_server_diffs_compose_to_direct_match(
+        self, tmp_path
+    ):
+        # The served diff runs the same anchored enumeration as the
+        # library; under break_symmetry it must still be exact.
+        data = erdos_renyi_graph(9, 16, num_labels=1, seed=1)
+        star = SYMMETRIC_QUERIES["star"]
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", data)
+        catalog = GraphCatalog(root, config=GuPConfig(break_symmetry=True))
+        rng = random.Random(1)
+        added_total = 0
+        with ServerThread(catalog, max_inflight=2, max_pending=8) as thread, \
+                ServiceClient(*thread.address) as subscriber, \
+                ServiceClient(*thread.address) as updater:
+            matches = set(subscriber.subscribe(star, "g").embeddings)
+            graph = data
+            for _ in range(5):
+                delta = edge_churn_delta(rng, graph)
+                graph, _ = apply_delta(graph, delta)
+                updater.update("g", delta)
+                event = subscriber.next_event(timeout=30)
+                added = [tuple(e) for e in event["added"]]
+                assert len(set(added)) == len(added)
+                assert matches.isdisjoint(added)
+                matches.difference_update(tuple(e) for e in event["removed"])
+                matches.update(added)
+                added_total += len(added)
+                assert matches == GuPEngine(graph).match(star).embedding_set()
+        assert added_total > 0
 
     def test_subscription_ends_with_connection(self, dynamic_service):
         _, ab_query, _ = bipartite_world()

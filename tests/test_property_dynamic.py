@@ -9,7 +9,10 @@ base graph and asserts, after **every** step:
   cold ``DataArtifacts`` build on the new graph, with warm mask
   ladders answering exactly what a fresh instance computes;
 * the continuous matcher's cumulative diff stream replays to exactly
-  the full re-match embedding set.
+  the full re-match embedding set;
+* over arbitrary queries — disconnected, with isolated vertices, or
+  edgeless — the edge-anchored diff emits every new match exactly once
+  and never a cached one.
 
 The deterministic edge cases the ISSUE calls out — the empty delta and
 a delta that deletes the last edge of the only vertex carrying a label
@@ -22,6 +25,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.dynamic.continuous import ContinuousMatcher
 from repro.dynamic.delta import GraphDelta, apply_delta
@@ -159,6 +163,49 @@ def test_continuous_diffs_replay_to_full_rematch(seed, nd, nq, steps):
         full = {
             tuple(e) for e in GuPEngine(matcher.graph).match(query).embeddings
         }
+        assert set(matcher.matches("q")) == full
+
+
+def random_query(rng, nq, edge_prob):
+    """Any labelled simple graph on ``nq`` vertices: possibly
+    disconnected, with isolated vertices, or edgeless."""
+    b = GraphBuilder()
+    b.add_vertices(rng.choice(LABELS[:2]) for _ in range(nq))
+    for u in range(nq):
+        for v in range(u + 1, nq):
+            if rng.random() < edge_prob:
+                b.add_edge(u, v)
+    return b.build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    nd=st.integers(min_value=2, max_value=10),
+    nq=st.integers(min_value=1, max_value=4),
+    edge_prob=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    symmetry=st.booleans(),
+    steps=st.integers(min_value=1, max_value=4),
+)
+def test_anchored_diffs_emit_each_new_match_exactly_once(
+    seed, nd, nq, edge_prob, symmetry, steps
+):
+    """Edge-anchored diffs over arbitrary queries (disconnected, with
+    isolated vertices, edgeless) and deltas that add vertices: every
+    added embedding is new and appears once, and the composed sets
+    equal a full re-match."""
+    rng = random.Random(seed)
+    data = erdos_renyi_graph(nd, nd, num_labels=2, seed=seed)
+    query = random_query(rng, nq, edge_prob)
+    matcher = ContinuousMatcher(data, GuPConfig(break_symmetry=symmetry))
+    matcher.register("q", query)
+    for _ in range(steps):
+        cached = set(matcher.matches("q"))
+        diff = matcher.apply(random_delta(rng, matcher.graph))["q"]
+        assert len(set(diff.added)) == len(diff.added)
+        assert cached.isdisjoint(diff.added)
+        assert set(diff.removed) <= cached
+        full = GuPEngine(matcher.graph).match(query).embedding_set()
         assert set(matcher.matches("q")) == full
 
 
