@@ -5,7 +5,8 @@ The rest of the repository treats a data graph as frozen; this package
 is the write path.  A :class:`~repro.dynamic.delta.GraphDelta` describes
 an edit batch (edge insertions/deletions, vertex additions),
 :func:`~repro.dynamic.delta.apply_delta` turns it into a new frozen
-:class:`~repro.graph.graph.Graph` while reusing every untouched CSR row,
+:class:`~repro.graph.graph.Graph` while reusing every untouched adjacency
+row by reference,
 :meth:`repro.filtering.artifacts.DataArtifacts.apply_delta` patches the
 dense filter artifacts instead of rebuilding them, and
 :class:`~repro.dynamic.continuous.ContinuousMatcher` maintains the exact

@@ -8,11 +8,12 @@ of a served graph — which is what lets cached embeddings, candidate
 bitmaps, and filter artifacts be *patched* instead of rebuilt.
 
 :func:`apply_delta` produces a new frozen
-:class:`~repro.graph.graph.Graph` without re-deriving any untouched CSR
-row: adjacency rows, neighbor frozensets, and NLF tables of vertices
-not incident to an edited edge are shared (the same objects) with the
-source graph, and so are the ``.graph`` text blocks behind
-:func:`~repro.graph.io.graph_checksum` when the source has them.  The
+:class:`~repro.graph.graph.Graph` without re-deriving any untouched
+row: adjacency row tuples, neighbor frozensets, and NLF tables of
+vertices not incident to an edited edge are shared (the same objects)
+with the source graph, and so are the ``.graph`` text blocks behind
+:func:`~repro.graph.io.graph_checksum` when the source has them; an
+edge-only delta also shares the labels tuple and label index.  The
 returned :class:`DeltaSummary` records exactly what was touched —
 vertices, labels, NLF rows — and is the contract every downstream
 maintainer patches against
@@ -174,11 +175,14 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
     """Apply ``delta`` to ``graph``; returns the new graph and summary.
 
     The new graph is frozen and independent, but shares every untouched
-    per-vertex structure with the source: adjacency row tuples, neighbor
-    frozensets, and (when the source had them materialized) NLF table
-    rows and ``.graph`` text blocks are reused by reference, so the
-    cost is proportional to the delta plus the vertex count (flat-array
-    and block-list splices), not to the edge count.
+    per-vertex structure with the source: the per-vertex lists of
+    adjacency rows, neighbor frozensets and (when the source had them
+    materialized) NLF tables and ``.graph`` text blocks are copied as
+    reference lists in C, and only the touched vertices' entries are
+    rewritten.  An edge-only delta also shares the labels tuple and the
+    label index, and the edge count is computed arithmetically, so the
+    Python-level work is proportional to the delta and nothing grows
+    with the edge count.
     """
     delta.validate(graph)
     n_old = graph.num_vertices
@@ -196,24 +200,25 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
     touched = sorted(
         set(added_at) | set(removed_at) | set(range(n_old, n_new))
     )
-    labels = graph.labels + tuple(delta.add_vertices)
+    if delta.add_vertices:
+        labels = graph.labels + delta.add_vertices
+        label_index = dict(graph._label_index)
+        for v in range(n_old, n_new):
+            label_index[labels[v]] = label_index.get(labels[v], ()) + (v,)
+    else:
+        labels = graph.labels
+        label_index = graph._label_index
 
-    rows: List[Tuple[int, ...]] = []
-    neighbor_sets: List[FrozenSet[int]] = []
-    for v in range(n_old):
-        if v in added_at or v in removed_at:
-            nbrs = set(graph.neighbor_set(v))
-            nbrs.difference_update(removed_at.get(v, ()))
-            nbrs.update(added_at.get(v, ()))
-            rows.append(tuple(sorted(nbrs)))
-            neighbor_sets.append(frozenset(nbrs))
-        else:
-            rows.append(graph.neighbors(v))
-            neighbor_sets.append(graph.neighbor_set(v))
-    for v in range(n_old, n_new):
-        row = tuple(sorted(added_at.get(v, ())))
-        rows.append(row)
-        neighbor_sets.append(frozenset(row))
+    rows = list(graph._rows)
+    neighbor_sets = list(graph._neighbor_sets)
+    rows.extend([()] * (n_new - n_old))
+    neighbor_sets.extend([frozenset()] * (n_new - n_old))
+    for v in touched:
+        nbrs = set(neighbor_sets[v])
+        nbrs.difference_update(removed_at.get(v, ()))
+        nbrs.update(added_at.get(v, ()))
+        rows[v] = tuple(sorted(nbrs))
+        neighbor_sets[v] = frozenset(nbrs)
 
     nlf = None
     if graph._nlf and n_old > 0:
@@ -229,7 +234,14 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
                 freq[lbl] = freq.get(lbl, 0) + 1
             nlf[v] = freq
 
-    new_graph = Graph._from_sorted_rows(labels, rows, neighbor_sets, nlf=nlf)
+    new_graph = Graph._from_sorted_rows(
+        labels,
+        tuple(rows),
+        tuple(neighbor_sets),
+        label_index,
+        graph.num_edges + len(delta.add_edges) - len(delta.remove_edges),
+        nlf=nlf,
+    )
     patch_text_blocks(graph, new_graph, touched)
 
     summary = DeltaSummary(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.filtering.nlf import _nlf_ok
@@ -325,21 +325,28 @@ class DataArtifacts:
 
         ``summary`` is the :class:`repro.dynamic.delta.DeltaSummary`
         returned by ``apply_delta(self.data, delta)`` and ``new_graph``
-        the graph it produced.  Only structures covering the summary's
-        touched vertices/labels are re-derived; everything else is
-        reused from this instance (buckets and bitmap rows by
-        reference, adjacency rows by a couple of bit flips).  The
-        result serializes byte-identically to ``DataArtifacts(new_graph)``
-        — ``tests/test_dynamic.py`` proves it differentially — while
-        performing no per-untouched-vertex work.
+        the graph it produced.  The result serializes byte-identically
+        to ``DataArtifacts(new_graph)`` — ``tests/test_dynamic.py`` and
+        ``tests/test_property_dynamic.py`` prove it differentially.
 
-        The lazy mask ladders carry over patched: LDF prefix masks of
-        untouched labels stay (their buckets are unchanged), touched
-        labels' entries are dropped; NLF count-threshold masks have
-        exactly the touched vertices' bits recomputed.  The NLF2
-        two-hop tables are invalidated wholesale — a delta's influence
-        there has radius 2, so patching them would touch the whole
-        neighborhood of the neighborhood for marginal reuse.
+        Per-vertex tuples (degrees, adjacency bitmaps) are copied as
+        reference lists in C with only the touched vertices rewritten.
+        Everything else costs O(delta) Python work:
+
+        * a label bitmap changes only by the added vertices' bits;
+        * a label bucket changes only by its *moved* vertices — touched
+          vertices whose degree changed are bisect-removed at
+          ``(-old degree, id)`` and bisect-inserted at
+          ``(-new degree, id)`` — and by its added vertices;
+        * a bucket with no moved or added vertex is reused by reference
+          and keeps its LDF prefix-mask ladder; a patched bucket's
+          ladder is dropped, since its prefixes shifted.
+
+        NLF count-threshold masks have exactly the touched vertices'
+        bits recomputed.  The NLF2 two-hop tables are invalidated
+        wholesale — a delta's influence there has radius 2, so patching
+        them would touch the whole neighborhood of the neighborhood for
+        marginal reuse.
 
         ``reuse_report`` on the returned instance quantifies the reuse;
         the class-level ``patches_performed`` counter increments instead
@@ -347,43 +354,57 @@ class DataArtifacts:
         """
         DataArtifacts.patches_performed += 1
         touched = summary.touched_vertices
-        touched_labels = summary.touched_labels
+        n_old = summary.num_vertices_before
         n_new = summary.num_vertices_after
 
         patched = DataArtifacts.__new__(DataArtifacts)
         patched.data = new_graph
 
-        degrees = list(self.degrees)
-        degrees.extend(0 for _ in summary.added_vertices)
+        old_degrees = self.degrees
+        degrees = list(old_degrees)
+        degrees.extend([0] * (n_new - n_old))
+        # label -> [(vertex, old degree or None when added, new degree)]
+        moved: Dict[object, List[Tuple[int, Optional[int], int]]] = {}
         for v in touched:
-            degrees[v] = new_graph.degree(v)
+            degree = degrees[v] = new_graph.degree(v)
+            old = old_degrees[v] if v < n_old else None
+            if old != degree:
+                moved.setdefault(new_graph.label(v), []).append(
+                    (v, old, degree)
+                )
         patched.degrees = tuple(degrees)
 
-        buckets: Dict[object, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        bitmaps: Dict[object, int] = {}
-        buckets_reused = buckets_rebuilt = 0
-        for label in _sorted_labels(new_graph.label_set):
-            if label in touched_labels or label not in self.label_buckets:
-                vs = sorted(
-                    new_graph.vertices_with_label(label),
-                    key=lambda v: degrees[v],
-                    reverse=True,
+        buckets = dict(self.label_buckets)
+        bitmaps = dict(self.label_bitmaps)
+        for label, changes in moved.items():
+            vs, neg_degrees = buckets.get(label, ((), ()))
+            vs, neg_degrees = list(vs), list(neg_degrees)
+            for v, old, degree in changes:
+                if old is None:
+                    bitmaps[label] = bitmaps.get(label, 0) | (1 << v)
+                else:
+                    at = bisect_left(
+                        vs, v, bisect_left(neg_degrees, -old),
+                        bisect_right(neg_degrees, -old),
+                    )
+                    del vs[at], neg_degrees[at]
+                at = bisect_left(
+                    vs, v, bisect_left(neg_degrees, -degree),
+                    bisect_right(neg_degrees, -degree),
                 )
-                buckets[label] = (
-                    tuple(vs),
-                    tuple(-degrees[v] for v in vs),
-                )
-                bitmaps[label] = mask_of(new_graph.vertices_with_label(label))
-                buckets_rebuilt += 1
-            else:
-                buckets[label] = self.label_buckets[label]
-                bitmaps[label] = self.label_bitmaps[label]
-                buckets_reused += 1
+                vs.insert(at, v)
+                neg_degrees.insert(at, -degree)
+            buckets[label] = (tuple(vs), tuple(neg_degrees))
+        if len(buckets) != len(self.label_buckets):
+            # A new label: restore the canonical key order a cold build has.
+            order = _sorted_labels(buckets)
+            buckets = {label: buckets[label] for label in order}
+            bitmaps = {label: bitmaps[label] for label in order}
         patched.label_buckets = buckets
         patched.label_bitmaps = bitmaps
 
         adjacency = list(self.adjacency_bitmaps)
-        adjacency.extend(0 for _ in summary.added_vertices)
+        adjacency.extend([0] * (n_new - n_old))
         for u, v in summary.added_edges:
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
@@ -393,12 +414,11 @@ class DataArtifacts:
         patched.adjacency_bitmaps = tuple(adjacency)
 
         # Lazy ladders: keep what provably survived, patch the rest.
-        ldf_kept = 0
-        patched._ldf_masks = {}
-        for (label, end), mask in self._ldf_masks.items():
-            if label not in touched_labels:
-                patched._ldf_masks[(label, end)] = mask
-                ldf_kept += 1
+        patched._ldf_masks = {
+            key: mask
+            for key, mask in self._ldf_masks.items()
+            if key[0] not in moved
+        }
         patched._nlf_count_masks = {}
         for (label, count), mask in self._nlf_count_masks.items():
             for v in touched:
@@ -413,12 +433,13 @@ class DataArtifacts:
         patched._nlf2_tables = None
         patched._nlf2_count_masks = {}
 
+        ldf_kept = len(patched._ldf_masks)
         patched.reuse_report = {
             "vertices": n_new,
             "vertices_touched": len(touched),
             "adjacency_rows_reused": n_new - len(touched),
-            "label_buckets_reused": buckets_reused,
-            "label_buckets_rebuilt": buckets_rebuilt,
+            "label_buckets_reused": len(buckets) - len(moved),
+            "label_buckets_rebuilt": len(moved),
             "ldf_masks_kept": ldf_kept,
             "ldf_masks_dropped": len(self._ldf_masks) - ldf_kept,
             "nlf_masks_patched": len(self._nlf_count_masks),

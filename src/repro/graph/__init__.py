@@ -4,8 +4,8 @@ This package provides the graph data structures and algorithms that every
 matcher in :mod:`repro` is built on:
 
 * :class:`~repro.graph.graph.Graph` — an immutable vertex-labeled simple
-  undirected graph with CSR-style adjacency, constant-time neighbor tests,
-  and a label index.
+  undirected graph with one sorted adjacency tuple per vertex,
+  constant-time neighbor tests, and a label index.
 * :class:`~repro.graph.builder.GraphBuilder` — a mutable accumulator that
   validates and deduplicates input before freezing it into a ``Graph``.
 * :mod:`~repro.graph.io` — readers/writers for the ``.graph`` text format

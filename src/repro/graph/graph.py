@@ -4,8 +4,10 @@ The :class:`Graph` class is the single graph representation shared by the
 query side and the data side of every matcher in this repository.  It is
 deliberately simple and read-optimized:
 
-* adjacency is stored CSR-style (one flat array of neighbor ids plus an
-  offset array), with neighbor lists sorted ascending;
+* adjacency is stored as one sorted neighbor-id tuple per vertex, so
+  ``neighbors(v)`` hands out the stored row without allocating and a
+  delta-applied graph (:mod:`repro.dynamic.delta`) shares every
+  untouched row with its source;
 * a per-vertex ``frozenset`` mirror of each adjacency list gives O(1)
   ``has_edge`` tests, which backtracking matchers perform constantly;
 * a label index maps each label to the sorted tuple of vertices carrying
@@ -54,8 +56,7 @@ class Graph:
 
     __slots__ = (
         "_labels",
-        "_offsets",
-        "_neighbors_flat",
+        "_rows",
         "_neighbor_sets",
         "_label_index",
         "_num_edges",
@@ -74,37 +75,50 @@ class Graph:
                 "labels and adjacency must have the same length: "
                 f"{len(labels)} != {len(adjacency)}"
             )
-        self._labels: Tuple[object, ...] = tuple(labels)
-
-        offsets: List[int] = [0]
-        flat: List[int] = []
+        rows: List[Tuple[int, ...]] = []
         neighbor_sets: List[FrozenSet[int]] = []
+        half_edges = 0
         for u, nbrs in enumerate(adjacency):
-            sorted_nbrs = sorted(nbrs)
-            flat.extend(sorted_nbrs)
-            offsets.append(len(flat))
-            nbr_set = frozenset(sorted_nbrs)
-            if len(nbr_set) != len(sorted_nbrs):
+            row = tuple(sorted(nbrs))
+            nbr_set = frozenset(row)
+            if len(nbr_set) != len(row):
                 raise ValueError(f"duplicate neighbor in adjacency of vertex {u}")
             if u in nbr_set:
                 raise ValueError(f"self-loop at vertex {u}")
+            rows.append(row)
             neighbor_sets.append(nbr_set)
-        self._offsets: Tuple[int, ...] = tuple(offsets)
-        self._neighbors_flat: Tuple[int, ...] = tuple(flat)
-        self._neighbor_sets: Tuple[FrozenSet[int], ...] = tuple(neighbor_sets)
-        if len(flat) % 2 != 0:
+            half_edges += len(row)
+        if half_edges % 2 != 0:
             raise ValueError("adjacency is not symmetric (odd half-edge count)")
-        self._num_edges: int = len(flat) // 2
-
+        labels = tuple(labels)
         label_index: Dict[object, List[int]] = {}
-        for v, label in enumerate(self._labels):
+        for v, label in enumerate(labels):
             label_index.setdefault(label, []).append(v)
-        self._label_index: Dict[object, Tuple[int, ...]] = {
-            label: tuple(vs) for label, vs in label_index.items()
-        }
+        self._assign(
+            labels,
+            tuple(rows),
+            tuple(neighbor_sets),
+            {label: tuple(vs) for label, vs in label_index.items()},
+            half_edges // 2,
+            [],
+        )
 
+    def _assign(
+        self,
+        labels: Tuple[object, ...],
+        rows: Tuple[Tuple[int, ...], ...],
+        neighbor_sets: Tuple[FrozenSet[int], ...],
+        label_index: Dict[object, Tuple[int, ...]],
+        num_edges: int,
+        nlf: List[Dict[object, int]],
+    ) -> None:
+        self._labels = labels
+        self._rows = rows
+        self._neighbor_sets = neighbor_sets
+        self._label_index = label_index
+        self._num_edges = num_edges
         # Neighbor label frequency (NLF) tables, computed lazily.
-        self._nlf: List[Dict[object, int]] = []
+        self._nlf = nlf
         # Content checksum, computed lazily by repro.graph.io.graph_checksum
         # (instances are immutable, so one hash serves every caller).
         self._checksum: Optional[str] = None
@@ -115,41 +129,31 @@ class Graph:
     @classmethod
     def _from_sorted_rows(
         cls,
-        labels: Sequence[object],
-        rows: Sequence[Tuple[int, ...]],
-        neighbor_sets: Sequence[FrozenSet[int]],
+        labels: Tuple[object, ...],
+        rows: Tuple[Tuple[int, ...], ...],
+        neighbor_sets: Tuple[FrozenSet[int], ...],
+        label_index: Dict[object, Tuple[int, ...]],
+        num_edges: int,
         nlf: Optional[List[Dict[object, int]]] = None,
     ) -> "Graph":
-        """Assemble a graph from already-validated per-vertex rows.
+        """Assemble a graph from already-validated parts, copying nothing.
 
-        The delta-application path (:mod:`repro.dynamic.delta`) reuses
-        the untouched rows of an existing graph verbatim — ``rows[v]``
-        and ``neighbor_sets[v]`` may be the *same objects* as the source
-        graph's — so this constructor performs no per-row sorting,
-        deduplication, or loop checks.  Callers guarantee every row is
-        sorted, loop-free, and symmetric.  ``nlf``, when given, installs
-        a prebuilt neighbor-label-frequency cache (all rows or none).
+        The delta-application path (:mod:`repro.dynamic.delta`) passes
+        row and neighbor-set tuples whose untouched entries are the
+        *same objects* as the source graph's, and the source's labels
+        tuple and label index when no vertex was added, so this
+        constructor performs no per-row sorting, deduplication, loop
+        checks or counting.  Callers guarantee every row is sorted,
+        loop-free and symmetric, and that ``label_index`` and
+        ``num_edges`` agree with ``labels`` and ``rows``.  ``nlf``, when
+        given, installs a prebuilt neighbor-label-frequency cache (all
+        rows or none).
         """
         graph = cls.__new__(cls)
-        graph._labels = tuple(labels)
-        offsets: List[int] = [0]
-        flat: List[int] = []
-        for row in rows:
-            flat.extend(row)
-            offsets.append(len(flat))
-        graph._offsets = tuple(offsets)
-        graph._neighbors_flat = tuple(flat)
-        graph._neighbor_sets = tuple(neighbor_sets)
-        graph._num_edges = len(flat) // 2
-        label_index: Dict[object, List[int]] = {}
-        for v, label in enumerate(graph._labels):
-            label_index.setdefault(label, []).append(v)
-        graph._label_index = {
-            label: tuple(vs) for label, vs in label_index.items()
-        }
-        graph._nlf = nlf if nlf is not None else []
-        graph._checksum = None
-        graph._text = None
+        graph._assign(
+            labels, rows, neighbor_sets, label_index, num_edges,
+            nlf if nlf is not None else [],
+        )
         return graph
 
     # ------------------------------------------------------------------
@@ -177,11 +181,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
-        return self._offsets[v + 1] - self._offsets[v]
+        return len(self._rows[v])
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        """Sorted tuple of neighbors of ``v``."""
-        return self._neighbors_flat[self._offsets[v] : self._offsets[v + 1]]
+        """Sorted tuple of neighbors of ``v`` (the stored row itself)."""
+        return self._rows[v]
 
     def neighbor_set(self, v: int) -> FrozenSet[int]:
         """Frozen set of neighbors of ``v`` (O(1) membership)."""
@@ -294,14 +298,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self._labels == other._labels
-            and self._offsets == other._offsets
-            and self._neighbors_flat == other._neighbors_flat
-        )
+        return self._labels == other._labels and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._offsets, self._neighbors_flat))
+        return hash((self._labels, self._rows))
 
     def __repr__(self) -> str:
         return (

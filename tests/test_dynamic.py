@@ -121,17 +121,37 @@ class TestApplyDelta:
 
     def test_untouched_rows_are_shared_objects(self):
         graph = graph_from_adjacency(
-            ["A", "B", "A", "C"], [(0, 1), (1, 2), (2, 3)]
+            ["A", "B", "A", "C", "C"], [(0, 1), (1, 2), (2, 3), (3, 4)]
         )
         graph.neighbor_label_frequency(0)  # materialize NLF
-        delta = GraphDelta(remove_edges=((2, 3),))
+        artifacts = DataArtifacts(graph)
+        assert artifacts.ldf_mask("C", 2) == 1 << 3  # cache a C ladder rung
+        # Degree-preserving at vertex 3: its row changes, its degree
+        # (and so its C bucket slot) does not; vertices 0 and 2 move.
+        delta = GraphDelta(add_edges=((0, 3),), remove_edges=((2, 3),))
         new_graph, summary = apply_delta(graph, delta)
-        assert set(summary.touched_vertices) == {2, 3}
-        for v in (0, 1):
+        assert set(summary.touched_vertices) == {0, 2, 3}
+        for v in (1, 4):
+            assert new_graph.neighbors(v) is graph.neighbors(v)
             assert new_graph._neighbor_sets[v] is graph._neighbor_sets[v]
             assert new_graph._nlf[v] is graph._nlf[v]
-        for v in (2, 3):
+        for v in (0, 2, 3):
             assert new_graph._neighbor_sets[v] is not graph._neighbor_sets[v]
+        # An edge-only delta shares the label structures outright.
+        assert new_graph.labels is graph.labels
+        assert new_graph._label_index is graph._label_index
+
+        patched = artifacts.apply_delta(new_graph, summary)
+        for label in ("B", "C"):  # untouched, and touched but unmoved
+            assert patched.label_buckets[label] is artifacts.label_buckets[label]
+        for label in ("A", "B", "C"):  # no vertex added
+            assert patched.label_bitmaps[label] is artifacts.label_bitmaps[label]
+        assert patched.label_buckets["A"] == ((0, 2), (-2, -1))
+        assert ("C", 1) in patched._ldf_masks  # the C ladder is kept
+        assert patched.reuse_report["label_buckets_rebuilt"] == 1
+        assert dumps_artifacts(patched) == dumps_artifacts(
+            DataArtifacts(new_graph)
+        )
 
     def test_source_graph_is_untouched(self):
         graph = small_graph()

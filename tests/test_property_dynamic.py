@@ -7,7 +7,9 @@ base graph and asserts, after **every** step:
 * the incrementally-maintained graph equals a from-scratch rebuild;
 * ``DataArtifacts.apply_delta`` is byte-identical (serialized) to a
   cold ``DataArtifacts`` build on the new graph, with warm mask
-  ladders answering exactly what a fresh instance computes;
+  ladders answering exactly what a fresh instance computes — along
+  runs that mix random edits, degree-preserving edge swaps and vertex
+  additions carrying a new label;
 * the continuous matcher's cumulative diff stream replays to exactly
   the full re-match embedding set;
 * over arbitrary queries — disconnected, with isolated vertices, or
@@ -81,12 +83,57 @@ def builder_rebuild(graph, delta):
     return b.build()
 
 
+def degree_preserving_delta(rng, graph):
+    """Swap one edge at a vertex ``v`` for another: ``v``'s degree is
+    unchanged while both far endpoints move.  Empty when no vertex has
+    both a neighbour and a non-neighbour."""
+    options = [
+        v
+        for v in graph.vertices()
+        if 0 < graph.degree(v) < graph.num_vertices - 1
+    ]
+    if not options:
+        return GraphDelta()
+    v = rng.choice(options)
+    old = rng.choice(graph.neighbors(v))
+    new = rng.choice(
+        [x for x in graph.vertices() if x != v and not graph.has_edge(v, x)]
+    )
+    return GraphDelta(add_edges=((v, new),), remove_edges=((v, old),))
+
+
+def new_label_delta(rng, graph):
+    """Add a vertex whose label may be absent from ``graph``, wired to
+    up to two existing vertices."""
+    n = graph.num_vertices
+    ends = rng.sample(range(n), min(n, rng.randint(0, 2)))
+    return GraphDelta(
+        add_vertices=(rng.choice(("D", "E")),),
+        add_edges=tuple((u, n) for u in ends),
+    )
+
+
+def artifact_delta(rng, graph):
+    kind = rng.choice((random_delta, degree_preserving_delta, new_label_delta))
+    return kind(rng, graph)
+
+
+def warm_ldf_ladders(artifacts):
+    """Cache every LDF prefix mask the artifacts can answer."""
+    top = max(artifacts.degrees, default=0) + 1
+    return {
+        (label, d): artifacts.ldf_mask(label, d)
+        for label in artifacts.label_buckets
+        for d in range(top + 1)
+    }
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**30),
     nd=st.integers(min_value=2, max_value=12),
     edge_factor=st.floats(min_value=0.0, max_value=2.0),
-    steps=st.integers(min_value=1, max_value=4),
+    steps=st.integers(min_value=3, max_value=6),
 )
 def test_artifact_patches_equal_cold_rebuild_along_edit_sequences(
     seed, nd, edge_factor, steps
@@ -97,14 +144,17 @@ def test_artifact_patches_equal_cold_rebuild_along_edit_sequences(
     )
     artifacts = DataArtifacts(graph)
     probe = random_connected_graph(3, 3, num_labels=len(LABELS), seed=seed + 1)
+    warm_ldf_ladders(artifacts)
     for _ in range(steps):
         artifacts.nlf_candidate_masks(probe)  # keep ladders warm
-        delta = random_delta(rng, graph)
+        delta = artifact_delta(rng, graph)
         new_graph, summary = apply_delta(graph, delta)
         assert new_graph == builder_rebuild(graph, delta)
         patched = artifacts.apply_delta(new_graph, summary)
         cold = DataArtifacts(new_graph)
         assert dumps_artifacts(patched) == dumps_artifacts(cold)
+        # Kept LDF ladders are a cache the bytes above do not cover.
+        assert warm_ldf_ladders(patched) == warm_ldf_ladders(cold)
         for label, count in list(patched._nlf_count_masks):
             assert patched.nlf_count_mask(label, count) == cold.nlf_count_mask(
                 label, count
