@@ -10,6 +10,10 @@ path-backed structured request log, drives a query round-trip through
 * the ``stats`` op's server counters equal their ``/metrics``
   counterparts (reconciliation-by-construction, spot-checked end to
   end);
+* every query ends in one counted outcome: a raw ``"limit":
+  Infinity`` query line gets a structured ``'limit' must be …`` error
+  (not a dropped connection), and ``queries == served + rejected +
+  errors`` in ``stats``;
 * the request log holds a ``query`` line whose trace id matches the
   one the reply header carried;
 * one ``explain="analyze"`` round-trip (workers=2) returns the
@@ -40,6 +44,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.graph.builder import graph_from_adjacency  # noqa: E402
+from repro.graph.io import saves_graph  # noqa: E402
 from repro.obs import Observability, StructuredLog, parse_exposition  # noqa: E402
 from repro.obs.spans import (  # noqa: E402
     build_chrome_trace,
@@ -102,6 +107,19 @@ def http_get(host: str, port: int, path: str) -> str:
     return body.decode("utf-8")
 
 
+def raw_request(host: str, port: int, payload: dict) -> dict:
+    """One request line over a raw socket; ``json.dumps`` writes a
+    non-finite float as ``Infinity``/``NaN``, which no client sends."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        handle = sock.makefile("rwb")
+        handle.write(json.dumps(payload).encode("utf-8") + b"\n")
+        handle.flush()
+        line = handle.readline()
+    if not line:
+        fail(f"{payload.get('op')}: connection closed without a reply")
+    return json.loads(line)
+
+
 def main() -> int:
     data = graph_from_adjacency(
         ["A", "B", "A", "C", "D", "C"],
@@ -147,6 +165,14 @@ def main() -> int:
                         f"analyze counted {search.get('embeddings_found')} "
                         f"embeddings, the header {analyzed.num_embeddings}"
                     )
+                bad = raw_request(host, port, {
+                    "op": "query", "data": "g", "graph": saves_graph(query),
+                    "limit": float("inf"),
+                })
+                if bad.get("ok") is not False or not str(
+                    bad.get("error")
+                ).startswith("'limit' must be") or not bad.get("trace"):
+                    fail(f"non-finite limit got {bad!r}")
                 stats = client.stats()
                 op_text = client.metrics()
             http_text = http_get(host, port, "/metrics")
@@ -171,6 +197,14 @@ def main() -> int:
                 f"stats server.{counter}={stats['server'][counter]} but "
                 f"{family}={flat.get(family)}"
             )
+
+    server = stats["server"]
+    outcomes = server["served"] + server["rejected"] + server["errors"]
+    if server["queries"] != outcomes:
+        fail(
+            f"stats server.queries={server['queries']} but served + "
+            f"rejected + errors = {outcomes}"
+        )
 
     records = StructuredLog(path=LOG_PATH).read_records()
     served = [
@@ -220,7 +254,8 @@ def main() -> int:
 
     print(
         f"ok: {len(REQUIRED_FAMILIES)} families on both surfaces, "
-        f"{len(RECONCILED)} counters reconciled, trace {reply.trace} "
+        f"{len(RECONCILED)} counters reconciled, {server['queries']} "
+        f"queries in counted outcomes, trace {reply.trace} "
         f"in {LOG_PATH}, {len(spans)} spans ({len(workers)} worker tasks) "
         f"exported to {TRACE_PATH}"
     )

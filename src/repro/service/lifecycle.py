@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.matching.limits import SearchLimits
 from repro.matching.result import TerminationStatus
@@ -89,6 +89,28 @@ def lifecycle_points(op: str) -> Tuple[str, ...]:
             "lifecycle.drain.close",
         )
     raise ValueError(f"unknown lifecycle operation {op!r}")
+
+
+def complete_matches(engine, query) -> Set[Tuple[int, ...]]:
+    """Every embedding of ``query``: the standing set a subscription
+    starts from, and is re-attached with across a reload.  Raises
+    ``ValueError`` unless the enumeration completed."""
+    result = engine.match(query, limits=SearchLimits())
+    if result.status is not TerminationStatus.COMPLETE:
+        raise ValueError(
+            f"subscriptions need a complete enumeration "
+            f"(got {result.status.value})"
+        )
+    return {tuple(e) for e in result.embeddings}
+
+
+def _reenumerate(engine, sub):
+    """One subscription's change across a reload (``None``: the epoch
+    moved without changing this query's set)."""
+    new = complete_matches(engine, sub.query)
+    added = sorted(new - sub.matches)
+    removed = sorted(sub.matches - new)
+    return (added, removed) if added or removed else None
 
 
 class LifecycleManager:
@@ -148,19 +170,17 @@ class LifecycleManager:
                     server._aux_executor,
                     lambda: server.catalog.reload(faults=server.faults),
                 )
-                for name, info in report.items():
-                    # Cached results belong to the old epoch.  "kept"
-                    # entries normally keep theirs — unless the cache's
-                    # recorded epoch trails the entry's, which happens
-                    # when a previous reload crashed between the catalog
-                    # swap and this very invalidation step.
-                    drop = info["action"] != "kept"
-                    if not drop:
-                        with server._counters_lock:
-                            stamp = server._cache_epochs.get(name)
-                        drop = stamp is not None and stamp != info["epoch"]
-                    if drop:
-                        with server._counters_lock:
+                with server._counters_lock:
+                    for name, info in report.items():
+                        # Cached results belong to the old epoch.
+                        # "kept" entries normally keep theirs — unless
+                        # the cache's recorded epoch trails the entry's,
+                        # which happens when a previous reload crashed
+                        # between the catalog swap and this very
+                        # invalidation step.
+                        stamp = server._cache_epochs.get(name)
+                        if info["action"] != "kept" or \
+                                stamp not in (None, info["epoch"]):
                             server._caches.pop(name, None)
                             server._cache_epochs.pop(name, None)
                 replayed = await self._replay_subscriptions(
@@ -172,10 +192,11 @@ class LifecycleManager:
                     self.state = prev
             self.reloads += 1
             await self._afault("lifecycle.reload.commit")
+        actions = {name: info["action"] for name, info in report.items()}
         server.obs.emit(
             "reload",
             trace=trace,
-            entries={name: info["action"] for name, info in report.items()},
+            entries=actions,
             epochs={
                 name: info.get("epoch") for name, info in report.items()
             },
@@ -183,8 +204,7 @@ class LifecycleManager:
         )
         logger.info(
             "reload complete: %s (replayed %d subscription diffs)",
-            {name: info["action"] for name, info in report.items()},
-            replayed,
+            actions, replayed,
         )
         return report, replayed
 
@@ -211,16 +231,9 @@ class LifecycleManager:
                 continue
             if action == "removed":
                 for sub in subs:
-                    server._bump("subscribers_dropped")
-                    server._drop_subscription(sub)
-                    try:
-                        await server._send(
-                            sub.writer,
-                            {"event": "error", "subscription": sub.id,
-                             "error": f"catalog entry {name!r} removed"},
-                        )
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        pass
+                    await server._fail_subscription(
+                        sub, f"catalog entry {name!r} removed"
+                    )
                 continue
             epoch = info["epoch"]
             if action == "lazy":
@@ -242,55 +255,10 @@ class LifecycleManager:
             stale = [sub for sub in subs if sub.epoch != epoch]
             if not stale:
                 continue  # standing sets are already exact
-            engine = await loop.run_in_executor(
-                server._aux_executor, server.catalog.engine, name
+            replayed += await server._rediff(
+                name, stale, epoch, trace, server._aux_executor,
+                _reenumerate, "reload replay", reload=True,
             )
-            for sub in stale:
-                try:
-                    result = await loop.run_in_executor(
-                        server._aux_executor,
-                        lambda q=sub.query: engine.match(
-                            q, limits=SearchLimits()
-                        ),
-                    )
-                    if result.status is not TerminationStatus.COMPLETE:
-                        raise RuntimeError(
-                            "re-enumeration incomplete "
-                            f"({result.status.value})"
-                        )
-                except Exception as exc:  # noqa: BLE001 - drop, keep serving
-                    server._bump("subscribers_dropped")
-                    server._drop_subscription(sub)
-                    try:
-                        await server._send(
-                            sub.writer,
-                            {"event": "error", "subscription": sub.id,
-                             "error": f"reload replay failed: {exc!r}"},
-                        )
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        pass
-                    continue
-                new = {tuple(e) for e in result.embeddings}
-                added = sorted(new - sub.matches)
-                removed = sorted(sub.matches - new)
-                sub.matches = new
-                sub.epoch = epoch
-                if not added and not removed:
-                    continue  # epoch moved but this query's set did not
-                if server._enqueue_event(
-                    sub,
-                    {
-                        "event": "delta",
-                        "subscription": sub.id,
-                        "data": name,
-                        "epoch": epoch,
-                        "trace": trace,
-                        "added": [list(e) for e in added],
-                        "removed": [list(e) for e in removed],
-                        "reload": True,
-                    },
-                ):
-                    replayed += 1
         return replayed
 
     # -- drain ---------------------------------------------------------

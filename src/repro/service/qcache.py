@@ -295,11 +295,7 @@ class QueryCache:
         with self._lock:
             if not form.exact:
                 self.counters["inexact_keys"] += 1
-            entry = self._entries.get(form.key)
-            if entry is None:
-                self.counters["misses"] += 1
-                return None, form
-            served = self._serve(entry, form, limits)
+            served = self._serve(self._entries.get(form.key), form, limits)
             if served is None:
                 self.counters["misses"] += 1
                 return None, form
@@ -310,55 +306,31 @@ class QueryCache:
     def peek(self, query: Graph, limits: SearchLimits) -> Dict[str, object]:
         """EXPLAIN's view of the serve decision — observe, never serve.
 
-        Mirrors :meth:`_serve`'s decision logic without materializing
-        embeddings, bumping any counter, or touching LRU order, so an
-        EXPLAIN (plan) request reports exactly what a real request would
-        get from the cache while leaving the cache byte-identical.
+        Takes :meth:`_decide`'s decision, the one :meth:`_serve` acts
+        on, without materializing embeddings, bumping any counter, or
+        touching LRU order, so an EXPLAIN (plan) request reports exactly
+        what a real request would get from the cache while leaving the
+        cache byte-identical.
         """
         form = canonical_form(query, self.leaf_budget)
         with self._lock:
             entry = self._entries.get(form.key)
             report: Dict[str, object] = {"exact_key": form.exact}
-            if entry is None:
-                report.update(decision="miss", reason="absent")
-                return report
-            report.update(
-                entry_complete=entry.complete,
-                cached_embeddings=entry.total,
-            )
-            cap = limits.max_embeddings
-            stop = None if cap is None else max(cap, 1)
-            if limits.collect and not entry.has_embeddings:
-                report.update(decision="miss", reason="count_only_entry")
-            elif entry.complete:
-                if stop is not None and entry.total >= stop:
-                    if self.cap_serving:
-                        report.update(
-                            decision="hit", served="truncated",
-                            num_embeddings=stop,
-                        )
-                    else:
-                        report.update(
-                            decision="miss", reason="cap_serving_disabled"
-                        )
-                else:
-                    report.update(
-                        decision="hit", served="complete",
-                        num_embeddings=entry.total,
-                    )
-            elif stop is None:
+            if entry is not None:
                 report.update(
-                    decision="miss", reason="truncated_entry_uncapped_request"
+                    entry_complete=entry.complete,
+                    cached_embeddings=entry.total,
                 )
-            elif not self.cap_serving:
-                report.update(decision="miss", reason="cap_serving_disabled")
-            elif stop > max(entry.cap or 0, 1):
-                report.update(
-                    decision="miss", reason="cached_truncation_too_short"
-                )
+            count, status = self._decide(entry, limits)
+            if count is None:
+                report.update(decision="miss", reason=status)
             else:
                 report.update(
-                    decision="hit", served="truncated", num_embeddings=stop
+                    decision="hit",
+                    served="complete"
+                    if status is TerminationStatus.COMPLETE
+                    else "truncated",
+                    num_embeddings=count,
                 )
             return report
 
@@ -467,29 +439,37 @@ class QueryCache:
             stats,
         )
 
-    def _serve(
-        self, entry: _Entry, form: CanonicalForm, limits: SearchLimits
-    ) -> Optional[MatchResult]:
+    def _decide(
+        self, entry: Optional[_Entry], limits: SearchLimits
+    ) -> Tuple[Optional[int], object]:
+        """Whether ``entry`` (``None``: no entry for the key) can answer
+        ``limits``: ``(count, status)`` to serve, or ``(None, reason)``
+        for a miss."""
+        if entry is None:
+            return None, "absent"
         cap = limits.max_embeddings
         # The engine checks the cap after recording, so cap=0 still
         # yields the first embedding; mirror that stop threshold.
         stop = None if cap is None else max(cap, 1)
-        if entry.complete:
-            if stop is not None and entry.total >= stop:
-                if not self.cap_serving:
-                    return None
-                count, status = stop, TerminationStatus.EMBEDDING_LIMIT
-            else:
-                count, status = entry.total, TerminationStatus.COMPLETE
-        else:
-            if stop is None or not self.cap_serving:
-                return None
-            if stop > max(entry.cap or 0, 1):
-                return None  # cached truncation is shorter than requested
-            count, status = stop, TerminationStatus.EMBEDDING_LIMIT
         if limits.collect and not entry.has_embeddings:
-            return None
+            return None, "count_only_entry"
+        if entry.complete and (stop is None or entry.total < stop):
+            return entry.total, TerminationStatus.COMPLETE
+        if stop is None:
+            return None, "truncated_entry_uncapped_request"
+        if not self.cap_serving:
+            return None, "cap_serving_disabled"
+        if not entry.complete and stop > max(entry.cap or 0, 1):
+            return None, "cached_truncation_too_short"
+        return stop, TerminationStatus.EMBEDDING_LIMIT
 
+    def _serve(
+        self, entry: Optional[_Entry], form: CanonicalForm,
+        limits: SearchLimits,
+    ) -> Optional[MatchResult]:
+        count, status = self._decide(entry, limits)
+        if count is None:
+            return None
         embeddings: List[Tuple[int, ...]] = []
         if limits.collect:
             embeddings = entry.embeddings[:count]

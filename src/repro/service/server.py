@@ -91,6 +91,20 @@ answered ``{"ok": false, "error": msg, "reason":
 closed.  The same bound paces reading: a connection buffers up to
 twice it (~32 MiB) before the server stops reading from it.
 
+Every ``query`` is counted in ``queries`` and ends in exactly one
+counted outcome with one ``query`` request-log line naming it:
+``served``, ``rejected`` (shed at admission) or ``errors`` (a bad
+field, a catalog error, an internal error, or a reply that could not
+be written), so ``queries == served + rejected + errors`` whenever none
+is in flight.  The fields several ops share are checked in one place
+(:class:`_Fields`): a ``trace`` must be a 1–64 character string (else
+a fresh id is used), a ``tenant`` null or a 1–128 character string,
+and a numeric option (``limit``, ``workers``, ``time_limit``,
+``recursion_limit``, drain's ``timeout``) a finite non-negative number
+or, where optional, null; anything else, ``Infinity`` and ``NaN``
+included, gets an ``{"ok": false, "error": "'<field>' must be …"}``
+reply.
+
 Concurrency model: the event loop only parses and streams; matching is
 CPU-bound and runs on a thread-pool executor bounded by
 ``max_inflight`` (admission control).  Queries beyond the capacity
@@ -130,6 +144,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import queue
 import threading
 import time
@@ -155,11 +170,13 @@ from repro.service.lifecycle import (
     SERVING,
     STOPPED,
     LifecycleManager,
+    complete_matches,
 )
 from repro.service.qcache import DEFAULT_LEAF_BUDGET, QueryCache
 from repro.service.tenancy import (
     PRIORITY_RANKS,
     FairSlots,
+    Rejection,
     TenantState,
     TenantTable,
 )
@@ -176,7 +193,64 @@ MAX_REQUEST_BYTES = 16 << 20
 
 PRIORITIES = ("high", "normal", "low")
 
+# The error text of a shed query, by rejection reason.
+_SHED_ERRORS = {
+    "draining": "draining: not admitting new queries",
+    "capacity": "overloaded: too many in-flight queries",
+    "rate": "rate limited: tenant {tenant!r} over rate",
+    "quota": "overloaded: tenant {tenant!r} at max inflight",
+}
+
 logger = logging.getLogger("repro.service.server")
+
+
+class _Fields:
+    """The request fields several ops share, checked in one place.
+
+    ``trace`` is never an error: every reply and log line of the
+    request carries it.  :meth:`tenant` and :meth:`number` raise
+    ``ValueError`` whose text is the reply's ``error``.
+    """
+
+    def __init__(self, request: Dict) -> None:
+        self.request = request
+        self.trace = self.ident("trace") or new_trace_id()
+
+    def ident(self, key: str) -> Optional[str]:
+        """A trace or span id: a 1–64 character string, else ``None``."""
+        value = self.request.get(key)
+        return value if isinstance(value, str) and 1 <= len(value) <= 64 \
+            else None
+
+    def tenant(self) -> Optional[str]:
+        """The tenant name (``None`` = the default tenant)."""
+        value = self.request.get("tenant")
+        if value is not None and not (
+            isinstance(value, str) and 1 <= len(value) <= 128
+        ):
+            raise ValueError(
+                "'tenant' must be a non-empty string (<=128 chars)"
+            )
+        return value
+
+    def number(self, key: str, default, kind, nullable: bool = True):
+        """A finite non-negative number as ``kind``, or ``None`` for a
+        null ``nullable`` field."""
+        value = self.request.get(key, default)
+        if value is None and nullable:
+            return None
+        try:
+            # type(), not isinstance(): a JSON bool is not a number.
+            valid = type(value) in (int, float) and value >= 0 \
+                and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"{key!r} must be a finite non-negative number"
+                + (" or null" if nullable else "")
+            )
+        return kind(value)
 
 
 class _Subscription:
@@ -501,12 +575,10 @@ class MatchingServer:
                 await asyncio.gather(*self._conn_tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._aux_executor is not None:
-            self._aux_executor.shutdown(wait=False, cancel_futures=True)
-            self._aux_executor = None
+        for executor in (self._executor, self._aux_executor):
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._aux_executor = None
         if self._analysis_thread is not None:
             # FIFO queue: the sentinel lands behind every pending
             # record, so joining here means the sidecar holds every
@@ -578,6 +650,16 @@ class MatchingServer:
         writer.write(json.dumps(payload).encode("utf-8") + b"\n" + body)
         await writer.drain()
 
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, error: str, count: bool = True,
+        **extra,
+    ) -> None:
+        """One ``{"ok": false, "error": ...}`` reply to a non-query op;
+        ``count`` bumps ``errors``."""
+        if count:
+            self._bump("errors")
+        await self._send(writer, {"ok": False, "error": error, **extra})
+
     async def _reject_oversized(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -585,13 +667,11 @@ class MatchingServer:
         closes the connection.  The rest of the line is read and dropped
         first: closing on unread input would reset the connection and
         could discard the reply before the client reads it."""
-        self._bump("errors")
         self.obs.emit("request_too_large", limit=MAX_REQUEST_BYTES)
-        await self._send(writer, {
-            "ok": False,
-            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
-            "reason": "request_too_large",
-        })
+        await self._refuse(
+            writer, f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+            reason="request_too_large",
+        )
         while True:
             try:
                 await reader.readuntil(b"\n")
@@ -645,51 +725,25 @@ class MatchingServer:
                 try:
                     request = json.loads(line)
                 except ValueError:
-                    await self._send(
-                        writer, {"ok": False, "error": "malformed JSON request"}
+                    await self._refuse(
+                        writer, "malformed JSON request", count=False
                     )
                     continue
                 if not isinstance(request, dict):
-                    await self._send(
-                        writer,
-                        {"ok": False, "error": "request must be a JSON object"},
+                    await self._refuse(
+                        writer, "request must be a JSON object", count=False
                     )
                     continue
                 op = request.get("op")
-                if op == "ping":
-                    await self._send(writer, {"ok": True, "pong": True})
-                elif op == "healthz":
-                    await self._send(writer, self._healthz_payload())
-                elif op == "stats":
-                    await self._send(writer, self._stats_payload())
-                elif op == "metrics":
-                    await self._send(
-                        writer, {"ok": True, "metrics": self.metrics_text()}
-                    )
-                elif op == "catalog_list":
-                    await self._op_catalog_list(writer)
-                elif op == "catalog_add":
-                    await self._op_catalog_add(request, writer)
-                elif op == "query":
-                    await self._op_query(request, writer)
-                elif op == "update":
-                    await self._op_update(request, writer)
-                elif op == "subscribe":
-                    await self._op_subscribe(request, writer, conn_subs)
-                elif op == "reload":
-                    await self._op_reload(request, writer)
-                elif op == "drain":
-                    stopping = await self._op_drain(request, writer)
-                    if stopping:
-                        break
-                elif op == "shutdown":
-                    await self._send(writer, {"ok": True, "stopping": True})
-                    if self._shutdown is not None:
-                        self._shutdown.set()
-                    break
+                payload = _STATE_OPS.get(op)
+                if payload is not None:
+                    await self._send(writer, payload(self))
+                elif op in _OPS:
+                    if await _OPS[op](self, request, writer, conn_subs):
+                        break  # the op ended the connection
                 else:
-                    await self._send(
-                        writer, {"ok": False, "error": f"unknown op {op!r}"}
+                    await self._refuse(
+                        writer, f"unknown op {op!r}", count=False
                     )
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -761,19 +815,12 @@ class MatchingServer:
 
     # -- ops -----------------------------------------------------------
 
-    async def _op_catalog_list(self, writer: asyncio.StreamWriter) -> None:
-        entries = [self.catalog.info(name) for name in self.catalog.names()]
-        await self._send(writer, {"ok": True, "entries": entries})
-
-    async def _op_catalog_add(
-        self, request: Dict, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _op_catalog_add(self, request, writer, conn_subs) -> None:
         name = request.get("name")
         text = request.get("graph")
         if not isinstance(name, str) or not isinstance(text, str):
-            await self._send(
-                writer,
-                {"ok": False, "error": "catalog_add needs 'name' and 'graph'"},
+            await self._refuse(
+                writer, "catalog_add needs 'name' and 'graph'", count=False
             )
             return
         loop = asyncio.get_running_loop()
@@ -787,8 +834,7 @@ class MatchingServer:
         try:
             info = await loop.run_in_executor(self._executor, work)
         except (CatalogError, ValueError, OSError) as exc:
-            self._bump("errors")
-            await self._send(writer, {"ok": False, "error": str(exc)})
+            await self._refuse(writer, str(exc))
             return
         # The entry may have replaced a different graph under the same
         # name: results cached against the old graph are now wrong.
@@ -808,6 +854,65 @@ class MatchingServer:
         sender = sub.sender
         if sender is not None and sender is not asyncio.current_task():
             sender.cancel()
+
+    async def _fail_subscription(self, sub: _Subscription, error: str) -> None:
+        """Drop ``sub`` and send it a terminal error event (best effort:
+        its socket may already be gone)."""
+        self._bump("subscribers_dropped")
+        self._drop_subscription(sub)
+        try:
+            await self._send(
+                sub.writer,
+                {"event": "error", "subscription": sub.id, "error": error},
+            )
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+
+    async def _rediff(
+        self, name, subs, epoch, trace, executor, diff, step: str, **extra
+    ) -> int:
+        """Bring ``subs`` of entry ``name`` to ``epoch``; returns how
+        many took a ``delta`` event and are still alive.
+
+        ``diff(engine, sub)`` runs on ``executor`` and returns the
+        ``(added, removed)`` change of the standing set, or ``None``
+        for no change (no event); a failing one drops the subscription
+        with an error event naming ``step``.  Events are enqueued,
+        never sent inline (backpressure policy in
+        :meth:`_enqueue_event`).
+        """
+        if not subs:
+            return 0
+        loop = asyncio.get_running_loop()
+        engine = await loop.run_in_executor(
+            executor, self.catalog.engine, name
+        )
+        pushed = 0
+        for sub in subs:
+            try:
+                change = await loop.run_in_executor(
+                    executor, diff, engine, sub
+                )
+            except Exception as exc:  # noqa: BLE001 - drop, keep serving
+                await self._fail_subscription(sub, f"{step} failed: {exc!r}")
+                continue
+            sub.epoch = epoch
+            if change is None:
+                continue
+            added, removed = change
+            sub.matches.difference_update(removed)
+            sub.matches.update(added)
+            pushed += self._enqueue_event(sub, {
+                "event": "delta",
+                "subscription": sub.id,
+                "data": sub.name,
+                "epoch": epoch,
+                "trace": trace,
+                "added": [list(e) for e in added],
+                "removed": [list(e) for e in removed],
+                **extra,
+            })
+        return pushed
 
     async def _sub_sender(self, sub: _Subscription) -> None:
         """Drain one subscription's bounded event queue to its socket.
@@ -870,22 +975,17 @@ class MatchingServer:
         sub.lost = 0
         return True
 
-    async def _op_update(
-        self, request: Dict, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _op_update(self, request, writer, conn_subs) -> None:
         name = request.get("name")
         payload = request.get("delta")
         if not isinstance(name, str) or payload is None:
-            await self._send(
-                writer, {"ok": False, "error": "update needs 'name' and 'delta'"}
+            await self._refuse(
+                writer, "update needs 'name' and 'delta'", count=False
             )
             return
-        # Same trace discipline as queries: honor the client's id, else
-        # generate one — the update event and every subscriber delta it
-        # fans out to carry it, so a diff can be traced to its cause.
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not (1 <= len(trace) <= 64):
-            trace = new_trace_id()
+        # The update event and every subscriber delta it fans out to
+        # carry the trace, so a diff can be traced to its cause.
+        trace = _Fields(request).trace
         loop = asyncio.get_running_loop()
         assert self._update_lock is not None
 
@@ -903,8 +1003,7 @@ class MatchingServer:
             except (CatalogError, DeltaError, ValueError, OSError) as exc:
                 # OSError: the catalog could not persist (disk full,
                 # read-only root) — report it, keep the connection.
-                self._bump("errors")
-                await self._send(writer, {"ok": False, "error": str(exc)})
+                await self._refuse(writer, str(exc))
                 return
 
             with self._counters_lock:
@@ -917,8 +1016,18 @@ class MatchingServer:
             if cache is not None:
                 kept, evicted = cache.invalidate_labels(summary.touched_labels)
 
-            notified = await self._notify_subscribers(
-                name, info, summary, trace=trace
+            def diff(engine, sub: _Subscription):
+                change = embedding_diff(
+                    engine, sub.query, sub.matches, summary
+                )
+                return change.added, change.removed
+
+            with self._counters_lock:
+                subs = list(self._subs.get(name, {}).values())
+            # Push the exact embedding diff to every subscriber.
+            notified = await self._rediff(
+                name, subs, info.get("epoch"), trace, self._executor, diff,
+                "diff",
             )
 
         self._bump("updates")
@@ -940,105 +1049,31 @@ class MatchingServer:
             },
         )
 
-    async def _notify_subscribers(
-        self, name: str, info: Dict, summary, trace: Optional[str] = None
-    ) -> int:
-        """Push the exact embedding diff to every subscriber of ``name``."""
-        with self._counters_lock:
-            subs = list(self._subs.get(name, {}).values())
-        if not subs:
-            return 0
-        loop = asyncio.get_running_loop()
-        engine = await loop.run_in_executor(
-            self._executor, self.catalog.engine, name
-        )
-        notified = 0
-        for sub in subs:
-            try:
-                diff = await loop.run_in_executor(
-                    self._executor,
-                    embedding_diff,
-                    engine,
-                    sub.query,
-                    sub.matches,
-                    summary,
-                )
-            except Exception as exc:  # noqa: BLE001 - drop, keep serving
-                self._bump("subscribers_dropped")
-                self._drop_subscription(sub)
-                try:
-                    await self._send(
-                        sub.writer,
-                        {"event": "error", "subscription": sub.id,
-                         "error": f"diff failed: {exc!r}"},
-                    )
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
-                continue
-            sub.matches.difference_update(diff.removed)
-            sub.matches.update(diff.added)
-            sub.epoch = info.get("epoch")
-            # Enqueue, never send inline: the bounded queue + sender
-            # task decouple the update path from slow subscriber
-            # sockets (backpressure policy in _enqueue_event).
-            if self._enqueue_event(
-                sub,
-                {
-                    "event": "delta",
-                    "subscription": sub.id,
-                    "data": name,
-                    "epoch": info.get("epoch"),
-                    "trace": trace,
-                    "added": [list(e) for e in diff.added],
-                    "removed": [list(e) for e in diff.removed],
-                },
-            ):
-                notified += 1
-        return notified
-
     async def _op_subscribe(
-        self,
-        request: Dict,
-        writer: asyncio.StreamWriter,
-        conn_subs: List[_Subscription],
+        self, request, writer, conn_subs: List[_Subscription]
     ) -> None:
         name = request.get("data")
         text = request.get("graph")
         if not isinstance(name, str) or not isinstance(text, str):
-            await self._send(
-                writer,
-                {"ok": False, "error": "subscribe needs 'data' and 'graph'"},
+            await self._refuse(
+                writer, "subscribe needs 'data' and 'graph'", count=False
             )
             return
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not (1 <= len(trace) <= 64):
-            trace = new_trace_id()
+        fields = _Fields(request)
         try:
+            tenant = fields.tenant()
             query = loads_graph(text)
         except ValueError as exc:
-            self._bump("errors")
-            await self._send(writer, {"ok": False, "error": str(exc)})
+            await self._refuse(writer, str(exc))
             return
         if self.lifecycle.state in (DRAINING, STOPPED):
-            await self._send(
-                writer,
-                {"ok": False,
-                 "error": "draining: not admitting new subscriptions",
-                 "overloaded": True, "reason": "draining",
-                 "retry_after": round(self.retry_after_hint, 6)},
+            await self._refuse(
+                writer, "draining: not admitting new subscriptions",
+                count=False, overloaded=True, reason="draining",
+                retry_after=round(self.retry_after_hint, 6),
             )
             return
-        tenant_field = request.get("tenant")
-        tstate = self.tenants.resolve(
-            tenant_field if isinstance(tenant_field, str) else None
-        )
-        loop = asyncio.get_running_loop()
-
-        def initial() -> MatchResult:
-            engine = self.catalog.engine(name)
-            return engine.match(query, limits=SearchLimits())
-
-        assert self._slots is not None
+        tstate = self.tenants.resolve(tenant)
         assert self._update_lock is not None
         # Serialized against updates end to end: the baseline must be
         # enumerated on the same epoch the subscription registers under
@@ -1047,31 +1082,13 @@ class MatchingServer:
         # before the snapshot frame.
         async with self._update_lock:
             try:
-                await self._slots.acquire(
-                    tstate.spec.name, weight=tstate.spec.weight,
-                    rank=PRIORITY_RANKS["normal"],
+                matches, _ = await self._in_slot(
+                    tstate, "normal",
+                    lambda: complete_matches(self.catalog.engine(name), query),
                 )
-                try:
-                    result = await loop.run_in_executor(
-                        self._executor, initial
-                    )
-                finally:
-                    self._slots.release()
-            except CatalogError as exc:
-                self._bump("errors")
-                await self._send(writer, {"ok": False, "error": str(exc)})
+            except (CatalogError, ValueError) as exc:
+                await self._refuse(writer, str(exc))
                 return
-            if result.status is not TerminationStatus.COMPLETE:
-                self._bump("errors")
-                await self._send(
-                    writer,
-                    {"ok": False,
-                     "error": "subscribe needs a complete initial "
-                              f"enumeration (got {result.status.value})"},
-                )
-                return
-
-            matches = {tuple(e) for e in result.embeddings}
             with self._counters_lock:
                 sub_id = self._next_sub_id
                 self._next_sub_id += 1
@@ -1089,7 +1106,8 @@ class MatchingServer:
                 epoch = None
             sub.epoch = epoch
             self.obs.emit(
-                "subscribe", trace=trace, data=name, subscription=sub_id,
+                "subscribe", trace=fields.trace, data=name,
+                subscription=sub_id,
                 epoch=epoch, num_embeddings=len(matches),
                 tenant=tstate.spec.name,
             )
@@ -1101,7 +1119,7 @@ class MatchingServer:
                     "subscription": sub_id,
                     "num_embeddings": len(matches),
                     "epoch": epoch,
-                    "trace": trace,
+                    "trace": fields.trace,
                     "arity": arity,
                     "bytes": len(body),
                 },
@@ -1117,9 +1135,7 @@ class MatchingServer:
 
     # -- lifecycle ops (DESIGN.md §13) ---------------------------------
 
-    async def _op_reload(
-        self, request: Dict, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _op_reload(self, request, writer, conn_subs) -> None:
         """Zero-downtime catalog reload (also reachable via SIGHUP).
 
         Replies with the per-entry action report and the number of
@@ -1132,16 +1148,10 @@ class MatchingServer:
         try:
             report, replayed = await self.lifecycle.reload()
         except InjectedCrash as exc:
-            self._bump("errors")
-            await self._send(
-                writer,
-                {"ok": False, "error": f"injected crash at {exc}",
-                 "crashed": True, "status": self.lifecycle.state},
-            )
+            await self._refuse_crash(writer, exc)
             return
         except (CatalogError, RuntimeError, OSError) as exc:
-            self._bump("errors")
-            await self._send(writer, {"ok": False, "error": str(exc)})
+            await self._refuse(writer, str(exc))
             return
         await self._send(
             writer,
@@ -1153,33 +1163,24 @@ class MatchingServer:
             },
         )
 
-    async def _op_drain(
-        self, request: Dict, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _op_drain(self, request, writer, conn_subs) -> bool:
         """Graceful drain, then stop.  Returns whether we are stopping.
 
         The reply reports the truth: ``"drained": false`` with the
         number of queries still in flight when the deadline expired
         (the CLI verb exits nonzero on that).
         """
-        timeout = request.get("timeout", self.drain_timeout)
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
-                or timeout < 0:
-            await self._send(
-                writer,
-                {"ok": False,
-                 "error": "'timeout' must be a non-negative number"},
+        try:
+            timeout = _Fields(request).number(
+                "timeout", self.drain_timeout, float, nullable=False
             )
+        except ValueError as exc:
+            await self._refuse(writer, str(exc), count=False)
             return False
         try:
-            drained, active = await self.lifecycle.drain(float(timeout))
+            drained, active = await self.lifecycle.drain(timeout)
         except InjectedCrash as exc:
-            self._bump("errors")
-            await self._send(
-                writer,
-                {"ok": False, "error": f"injected crash at {exc}",
-                 "crashed": True, "status": self.lifecycle.state},
-            )
+            await self._refuse_crash(writer, exc)
             return False
         await self._send(
             writer,
@@ -1190,9 +1191,22 @@ class MatchingServer:
                 "stopping": True,
             },
         )
-        if self._shutdown is not None:
-            self._shutdown.set()
+        self.request_shutdown()
         return True
+
+    async def _op_shutdown(self, request, writer, conn_subs) -> bool:
+        await self._send(writer, {"ok": True, "stopping": True})
+        self.request_shutdown()
+        return True
+
+    async def _refuse_crash(
+        self, writer: asyncio.StreamWriter, exc: InjectedCrash
+    ) -> None:
+        """The reply of a lifecycle op stopped by an injected crash."""
+        await self._refuse(
+            writer, f"injected crash at {exc}", crashed=True,
+            status=self.lifecycle.state,
+        )
 
     def _admission_limit(self, priority: str) -> int:
         """Active-query count at which ``priority`` work is shed.
@@ -1208,198 +1222,129 @@ class MatchingServer:
             return capacity + self.high_headroom
         return capacity
 
-    async def _op_query(
-        self, request: Dict, writer: asyncio.StreamWriter
-    ) -> None:
+    def _admit(
+        self, tstate: TenantState, priority: str
+    ) -> Optional[Rejection]:
+        """Admission (DESIGN.md §13), cheapest reason first: draining →
+        global priority shedding (lowest class first; the
+        ``server.admission`` fault hook forces one) → tenant token
+        bucket → tenant inflight quota.  ``None`` admits; a rejection
+        sheds at once, never queued."""
+        if self.lifecycle.state in (DRAINING, STOPPED):
+            return Rejection("draining", self.retry_after_hint)
+        forced = self.faults.consume("server.admission")
+        if (
+            self._active >= self._admission_limit(priority)
+            or (forced is not None and forced.action == "overload")
+        ):
+            return Rejection("capacity", self.retry_after_hint)
+        return self.tenants.admit(tstate)
+
+    async def _op_query(self, request, writer, conn_subs) -> None:
+        """Check fields, admit (:meth:`_admit`), parse, take a fair
+        matching slot, execute, reply.  Every path leaves through
+        :meth:`_query_exit`."""
         self._bump("queries")
-        # One trace id per request: honor the client's (so its retry
-        # attempts correlate with our handling), else generate one.
-        trace = request.get("trace")
-        if not isinstance(trace, str) or not (1 <= len(trace) <= 64):
-            trace = new_trace_id()
+        fields = _Fields(request)
+        trace = fields.trace
         # Causal spans: the client's attempt span (if sent) parents our
         # request span, so one exported tree covers the whole round trip.
-        client_span = request.get("span")
-        if not isinstance(client_span, str) or not (1 <= len(client_span) <= 64):
-            client_span = None
+        client_span = fields.ident("span")
         request_span = new_span_id()
         request_t0 = time.monotonic()
         priority = request.get("priority", "normal")
-        if priority not in PRIORITIES:
-            self._bump("errors")
-            self.obs.emit(
-                "query", trace=trace, outcome="error",
-                error=f"bad priority {priority!r}",
-            )
-            await self._send(
-                writer,
-                {"ok": False,
-                 "error": f"priority must be one of {list(PRIORITIES)}",
-                 "trace": trace},
+        try:
+            if priority not in PRIORITIES:
+                raise ValueError(f"priority must be one of {list(PRIORITIES)}")
+            tstate = self.tenants.resolve(fields.tenant())
+        except ValueError as exc:
+            await self._query_exit(
+                writer, trace, "error", str(exc), error=str(exc)
             )
             return
-        tenant_field = request.get("tenant")
-        if tenant_field is not None and (
-            not isinstance(tenant_field, str)
-            or not (1 <= len(tenant_field) <= 128)
-        ):
-            self._bump("errors")
-            self.obs.emit(
-                "query", trace=trace, outcome="error",
-                error="bad tenant field",
-            )
-            await self._send(
-                writer,
-                {"ok": False,
-                 "error": "'tenant' must be a non-empty string (<=128 chars)",
-                 "trace": trace},
-            )
-            return
-        tstate = self.tenants.resolve(tenant_field)
         tenant = tstate.spec.name
         tstate.counters.inc("queries")
-        # Admission pipeline (DESIGN.md §13), cheapest reason first:
-        # draining → forced/global priority shedding (unchanged
-        # semantics: reject *immediately*, no unbounded queueing,
-        # lowest class first) → per-tenant token bucket → per-tenant
-        # inflight quota.  Every rejection carries a retry_after hint
-        # the client's RetryPolicy honors.  The fault hook lets tests
-        # force a shed without real resource pressure.
-        reason: Optional[str] = None
-        retry_after: Optional[float] = None
-        error_msg = "overloaded: too many in-flight queries"
-        if self.lifecycle.state in (DRAINING, STOPPED):
-            reason = "draining"
-            retry_after = self.retry_after_hint
-            error_msg = "draining: not admitting new queries"
-        else:
-            forced = self.faults.consume("server.admission")
-            if (
-                self._active >= self._admission_limit(priority)
-                or (forced is not None and forced.action == "overload")
-            ):
-                reason = "capacity"
-                retry_after = self.retry_after_hint
-            else:
-                rejection = self.tenants.admit(tstate)
-                if rejection is not None:
-                    reason = rejection.reason
-                    retry_after = rejection.retry_after
-                    error_msg = (
-                        f"rate limited: tenant {tenant!r} over rate"
-                        if reason == "rate"
-                        else f"overloaded: tenant {tenant!r} at max inflight"
-                    )
-        if reason is not None:
-            self._bump("rejected")
-            self._bump(f"shed_{priority}")
-            tstate.counters.inc(f"shed_{reason}")
+        who = {"priority": priority, "tenant": tenant}
+        shed = self._admit(tstate, priority)
+        if shed is not None:
+            reason = shed.reason
             logger.info(
                 "shedding %s-priority query from tenant %s "
                 "(reason=%s active=%d)",
                 priority, tenant, reason, self._active,
             )
-            self.obs.emit(
-                "query", trace=trace, outcome="shed", priority=priority,
-                tenant=tenant, reason=reason,
+            reply = {"ok": False,
+                     "error": _SHED_ERRORS[reason].format(tenant=tenant),
+                     "overloaded": True, **who, "reason": reason,
+                     "trace": trace}
+            if shed.retry_after is not None:
+                reply["retry_after"] = round(shed.retry_after, 6)
+            await self._query_exit(
+                writer, trace, "shed", reply, tstate, **who, reason=reason,
                 data=request.get("data"), active=self._active,
             )
-            rejection_reply = {
-                "ok": False,
-                "error": error_msg,
-                "overloaded": True,
-                "priority": priority,
-                "tenant": tenant,
-                "reason": reason,
-                "trace": trace,
-            }
-            if retry_after is not None:
-                rejection_reply["retry_after"] = round(retry_after, 6)
-            await self._send(writer, rejection_reply)
             return
         tstate.counters.inc("admitted")
         self._active += 1
         tstate.inflight += 1
         try:
             try:
-                parsed = self._parse_query(request)
+                name, query, limits, workers, use_cache, explain = \
+                    self._parse_query(fields, tstate.spec.max_workers)
             except ValueError as exc:
-                self._bump("errors")
-                self.obs.emit(
-                    "query", trace=trace, outcome="error",
-                    priority=priority, tenant=tenant, error=str(exc),
-                )
-                await self._send(
-                    writer, {"ok": False, "error": str(exc), "trace": trace}
+                await self._query_exit(
+                    writer, trace, "error", str(exc), **who, error=str(exc)
                 )
                 return
-            if tstate.spec.max_workers is not None:
-                # Per-tenant procpool clamp: one tenant cannot
-                # monopolize worker processes either.
-                (
-                    qname, query, limits, workers, use_cache, explain
-                ) = parsed
-                parsed = (
-                    qname, query, limits,
-                    min(workers, tstate.spec.max_workers),
-                    use_cache, explain,
-                )
-            name = parsed[0]
-            explain_mode = parsed[5]
-            loop = asyncio.get_running_loop()
             started = time.perf_counter()
             queue_t0 = time.monotonic()
-            assert self._slots is not None
             try:
-                # Hold a matching slot only for the CPU work; streaming
-                # the reply to a slow client must not block admission.
-                # Slots are granted in weighted deficit-round-robin
-                # order across tenants, priority-ordered within one.
-                await self._slots.acquire(
-                    tenant, weight=tstate.spec.weight,
-                    rank=PRIORITY_RANKS[priority],
-                )
-                try:
-                    queue_seconds = time.perf_counter() - started
-                    result, cache_state, prov = await loop.run_in_executor(
-                        self._executor, self._execute, *parsed, trace, tenant,
+                (result, cache_state, prov), queue_seconds = \
+                    await self._in_slot(
+                        tstate, priority, self._execute, name, query, limits,
+                        workers, use_cache, explain, trace, tenant,
                         request_span,
                     )
-                finally:
-                    self._slots.release()
-            except CatalogError as exc:
-                self._bump("errors")
-                self.obs.emit(
-                    "query", trace=trace, outcome="error",
-                    priority=priority, tenant=tenant, data=name,
-                    error=str(exc),
-                )
-                await self._send(
-                    writer, {"ok": False, "error": str(exc), "trace": trace}
-                )
-                return
             except Exception as exc:  # noqa: BLE001 - report, keep serving
-                self._bump("errors")
-                self.obs.emit(
-                    "query", trace=trace, outcome="error",
-                    priority=priority, tenant=tenant, data=name,
-                    error=repr(exc),
-                )
-                await self._send(
-                    writer,
-                    {"ok": False, "error": f"internal error: {exc!r}",
-                     "trace": trace},
+                # A catalog error (an unknown entry, say) is the client's
+                # to fix; anything else is ours.
+                known = isinstance(exc, CatalogError)
+                await self._query_exit(
+                    writer, trace, "error",
+                    str(exc) if known else f"internal error: {exc!r}",
+                    **who, data=name, error=str(exc) if known else repr(exc),
                 )
                 return
             server_seconds = time.perf_counter() - started
-            stream_started = time.perf_counter()
             stream_t0 = time.monotonic()
-            await self._send_result(
-                writer, result, cache_state, server_seconds,
-                queue_seconds=queue_seconds, trace=trace,
-                explain=prov.get("explain"),
+            header = {
+                "ok": True,
+                "num_embeddings": result.num_embeddings,
+                "status": result.status.value,
+                "cache": cache_state,
+                "recursions": result.stats.recursions,
+                "elapsed": round(result.total_seconds, 6),
+                "server_seconds": round(server_seconds, 6),
+                "queue_seconds": round(queue_seconds, 6),
+                "trace": trace,
+            }
+            if "explain" in prov:
+                header["explain"] = prov["explain"]
+            stream_seconds = await self._query_exit(
+                writer, trace, "served", header, tstate, result, **who,
+                data=name,
+                epoch=prov.get("epoch"),
+                cache=prov.get("cache_detail", cache_state),
+                engine_source=prov.get("engine_source"),
+                workers=prov.get("workers"),
+                num_embeddings=result.num_embeddings,
+                status=result.status.value,
+                queue_seconds=round(queue_seconds, 6),
+                build_seconds=round(result.preprocessing_seconds, 6),
+                search_seconds=round(result.elapsed_seconds, 6),
+                server_seconds=round(server_seconds, 6),
+                **({"explain": explain} if explain else {}),
             )
-            stream_seconds = time.perf_counter() - stream_started
             if self.obs.enabled:
                 hist = self._phase_hist
                 hist["queue"].observe(queue_seconds)
@@ -1407,26 +1352,6 @@ class MatchingServer:
                 hist["search"].observe(result.elapsed_seconds)
                 hist["stream"].observe(stream_seconds)
                 self._request_hist.observe(server_seconds + stream_seconds)
-                self.obs.emit(
-                    "query",
-                    trace=trace,
-                    outcome="served",
-                    priority=priority,
-                    tenant=tenant,
-                    data=name,
-                    epoch=prov.get("epoch"),
-                    cache=prov.get("cache_detail", cache_state),
-                    engine_source=prov.get("engine_source"),
-                    workers=prov.get("workers"),
-                    num_embeddings=result.num_embeddings,
-                    status=result.status.value,
-                    queue_seconds=round(queue_seconds, 6),
-                    build_seconds=round(result.preprocessing_seconds, 6),
-                    search_seconds=round(result.elapsed_seconds, 6),
-                    stream_seconds=round(stream_seconds, 6),
-                    server_seconds=round(server_seconds, 6),
-                    **({"explain": explain_mode} if explain_mode else {}),
-                )
                 # Server-side phase spans: queue and stream around the
                 # engine spans _execute emitted under request_span, the
                 # request span itself parented by the client's attempt.
@@ -1444,13 +1369,85 @@ class MatchingServer:
                      "dur": round(time.monotonic() - request_t0, 6),
                      "tenant": tenant, "data": name},
                 ), trace=trace)
-            self._bump("served")
-            tstate.counters.inc("served")
         finally:
             self._active -= 1
             tstate.inflight -= 1
 
-    def _parse_query(self, request: Dict) -> Tuple:
+    async def _in_slot(self, tstate: TenantState, priority: str, work, *args):
+        """Run blocking ``work(*args)`` on the matching executor while
+        holding a matching slot; returns ``(result, queue_seconds)``.
+        Slots are granted in weighted deficit-round-robin order across
+        tenants, priority-ordered within one, and held only for the CPU
+        work: streaming a reply to a slow client must not block
+        admission."""
+        assert self._slots is not None
+        started = time.perf_counter()
+        await self._slots.acquire(
+            tstate.spec.name, weight=tstate.spec.weight,
+            rank=PRIORITY_RANKS[priority],
+        )
+        try:
+            queue_seconds = time.perf_counter() - started
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._executor, work, *args
+            )
+        finally:
+            self._slots.release()
+        return result, queue_seconds
+
+    async def _query_exit(
+        self,
+        writer: asyncio.StreamWriter,
+        trace: str,
+        outcome: str,
+        reply,
+        tstate: Optional[TenantState] = None,
+        result: Optional[MatchResult] = None,
+        **log,
+    ) -> float:
+        """The one exit of every counted query.
+
+        Sends ``reply`` (a header, or the text of an error reply), with
+        ``result``'s embeddings framed behind it; then counts
+        ``outcome`` (``served``/``shed``/``error``) on the server, and
+        a served or shed one on ``tstate``, and writes the ``query`` log
+        line, whose fields are ``log``.  A reply that cannot be written
+        counts as an error and re-raises.  Returns the seconds spent
+        framing and writing.
+        """
+        if isinstance(reply, str):
+            reply = {"ok": False, "error": reply, "trace": trace}
+        started = time.perf_counter()
+        body = b""
+        if result is not None:
+            arity, body = encode_embeddings(result.embeddings)
+            # Packing the frame is reported apart from server_seconds.
+            reply["encode_seconds"] = round(time.perf_counter() - started, 6)
+            reply["arity"], reply["bytes"] = arity, len(body)
+        try:
+            await self._send(writer, reply, body)
+        except BaseException as exc:
+            outcome, log["error"] = "error", f"reply write failed: {exc!r}"
+            raise
+        finally:
+            seconds = time.perf_counter() - started
+            if outcome == "served":
+                self._bump("served")
+                tstate.counters.inc("served")
+                log["stream_seconds"] = round(seconds, 6)
+            elif outcome == "shed":
+                self._bump("rejected")
+                self._bump(f"shed_{log['priority']}")
+                tstate.counters.inc(f"shed_{log['reason']}")
+            else:
+                self._bump("errors")
+            self.obs.emit("query", trace=trace, outcome=outcome, **log)
+        return seconds
+
+    def _parse_query(
+        self, fields: _Fields, max_workers: Optional[int]
+    ) -> Tuple:
+        request = fields.request
         name = request.get("data")
         if not isinstance(name, str):
             raise ValueError("query request needs a 'data' catalog name")
@@ -1458,28 +1455,23 @@ class MatchingServer:
         if not isinstance(text, str):
             raise ValueError("query request needs 'graph' (.graph text)")
         query = loads_graph(text)  # GraphFormatError is a ValueError
-
-        def opt_number(key, default, kind):
-            value = request[key] if key in request else default
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key!r} must be a number or null")
-            value = kind(value)
-            if value < 0:
-                raise ValueError(f"{key!r} must be non-negative")
-            return value
-
         limits = SearchLimits(
-            max_embeddings=opt_number("limit", None, int),
-            time_limit=opt_number("time_limit", self.default_time_limit, float),
+            max_embeddings=fields.number("limit", None, int),
+            time_limit=fields.number(
+                "time_limit", self.default_time_limit, float
+            ),
             collect=not bool(request.get("count_only", False)),
-            max_recursions=opt_number(
+            max_recursions=fields.number(
                 "recursion_limit", self.default_recursion_limit, int
             ),
         )
-        workers = opt_number("workers", 1, int) or 1
-        workers = min(workers, self.max_request_workers)
+        # The per-tenant clamp keeps one tenant from monopolizing
+        # procpool worker processes as well as matching slots.
+        workers = min(
+            fields.number("workers", 1, int) or 1,
+            self.max_request_workers,
+            max_workers or self.max_request_workers,
+        )
         use_cache = bool(request.get("cache", True))
         # explain: null (off), "plan" (report without searching), or
         # "analyze" (run the real search, attribute the work exactly).
@@ -1528,6 +1520,12 @@ class MatchingServer:
         so the procpool (and its fault hooks) log under this request's
         trace across the process boundary; ``parent_span`` (the request
         span) parents the engine's build/search spans the same way.
+
+        EXPLAIN (``"plan"``) builds and reports, never searches; its
+        qcache slot is :meth:`~repro.service.qcache.QueryCache.peek`'s
+        decision.  ANALYZE attributes real engine work, which a cache
+        hit has none of, so it bypasses the cache (and never stores,
+        keeping the cache byte-identical to a no-analyze run).
         """
         prov: Dict[str, object] = {}
         log = self.obs.log if self.obs.enabled else None
@@ -1535,15 +1533,7 @@ class MatchingServer:
         with trace_context(trace, log, fields), span_scope(parent_span):
             cache = self._cache_for(name)
             form = None
-            if explain == "plan":
-                return self._explain_plan(name, query, limits, use_cache, prov)
-            if explain == "analyze":
-                # ANALYZE attributes real engine work; a cache hit has
-                # none, so the cache is bypassed (never polluted: the
-                # analyzed result is not stored either, keeping the
-                # cache byte-identical to a no-analyze run).
-                use_cache = False
-            if use_cache:
+            if use_cache and explain is None:
                 cached, form = cache.lookup(query, limits)
                 if cached is not None:
                     # A hit served capped at the cached entry's known
@@ -1558,107 +1548,47 @@ class MatchingServer:
             engine, source, epoch = self.catalog.engine_ex(name)
             prov["engine_source"] = source
             prov["epoch"] = epoch
-            if explain == "analyze":
-                if workers > 1:
-                    self._bump("procpool_dispatches")
-                prov["workers"] = workers
+            prov["workers"] = 0 if explain == "plan" else workers
+            if explain != "plan" and workers > 1:
+                self._bump("procpool_dispatches")
+            if explain == "plan":
+                report, _ = engine.explain(query, mode="plan")
+                report["qcache"] = (
+                    cache.peek(query, limits)
+                    if use_cache
+                    else {"decision": "bypass", "reason": "cache_disabled"}
+                )
+                result = MatchResult(
+                    embeddings=[],
+                    num_embeddings=0,
+                    status=TerminationStatus.COMPLETE,
+                    elapsed_seconds=0.0,
+                    stats=SearchStats(),
+                    preprocessing_seconds=report["build_seconds"],
+                    method="GuP",
+                )
+            elif explain == "analyze":
                 report, result = engine.explain(
                     query, mode="analyze", limits=limits, workers=workers
                 )
                 report["qcache"] = {"decision": "bypass", "reason": "analyze"}
-                prov["explain"] = report
                 self._enqueue_analysis(
                     name, sidecar_record(report, trace=trace)
                 )
-                self._bump("cache_bypass")
-                return result, "bypass", prov
-            if workers > 1:
-                self._bump("procpool_dispatches")
-            prov["workers"] = workers
-            result = engine.match(query, limits=limits, workers=workers)
-            if use_cache and form is not None:
-                cache.store(form, limits, result)
-                with self._counters_lock:
-                    self._cache_epochs[name] = epoch
-                return result, "miss", prov
+            else:
+                result = engine.match(query, limits=limits, workers=workers)
+                if form is not None:
+                    cache.store(form, limits, result)
+                    with self._counters_lock:
+                        self._cache_epochs[name] = epoch
+                    return result, "miss", prov
+            if explain is not None:
+                prov["explain"] = report
             self._bump("cache_bypass")
             return result, "bypass", prov
 
-    def _explain_plan(
-        self,
-        name: str,
-        query: Graph,
-        limits: SearchLimits,
-        use_cache: bool,
-        prov: Dict,
-    ) -> Tuple[MatchResult, str, Dict]:
-        """EXPLAIN (plan): build + report, never search.
-
-        The qcache slot in the report comes from the cache's
-        non-mutating :meth:`~repro.service.qcache.QueryCache.peek` — the
-        decision a real request would get, with the cache left
-        untouched.  The reply carries a zero-embedding COMPLETE result
-        (EXPLAIN returns no rows).
-        """
-        cache = self._cache_for(name)
-        engine, source, epoch = self.catalog.engine_ex(name)
-        prov["engine_source"] = source
-        prov["epoch"] = epoch
-        prov["workers"] = 0
-        report, _ = engine.explain(query, mode="plan")
-        report["qcache"] = (
-            cache.peek(query, limits)
-            if use_cache
-            else {"decision": "bypass", "reason": "cache_disabled"}
-        )
-        prov["explain"] = report
-        result = MatchResult(
-            embeddings=[],
-            num_embeddings=0,
-            status=TerminationStatus.COMPLETE,
-            elapsed_seconds=0.0,
-            stats=SearchStats(),
-            preprocessing_seconds=report["build_seconds"],
-            method="GuP",
-        )
-        self._bump("cache_bypass")
-        return result, "bypass", prov
-
     def _bump(self, key: str) -> None:
         self.counters.inc(key)
-
-    async def _send_result(
-        self,
-        writer: asyncio.StreamWriter,
-        result: MatchResult,
-        cache_state: str,
-        server_seconds: float,
-        queue_seconds: float = 0.0,
-        trace: Optional[str] = None,
-        explain: Optional[Dict] = None,
-    ) -> None:
-        """Write the query reply: header line and frame body."""
-        encode_started = time.perf_counter()
-        arity, body = encode_embeddings(result.embeddings)
-        encode_seconds = time.perf_counter() - encode_started
-        header = {
-            "ok": True,
-            "num_embeddings": result.num_embeddings,
-            "status": result.status.value,
-            "cache": cache_state,
-            "recursions": result.stats.recursions,
-            "elapsed": round(result.total_seconds, 6),
-            "server_seconds": round(server_seconds, 6),
-            "queue_seconds": round(queue_seconds, 6),
-            "encode_seconds": round(encode_seconds, 6),
-            "arity": arity,
-            "bytes": len(body),
-        }
-        if trace is not None:
-            header["trace"] = trace
-        if explain is not None:
-            header["explain"] = explain
-        await self._send(writer, header, body)
 
     def _stats_payload(self) -> Dict:
         with self._counters_lock:
@@ -1726,6 +1656,25 @@ class MatchingServer:
             "subscriptions": subscriptions,
             "uptime_seconds": uptime,
         }
+
+
+# Ops answered from in-memory state with one line, and ops with a
+# handler ``(server, request, writer, conn_subs)`` whose true return
+# ends the connection.
+_STATE_OPS = {
+    "ping": lambda server: {"ok": True, "pong": True},
+    "healthz": MatchingServer._healthz_payload,
+    "stats": MatchingServer._stats_payload,
+    "metrics": lambda server: {"ok": True, "metrics": server.metrics_text()},
+    "catalog_list": lambda server: {"ok": True, "entries": [
+        server.catalog.info(name) for name in server.catalog.names()
+    ]},
+}
+_OPS = {
+    op: getattr(MatchingServer, f"_op_{op}")
+    for op in ("catalog_add", "query", "update", "subscribe", "reload",
+               "drain", "shutdown")
+}
 
 
 class ServerThread:

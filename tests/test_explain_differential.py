@@ -117,39 +117,69 @@ class TestAnalyzeDifferential:
 
 
 class TestQueryCachePeek:
-    """peek reports the serve decision without perturbing the cache."""
+    """peek reports the serve decision without perturbing the cache.
 
-    def test_peek_never_mutates(self):
-        data, query = tiny_world()
-        cache = QueryCache()
-        limits = SearchLimits()
-        assert cache.peek(query, limits)["decision"] == "miss"
-        result = GuPEngine(data).match(query, limits=limits)
-        _, form = cache.lookup(query, limits)
-        cache.store(form, limits, result)
-        before = dict(cache.counters.snapshot())
+    The grid crosses every entry kind with every cap class, collect and
+    ``cap_serving``: peek's decision must be whether lookup hits, with
+    the same embedding count on a hit, and peek must move no counter,
+    LRU position or stored embedding.
+    """
+
+    @staticmethod
+    def star_world():
+        data = graph_from_adjacency(
+            ["B", "A", "A", "A", "A"], [(0, 1), (0, 2), (0, 3), (0, 4)]
+        )
+        return data, graph_from_adjacency(["A", "B"], [(0, 1)])  # 4 hits
+
+    ENTRIES = {
+        "complete": SearchLimits(),
+        "truncated": SearchLimits(max_embeddings=2),
+        "count-only": SearchLimits(collect=False),
+    }
+
+    # Short ids keep each row's name within the test report's width:
+    # "capped" serves capped hits, "exact" only exact complete ones.
+    @pytest.mark.parametrize("cap_serving", [True, False],
+                             ids=["capped", "exact"])
+    @pytest.mark.parametrize("collect", [True, False], ids=["rows", "count"])
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 9],
+                             ids=["none", "0", "1", "k", "over"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_peek_grid(self, entry, cap, collect, cap_serving):
+        data, query = self.star_world()
+        engine = GuPEngine(data)
+        cache = QueryCache(cap_serving=cap_serving)
+        limits = SearchLimits(max_embeddings=cap, collect=collect)
+        assert cache.peek(query, limits) == {
+            "exact_key": True, "decision": "miss", "reason": "absent",
+        }
+        stored = self.ENTRIES[entry]
+        _, form = cache.lookup(query, stored)
+        assert cache.store(form, stored, engine.match(query, limits=stored))
+        # A second, younger entry: a peek that touched LRU order would
+        # move the probed entry behind it.
+        other = graph_from_adjacency(["A", "B", "A"], [(0, 1), (1, 2)])
+        _, other_form = cache.lookup(other, SearchLimits())
+        cache.store(other_form, SearchLimits(), engine.match(other))
+        [probed] = [e for k, e in cache._entries.items() if k == form.key]
+        before = (
+            dict(cache.counters.snapshot()), list(cache._entries),
+            list(probed.embeddings),
+        )
         report = cache.peek(query, limits)
-        assert report["decision"] == "hit"
-        assert report["served"] == "complete"
-        assert report["num_embeddings"] == result.num_embeddings
-        # No counter moved, no LRU touch, and the real lookup still hits.
-        assert dict(cache.counters.snapshot()) == before
+        assert before == (
+            dict(cache.counters.snapshot()), list(cache._entries),
+            list(probed.embeddings),
+        )
         served, _ = cache.lookup(query, limits)
-        assert served is not None
-        assert served.num_embeddings == result.num_embeddings
-
-    def test_peek_matches_serve_on_caps(self):
-        data, query = tiny_world()
-        cache = QueryCache()
-        full = SearchLimits()
-        result = GuPEngine(data).match(query, limits=full)
-        _, form = cache.lookup(query, full)
-        cache.store(form, full, result)
-        capped = SearchLimits(max_embeddings=1)
-        report = cache.peek(query, capped)
-        served, _ = cache.lookup(query, capped)
-        assert (report["decision"] == "hit") == (served is not None)
-        assert report["num_embeddings"] == served.num_embeddings
+        assert (report["decision"] == "hit") == (served is not None), report
+        if served is not None:
+            assert report["num_embeddings"] == served.num_embeddings
+            assert report["served"] == (
+                "complete" if served.status.value == "complete"
+                else "truncated"
+            )
 
 
 class TestAnalyzeSidecar:

@@ -10,6 +10,7 @@ via the counters exposed by the ``stats`` op).
 ``repro serve`` process over a real socket.
 """
 
+import asyncio
 import json
 import logging
 import os
@@ -27,8 +28,9 @@ from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.service.catalog import GraphCatalog
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.faults import FaultPlan, FaultRule
 from repro.service import server as server_module
-from repro.service.server import ServerThread
+from repro.service.server import MatchingServer, ServerThread
 from repro.service.wire import decode_embeddings
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import QuerySetSpec, generate_query_set
@@ -437,6 +439,115 @@ class TestCliQueryCommand:
         )
         assert rc != 0
         assert "no query files match" in capsys.readouterr().err
+
+
+class TestSharedFieldChecks:
+    """Numeric options go through one check: a non-finite value gets a
+    structured error and the connection stays usable."""
+
+    PROBE = "t 1 0\nv 0 1 0\n"
+
+    @pytest.mark.parametrize("value", [
+        float("inf"), float("-inf"), float("nan"),
+    ], ids=["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("field", [
+        "limit", "workers", "time_limit", "recursion_limit", "timeout",
+    ])
+    def test_non_finite_number_is_structured_error(
+        self, tmp_path, caplog, field, value
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        # ``timeout`` belongs to drain; the others to query.
+        request = (
+            {"op": "drain", "timeout": value} if field == "timeout"
+            else {"op": "query", "data": "g", "graph": self.PROBE,
+                  field: value}
+        )
+        line = json.dumps(request).encode()  # emits Infinity / NaN
+        with ServerThread(GraphCatalog(tmp_path / "catalog")) as thread:
+            with socket.create_connection(thread.address, timeout=30) as sock:
+                handle = sock.makefile("rwb")
+                handle.write(line + b"\n" + b'{"op": "ping"}\n')
+                handle.flush()
+                reply = json.loads(handle.readline())
+                pong = json.loads(handle.readline())
+        assert reply["ok"] is False
+        assert reply["error"].startswith(f"'{field}' must be")
+        if field != "timeout":
+            assert reply["trace"]
+        assert pong == {"ok": True, "pong": True}
+        assert not caplog.records, "the request raised in the handler"
+
+
+class TestQueryOutcomes:
+    """Every query ends in exactly one counted outcome and writes one
+    ``query`` log line naming it."""
+
+    DATA = "t 3 2\nv 0 1 1\nv 1 2 2\nv 2 1 1\ne 0 1\ne 1 2\n"
+    PROBE = "t 2 1\nv 0 1 1\nv 1 2 1\ne 0 1\n"
+
+    def test_queries_equal_served_plus_rejected_plus_errors(self, tmp_path):
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", loads_graph(self.DATA))
+        plan = FaultPlan([FaultRule("server.admission", "overload", times=1)])
+        mix = [
+            ({}, "shed"),  # the injected overload sheds the first query
+            ({}, "served"),
+            ({"priority": "urgent"}, "error"),
+            ({"tenant": ["x"]}, "error"),
+            ({"limit": float("inf")}, "error"),
+            ({"data": "nope"}, "error"),
+        ]
+        traces = []
+        with ServerThread(GraphCatalog(root), faults=plan) as thread:
+            with socket.create_connection(thread.address, timeout=30) as sock:
+                handle = sock.makefile("rwb")
+                for fields, outcome in mix:
+                    request = {"op": "query", "data": "g",
+                               "graph": self.PROBE, **fields}
+                    handle.write(json.dumps(request).encode() + b"\n")
+                    handle.flush()
+                    reply = json.loads(handle.readline())
+                    assert reply["ok"] is (outcome == "served"), reply
+                    handle.read(reply.get("bytes", 0))
+                    traces.append(reply["trace"])
+            with ServiceClient(*thread.address) as client:
+                server = client.stats()["server"]
+            records = [
+                r for r in thread.server.obs.log.read_records()
+                if r["event"] == "query"
+            ]
+        assert server["queries"] == len(mix)
+        assert (server["served"], server["rejected"], server["errors"]) \
+            == (1, 1, 4)
+        assert server["queries"] == (
+            server["served"] + server["rejected"] + server["errors"]
+        )
+        assert [(r["trace"], r["outcome"]) for r in records] == [
+            (trace, outcome) for trace, (_, outcome) in zip(traces, mix)
+        ]
+
+    def test_failed_reply_write_is_counted_error(self, tmp_path):
+        class GoneWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                raise ConnectionResetError("peer went away")
+
+        server = MatchingServer(GraphCatalog(tmp_path / "catalog"))
+        tstate = server.tenants.resolve(None)
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(server._query_exit(
+                GoneWriter(), "t1", "served", {"ok": True, "trace": "t1"},
+                tstate, data="g",
+            ))
+        assert server.counters["served"] == 0
+        assert server.counters["errors"] == 1
+        assert tstate.counters["served"] == 0
+        [record] = server.obs.log.read_records()
+        assert record["outcome"] == "error"
+        assert record["error"].startswith("reply write failed")
 
 
 class TestShutdownWithIdleClient:

@@ -22,7 +22,12 @@ import pytest
 from repro.graph.builder import graph_from_adjacency
 from repro.obs import parse_exposition
 from repro.service.catalog import GraphCatalog
-from repro.service.client import RetryPolicy, ServiceClient, ServiceOverloaded
+from repro.service.client import (
+    RetryPolicy,
+    ServiceClient,
+    ServiceError,
+    ServiceOverloaded,
+)
 from repro.service.faults import FaultPlan, FaultRule, InjectedCrash
 from repro.service.server import ServerThread
 from repro.service.tenancy import (
@@ -441,6 +446,23 @@ class TestServerTenantAdmission:
                     client.query(query, "g")
                 client.tenant = None
                 assert client.ping()  # connection survived
+
+    def test_bad_tenant_field_rejected_by_subscribe_too(self, tmp_path):
+        thread, query = serve_world(tmp_path)
+        with thread:
+            with ServiceClient(*thread.address) as client:
+                client.tenant = ["x"]  # bypass the constructor's typing
+                with pytest.raises(ServiceError) as on_query:
+                    client.query(query, "g")
+                with pytest.raises(ServiceError) as on_subscribe:
+                    client.subscribe(query, "g")
+                client.tenant = None
+                assert client.ping()  # connection survived
+                stats = client.stats()
+        assert str(on_subscribe.value) == str(on_query.value)
+        assert "'tenant' must be" in str(on_subscribe.value)
+        assert stats["server"]["subscriptions"] == 0
+        assert stats["server"]["errors"] == 2
 
     def test_legacy_clients_land_on_default_tenant(self, tmp_path):
         thread, query = serve_world(tmp_path)
