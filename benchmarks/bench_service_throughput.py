@@ -6,12 +6,12 @@ Spins up the real stack — on-disk :class:`GraphCatalog`,
 fig6-style query set (each query repeated with permuted vertex
 numbering, as a real workload would re-issue it):
 
-* **cold** — fresh server process state: the first pass loads persisted
-  catalog artifacts from disk, runs every query on the engine, and
-  populates the query cache;
+* **cold** — fresh server process state: the first pass loads the
+  catalog entry from disk (building its artifacts once), runs every
+  query on the engine, and populates the query cache;
 * **warm** — the same workload again: engines resident, every query a
-  canonicalization cache hit (the server performs zero
-  ``DataArtifacts`` builds or rebuilds, asserted from ``stats``);
+  canonicalization cache hit (the catalog performs zero ``add`` builds
+  and zero sidecar repairs, asserted from ``stats``);
 * **procpool** — the cache-bypassing heavy path (``workers=2``),
   root-partitioned over the process pool.
 
@@ -130,7 +130,7 @@ def run(count: int, repeats: int, workers: int):
                 stats = client.stats()
 
     assert stats["catalog"]["artifact_builds"] == 0
-    assert stats["catalog"]["artifact_rebuilds"] == 0
+    assert stats["catalog"]["sidecar_repairs"] == 0
     assert warm_kinds.get("hit", 0) == len(workload), warm_kinds
 
     qcache = stats["qcache"]
@@ -196,9 +196,9 @@ def main(argv=None) -> int:
         f"(workers={report['workload']['procpool_workers']}, cache off)",
         f"  warm speedup {report['warm_speedup']}x, "
         f"qcache hit rate {report['qcache_hit_rate']:.1%}",
-        f"  artifact builds/rebuilds during serving: "
+        f"  artifact builds/sidecar repairs during serving: "
         f"{report['server_stats']['catalog']['artifact_builds']}/"
-        f"{report['server_stats']['catalog']['artifact_rebuilds']}",
+        f"{report['server_stats']['catalog']['sidecar_repairs']}",
     ]
     text = "\n".join(lines)
     print(text)

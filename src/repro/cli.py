@@ -156,7 +156,7 @@ def _add_catalog_parser(subparsers) -> None:
     lst = sp.add_parser("list", help="list registered graphs")
     lst.add_argument("--root", default="catalog", help="catalog directory")
     warm = sp.add_parser(
-        "warm", help="verify/rebuild an entry's on-disk artifacts"
+        "warm", help="load an entry, repairing its on-disk sidecar if needed"
     )
     warm.add_argument("names", nargs="+", help="entries to warm")
     warm.add_argument("--root", default="catalog", help="catalog directory")
@@ -599,8 +599,8 @@ def _cmd_catalog(args) -> int:
                 print(f"removed {name}")
         else:  # warm
             for name in args.names:
-                rebuilt = catalog.warm(name)
-                print(f"{name}: {'rebuilt' if rebuilt else 'ok'}")
+                repaired = catalog.warm(name)
+                print(f"{name}: {'repaired' if repaired else 'ok'}")
     except (CatalogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

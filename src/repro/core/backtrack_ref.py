@@ -71,7 +71,6 @@ from repro.core.gcs import (
     finish_gcs,
 )
 from repro.core.nogood import NogoodStore, make_nogood_store
-from repro.filtering.artifacts import DataArtifacts
 from repro.filtering.candidate_space import build_candidate_space
 from repro.filtering.nlf import nlf_candidates
 from repro.graph.graph import Graph
@@ -614,26 +613,19 @@ def build_gcs_set(
     query: Graph,
     data: Graph,
     config: Optional[GuPConfig] = None,
-    artifacts: Optional[DataArtifacts] = None,
     invariants: Optional[BuildInvariantCache] = None,
     stage_log=None,
 ) -> GuardedCandidateSpace:
     """The seed set/dict twin of :func:`repro.core.gcs.build_gcs`.
 
     Same steps and the same caching, over candidate lists and sets
-    instead of int masks; it yields a byte-identical GCS.  Without
-    ``artifacts`` it runs the seed LDF+NLF scan itself, and without
-    ``invariants`` it feeds the ordering plain candidate lists.
+    instead of int masks; it yields a byte-identical GCS.  It runs the
+    seed LDF+NLF scan itself, and without ``invariants`` it feeds the
+    ordering plain candidate lists.
     """
     config = config or GuPConfig()
     started = time.perf_counter()
-    if artifacts is not None and artifacts.data is not data:
-        raise ValueError("artifacts were built for a different data graph")
-
-    if artifacts is not None:
-        initial = artifacts.nlf_candidates(query)
-    else:
-        initial = nlf_candidates(query, data)
+    initial = nlf_candidates(query, data)
     if invariants is not None:
         order = invariants.order(
             config.ordering, query, [mask_of(c) for c in initial]
@@ -677,7 +669,6 @@ class ReferenceEngine(GuPEngine):
             query,
             self.data,
             self.config,
-            artifacts=self.artifacts,
             invariants=self.invariants,
             stage_log=stage_log,
         )

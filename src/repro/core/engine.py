@@ -44,9 +44,9 @@ class GuPEngine:
     computations).
 
     Long-running services can inject *prebuilt* artifacts — e.g. ones
-    deserialized from the on-disk catalog
-    (:mod:`repro.service.catalog`) — via the ``artifacts`` parameter, so
-    a fresh engine never pays the per-graph build cost.  The artifacts
+    the catalog (:mod:`repro.service.catalog`) built once on load or
+    patched on an update — via the ``artifacts`` parameter, so a fresh
+    engine never pays the per-graph build cost again.  The artifacts
     must have been built for (a graph equal to) ``data``.
 
     ``search_class`` is the sequential Algorithm-2 implementation.  It
@@ -340,12 +340,6 @@ class GuPEngine:
 
         from repro.core.procpool import batch_match
 
-        # Materialize the NLF tables before the data graph is pickled to
-        # the workers, so they inherit them instead of recomputing (the
-        # full artifacts are built per worker; only the NLF cache rides
-        # along with the graph).
-        if self.data.num_vertices > 0:
-            self.data.neighbor_label_frequency(0)
         return batch_match(self.data, self.config, queries, limits, workers)
 
 

@@ -527,8 +527,8 @@ def _batch_init(data: Graph, config: GuPConfig) -> None:
     from repro.core.engine import GuPEngine
 
     _BATCH_ENGINE = GuPEngine(data, config)
-    # Materialize the data-side filter artifacts (label/degree buckets,
-    # NLF tables) once per worker; every task of this worker reuses them.
+    # Build the data-side filter artifacts (label/degree buckets,
+    # bitmaps) once per worker; every task of this worker reuses them.
     _BATCH_ENGINE.artifacts
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple, Union
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, label_counts
 from repro.graph.io import patch_text_blocks
 
 PathLike = Union[str, Path]
@@ -228,11 +228,7 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
         nlf = list(graph._nlf)
         nlf.extend({} for _ in range(n_old, n_new))
         for v in touched:
-            freq: Dict[object, int] = {}
-            for w in rows[v]:
-                lbl = labels[w]
-                freq[lbl] = freq.get(lbl, 0) + 1
-            nlf[v] = freq
+            nlf[v] = label_counts(labels, rows[v])
 
     new_graph = Graph._from_sorted_rows(
         labels,

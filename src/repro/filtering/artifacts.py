@@ -11,58 +11,38 @@ worker process instead of once per query:
   *descending degree* (plus the aligned degree sequence).  The LDF
   candidate set for ``(label, min_degree)`` is then a prefix located by
   one binary search, instead of a scan over every vertex with the label.
-* Constructing the artifacts materializes the graph's (lazily built) NLF
-  tables, so forked/pickled workers inherit them instead of each
-  recomputing them on first use.
+* NLF is answered per label: the first query that needs a label's
+  neighbor counts derives them from that label's own rows, so no
+  per-vertex NLF table is built.
 
-Since format v2 the artifacts also carry the **dense build-path
-bitmaps** (DESIGN.md §8): per-label data-vertex bitmaps and per-vertex
-adjacency bitmaps, both Python ints with bit ``v`` standing for data
-vertex ``v``.  On top of them the artifacts derive (lazily, cached
-forever per instance) the LDF degree-prefix masks and the NLF/NLF2
-count-threshold masks, so the whole seeding stage of GCS construction
-collapses into a handful of cached-mask ANDs per query vertex
-(:meth:`nlf_candidate_masks`), and DAG-graph DP's survival test becomes
-``adjacency_bitmaps[v] & candidate_mask`` (:mod:`repro.filtering.masks`).
+The artifacts also carry the **dense build-path bitmaps** (DESIGN.md
+§8): per-label data-vertex bitmaps and per-vertex adjacency bitmaps,
+both Python ints with bit ``v`` standing for data vertex ``v``.  On
+top of them the artifacts derive (lazily, cached forever per instance)
+the LDF degree-prefix masks and the NLF/NLF2 count-threshold masks, so
+the whole seeding stage of GCS construction collapses into a handful
+of cached-mask ANDs per query vertex (:meth:`nlf_candidate_masks`), and
+DAG-graph DP's survival test becomes ``adjacency_bitmaps[v] &
+candidate_mask`` (:mod:`repro.filtering.masks`).
 
-Outputs are exactly those of :func:`repro.filtering.ldf.ldf_candidates`
-and :func:`repro.filtering.nlf.nlf_candidates` (asserted by
-``tests/test_filtering.py``); the mask variants decode to the same
-lists (``tests/test_build_masks.py``).
+The mask variants decode to exactly the lists of
+:func:`repro.filtering.ldf.ldf_candidates` and
+:func:`repro.filtering.nlf.nlf_candidates` (``tests/test_build_masks.py``).
 
-The artifacts are also *persistable*: :func:`dumps_artifacts` /
-:func:`loads_artifacts` serialize everything derived (degrees, label
-buckets, the graph's NLF tables) **without** the graph itself, so the
-service catalog (:mod:`repro.service.catalog`) can store the graph in
-the portable ``.graph`` text format and the artifacts as a sidecar
-blob, rebinding them on load.  The blob is versioned and validated
-against the graph it is loaded for; any mismatch raises
-:exc:`ArtifactsFormatError` so callers rebuild instead of trusting a
-stale or corrupted store.
+Nothing here is persisted: the service catalog
+(:mod:`repro.service.catalog`) stores only the graph and builds the
+artifacts once per cold load — one linear pass, small next to parsing
+the graph text.  Pickling (:meth:`DataArtifacts.__getstate__`) exists
+for the process pool's workers.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.filtering.nlf import _nlf_ok
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, label_counts
 from repro.utils.bitset import mask_of
-
-ARTIFACTS_FORMAT_VERSION = 2
-"""Bump when the serialized payload layout changes; loaders treat any
-other version as stale and rebuild from the graph.
-
-v1: degrees + label buckets + NLF tables.
-v2: v1 plus the dense build-path bitmaps (per-label data-vertex
-bitmaps, per-vertex adjacency bitmaps)."""
-
-
-class ArtifactsFormatError(ValueError):
-    """A serialized artifacts blob is corrupt, stale, or mismatched."""
 
 
 def _threshold_mask(counts: List[int], needed: int) -> int:
@@ -72,21 +52,6 @@ def _threshold_mask(counts: List[int], needed: int) -> int:
         if count >= needed:
             mask |= 1 << v
     return mask
-
-
-def _label_sort_key(label: object) -> Tuple[str, str]:
-    """Deterministic cross-type ordering for labels.
-
-    Label-keyed dicts (buckets, bitmaps) are built in this order so a
-    cold build and a delta patch produce byte-identical serialized
-    payloads — set iteration order would differ once a delta introduces
-    a new label.
-    """
-    return (type(label).__name__, repr(label))
-
-
-def _sorted_labels(labels) -> List[object]:
-    return sorted(labels, key=_label_sort_key)
 
 
 class DataArtifacts:
@@ -109,9 +74,10 @@ class DataArtifacts:
     builds_performed = 0
     """Process-wide count of from-scratch constructions (class attribute).
 
-    Deserializing via :func:`loads_artifacts` does *not* increment it,
-    which is what lets the service tests assert that a warm catalog
-    performs zero rebuilds."""
+    Every cold catalog load builds once, so a load counts here too; a
+    warm engine (resident, or patched by an update) adds nothing, which
+    is what lets the service tests assert that warm traffic builds
+    nothing."""
 
     patches_performed = 0
     """Process-wide count of incremental delta patches (class attribute).
@@ -124,39 +90,40 @@ class DataArtifacts:
         DataArtifacts.builds_performed += 1
         self.data = data
         self.reuse_report: Dict[str, int] = {}
-        self.degrees: Tuple[int, ...] = tuple(
-            data.degree(v) for v in data.vertices()
-        )
-        # Label-keyed dicts are built in canonical label order (see
-        # _label_sort_key) so delta patches can reproduce them exactly.
+        degrees = self.degrees = tuple(map(data.degree, data.vertices()))
         buckets: Dict[object, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        for label in _sorted_labels(data.label_set):
+        for label in data.label_set:
             vs = sorted(
                 data.vertices_with_label(label),
-                key=lambda v: self.degrees[v],
+                key=degrees.__getitem__,
                 reverse=True,
             )
             buckets[label] = (
                 tuple(vs),
                 # Negated-degree sequence is ascending: bisect finds the
                 # end of the ``degree >= min_degree`` prefix.
-                tuple(-self.degrees[v] for v in vs),
+                tuple(-degrees[v] for v in vs),
             )
         self.label_buckets = buckets
         # Dense build-path bitmaps (DESIGN.md §8): bit v == data vertex v.
         self.label_bitmaps: Dict[object, int] = {
             label: mask_of(data.vertices_with_label(label))
-            for label in _sorted_labels(data.label_set)
+            for label in data.label_set
         }
-        self.adjacency_bitmaps: Tuple[int, ...] = tuple(
-            mask_of(data.neighbors(v)) for v in data.vertices()
-        )
+        # OR-ing shared ``1 << w`` ints instead of fresh ones halves the
+        # big-int allocations of the one build a cold catalog load pays.
+        bits = [1 << v for v in data.vertices()]
+        adjacency = []
+        for row in map(data.neighbors, data.vertices()):
+            mask = 0
+            for w in row:
+                mask |= bits[w]
+            adjacency.append(mask)
+        self.adjacency_bitmaps: Tuple[int, ...] = tuple(adjacency)
         self._init_mask_caches()
-        if data.num_vertices > 0:
-            data.neighbor_label_frequency(0)  # materialize the NLF cache
 
     def _init_mask_caches(self) -> None:
-        """Empty lazy caches derived from the persisted bitmaps."""
+        """Empty lazy caches derived from the bitmaps and buckets."""
         self._ldf_masks: Dict[Tuple[object, int], int] = {}
         self._nlf_count_vectors: Dict[object, List[int]] = {}
         self._nlf_count_masks: Dict[Tuple[object, int], int] = {}
@@ -164,12 +131,11 @@ class DataArtifacts:
         self._nlf2_count_masks: Dict[Tuple[object, int], int] = {}
 
     # ------------------------------------------------------------------
-    # Pickling (procpool workers, debugging dumps)
+    # Pickling (procpool workers)
     #
-    # Only the canonical persisted state travels: the graph and the
-    # int bitmaps/buckets.  Derived caches — mask ladders, count
-    # vectors — are dropped and rebuilt lazily, so two artifacts that
-    # saw different query workloads pickle to the *same bytes*.
+    # Only the graph and the int bitmaps/buckets travel.  Derived
+    # caches — mask ladders, count vectors — are dropped and rebuilt
+    # lazily in the worker.
     # ------------------------------------------------------------------
 
     def __getstate__(self):
@@ -192,34 +158,6 @@ class DataArtifacts:
             self.reuse_report,
         ) = state
         self._init_mask_caches()
-
-    def ldf_candidates(self, query: Graph) -> List[List[int]]:
-        """LDF candidate lists (== :func:`repro.filtering.ldf.ldf_candidates`)."""
-        candidates: List[List[int]] = []
-        for u in query.vertices():
-            bucket = self.label_buckets.get(query.label(u))
-            if bucket is None:
-                candidates.append([])
-                continue
-            vs, neg_degrees = bucket
-            end = bisect_right(neg_degrees, -query.degree(u))
-            candidates.append(sorted(vs[:end]))
-        return candidates
-
-    def nlf_candidates(self, query: Graph) -> List[List[int]]:
-        """LDF+NLF candidate lists (== :func:`repro.filtering.nlf.nlf_candidates`)."""
-        data = self.data
-        refined: List[List[int]] = []
-        for u, base in enumerate(self.ldf_candidates(query)):
-            query_freq = query.neighbor_label_frequency(u)
-            refined.append(
-                [
-                    v
-                    for v in base
-                    if _nlf_ok(query_freq, data.neighbor_label_frequency(v))
-                ]
-            )
-        return refined
 
     # ------------------------------------------------------------------
     # Dense build path: candidate masks over data-vertex ids
@@ -249,16 +187,18 @@ class DataArtifacts:
     def _nlf_count_vector(self, label: object) -> List[int]:
         """Per-vertex count of label-``label`` neighbors (lazy per label).
 
-        One O(|V|) table scan per distinct label, shared by every
-        threshold in that label's ladder.
+        Adjacency is symmetric, so ``v``'s label-``label`` neighbors are
+        the label-``label`` vertices whose rows list ``v``: one pass over
+        that label's rows per distinct label, shared by every threshold
+        in its ladder.
         """
         vector = self._nlf_count_vectors.get(label)
         if vector is None:
             data = self.data
-            vector = [
-                data.neighbor_label_frequency(v).get(label, 0)
-                for v in data.vertices()
-            ]
+            vector = [0] * data.num_vertices
+            for u in data.vertices_with_label(label):
+                for v in data.neighbors(u):
+                    vector[v] += 1
             self._nlf_count_vectors[label] = vector
         return vector
 
@@ -298,14 +238,16 @@ class DataArtifacts:
         return self._nlf2_tables
 
     def ldf_candidate_masks(self, query: Graph) -> List[int]:
-        """Per-query-vertex LDF masks (decode == :meth:`ldf_candidates`)."""
+        """Per-query-vertex LDF masks (decode ==
+        :func:`repro.filtering.ldf.ldf_candidates`)."""
         return [
             self.ldf_mask(query.label(u), query.degree(u))
             for u in query.vertices()
         ]
 
     def nlf_candidate_masks(self, query: Graph) -> List[int]:
-        """Per-query-vertex LDF+NLF masks (decode == :meth:`nlf_candidates`)."""
+        """Per-query-vertex LDF+NLF masks (decode ==
+        :func:`repro.filtering.nlf.nlf_candidates`)."""
         masks: List[int] = []
         for u in query.vertices():
             mask = self.ldf_mask(query.label(u), query.degree(u))
@@ -325,9 +267,10 @@ class DataArtifacts:
 
         ``summary`` is the :class:`repro.dynamic.delta.DeltaSummary`
         returned by ``apply_delta(self.data, delta)`` and ``new_graph``
-        the graph it produced.  The result serializes byte-identically
-        to ``DataArtifacts(new_graph)`` — ``tests/test_dynamic.py`` and
-        ``tests/test_property_dynamic.py`` prove it differentially.
+        the graph it produced.  The result equals
+        ``DataArtifacts(new_graph)`` value for value —
+        ``tests/test_dynamic.py`` and ``tests/test_property_dynamic.py``
+        prove it differentially.
 
         Per-vertex tuples (degrees, adjacency bitmaps) are copied as
         reference lists in C with only the touched vertices rewritten.
@@ -395,11 +338,6 @@ class DataArtifacts:
                 vs.insert(at, v)
                 neg_degrees.insert(at, -degree)
             buckets[label] = (tuple(vs), tuple(neg_degrees))
-        if len(buckets) != len(self.label_buckets):
-            # A new label: restore the canonical key order a cold build has.
-            order = _sorted_labels(buckets)
-            buckets = {label: buckets[label] for label in order}
-            bitmaps = {label: bitmaps[label] for label in order}
         patched.label_buckets = buckets
         patched.label_bitmaps = bitmaps
 
@@ -419,10 +357,14 @@ class DataArtifacts:
             for key, mask in self._ldf_masks.items()
             if key[0] not in moved
         }
+        labels = new_graph.labels
+        touched_counts = [
+            (v, label_counts(labels, new_graph.neighbors(v))) for v in touched
+        ]
         patched._nlf_count_masks = {}
         for (label, count), mask in self._nlf_count_masks.items():
-            for v in touched:
-                if new_graph.neighbor_label_frequency(v).get(label, 0) >= count:
+            for v, counts in touched_counts:
+                if counts.get(label, 0) >= count:
                     mask |= 1 << v
                 else:
                     mask &= ~(1 << v)
@@ -447,122 +389,3 @@ class DataArtifacts:
         return patched
 
 
-# ----------------------------------------------------------------------
-# Serialization (graph-free payload; the graph is stored separately)
-# ----------------------------------------------------------------------
-
-
-def dumps_artifacts(artifacts: DataArtifacts) -> bytes:
-    """Serialize everything derived from the data graph (not the graph).
-
-    The payload carries the degree sequence, the label buckets, and the
-    graph's materialized NLF tables, so :func:`loads_artifacts` restores
-    the full warm state — including the NLF cache that
-    ``DataArtifacts.__init__`` would otherwise recompute — without any
-    per-vertex work.  The bytes are a function of the artifacts' values,
-    so equal artifacts serialize identically however they were made.
-    """
-    data = artifacts.data
-    payload = (
-        ARTIFACTS_FORMAT_VERSION,
-        data.num_vertices,
-        data.num_edges,
-        artifacts.degrees,
-        artifacts.label_buckets,
-        # Access through the public API so the tables exist even if the
-        # artifacts were built against a graph whose cache was cleared.
-        [data.neighbor_label_frequency(v) for v in data.vertices()]
-        if data.num_vertices > 0
-        else [],
-        artifacts.label_bitmaps,
-        artifacts.adjacency_bitmaps,
-    )
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    # No memo: the bytes then depend on the payload's values only, not
-    # on which equal label strings happen to be one object (a loaded or
-    # delta-patched instance shares them differently from a cold build).
-    pickler.fast = True
-    pickler.dump(payload)
-    return buffer.getvalue()
-
-
-def loads_artifacts(blob: bytes, data: Graph) -> DataArtifacts:
-    """Rebind a serialized payload to ``data`` without rebuilding.
-
-    Validates the payload against the graph (format version, vertex and
-    edge counts, degree sequence, label-bucket key set) and raises
-    :exc:`ArtifactsFormatError` on *any* mismatch or decode failure —
-    truncated files, foreign pickles, stale versions — so callers treat
-    the blob as disposable and rebuild.
-    """
-    try:
-        payload = pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - any decode failure is "corrupt"
-        raise ArtifactsFormatError(f"artifacts blob does not decode: {exc}")
-    if not (isinstance(payload, tuple) and len(payload) >= 1):
-        raise ArtifactsFormatError("artifacts payload has unexpected shape")
-    if payload[0] != ARTIFACTS_FORMAT_VERSION:
-        # Stale format (e.g. a v1 blob without the build-path bitmaps):
-        # a clean rebuild signal, never an attempt to upgrade in place.
-        raise ArtifactsFormatError(
-            f"artifacts format version {payload[0]!r} != {ARTIFACTS_FORMAT_VERSION}"
-        )
-    if len(payload) != 8:
-        raise ArtifactsFormatError("artifacts payload has unexpected shape")
-    (
-        _version,
-        num_vertices,
-        num_edges,
-        degrees,
-        label_buckets,
-        nlf,
-        label_bitmaps,
-        adjacency_bitmaps,
-    ) = payload
-    if num_vertices != data.num_vertices or num_edges != data.num_edges:
-        raise ArtifactsFormatError(
-            "artifacts were built for a different graph "
-            f"({num_vertices} vertices / {num_edges} edges, graph has "
-            f"{data.num_vertices} / {data.num_edges})"
-        )
-    if not isinstance(degrees, tuple) or len(degrees) != data.num_vertices:
-        raise ArtifactsFormatError("degree sequence has wrong length")
-    if any(degrees[v] != data.degree(v) for v in data.vertices()):
-        raise ArtifactsFormatError("degree sequence does not match the graph")
-    if not isinstance(label_buckets, dict) or set(label_buckets) != set(
-        data.label_set
-    ):
-        raise ArtifactsFormatError("label buckets do not match the graph")
-    if not isinstance(nlf, list) or len(nlf) != data.num_vertices:
-        raise ArtifactsFormatError("NLF tables have wrong length")
-    if not isinstance(label_bitmaps, dict) or set(label_bitmaps) != set(
-        data.label_set
-    ):
-        raise ArtifactsFormatError("label bitmaps do not match the graph")
-    if (
-        not isinstance(adjacency_bitmaps, tuple)
-        or len(adjacency_bitmaps) != data.num_vertices
-    ):
-        raise ArtifactsFormatError("adjacency bitmaps have wrong length")
-    # Bitmaps must be canonical nonnegative Python ints — a payload
-    # carrying anything else (word arrays, bytes, negative ints) is
-    # corrupt or foreign, never silently adapted.
-    if any(type(m) is not int or m < 0 for m in label_bitmaps.values()) or any(
-        type(m) is not int or m < 0 for m in adjacency_bitmaps
-    ):
-        raise ArtifactsFormatError(
-            "bitmap payload is not canonical int masks"
-        )
-
-    artifacts = DataArtifacts.__new__(DataArtifacts)
-    artifacts.data = data
-    artifacts.reuse_report = {}
-    artifacts.degrees = degrees
-    artifacts.label_buckets = label_buckets
-    artifacts.label_bitmaps = label_bitmaps
-    artifacts.adjacency_bitmaps = adjacency_bitmaps
-    artifacts._init_mask_caches()
-    if data.num_vertices > 0 and not data._nlf:
-        data._nlf = nlf  # install the warm NLF cache
-    return artifacts

@@ -33,6 +33,18 @@ from typing import (
 )
 
 
+def label_counts(
+    labels: Sequence[object], vertices: Iterable[int]
+) -> Dict[object, int]:
+    """Label -> how many of ``vertices`` carry it (``labels[v]`` is v's
+    label): the NLF table of a vertex whose neighbors are ``vertices``."""
+    counts: Dict[object, int] = {}
+    for v in vertices:
+        label = labels[v]
+        counts[label] = counts.get(label, 0) + 1
+    return counts
+
+
 class Graph:
     """A vertex-labeled simple undirected graph.
 
@@ -226,14 +238,7 @@ class Graph:
         per graph on first access and cached.
         """
         if not self._nlf:
-            nlf: List[Dict[object, int]] = []
-            for u in range(len(self._labels)):
-                freq: Dict[object, int] = {}
-                for w in self.neighbors(u):
-                    lbl = self._labels[w]
-                    freq[lbl] = freq.get(lbl, 0) + 1
-                nlf.append(freq)
-            self._nlf = nlf
+            self._nlf = [label_counts(self._labels, row) for row in self._rows]
         return self._nlf[v]
 
     # ------------------------------------------------------------------

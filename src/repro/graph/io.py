@@ -188,8 +188,8 @@ def graph_checksum(graph: Graph) -> str:
     Two graphs have equal checksums iff they are equal as labeled graphs
     under the *same* vertex numbering (``saves_graph`` is deterministic:
     vertices in id order, neighbor lists sorted).  The service catalog
-    stores this in each entry's sidecar to detect stale artifacts after
-    the graph file changes.
+    stores this in each entry's sidecar and delta-log records to tell
+    whether an entry's graph changed.
 
     Computed once per instance and cached on it (graphs are immutable),
     so the service paths that hash the same graph repeatedly — catalog

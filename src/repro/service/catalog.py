@@ -1,38 +1,39 @@
-"""Persistent graph catalog: named data graphs + warm artifacts on disk.
+"""Persistent graph catalog: named data graphs on disk, warm engines
+in memory.
 
 Layout (one directory per registered graph under the catalog root)::
 
     <root>/<name>/graph.graph      snapshot: the graph, ``.graph`` text
-    <root>/<name>/artifacts.bin    snapshot: serialized DataArtifacts
     <root>/<name>/meta.json        snapshot sidecar: versions + checksums
     <root>/<name>/delta.log        updates since the snapshot, one record
                                    per line: ``<sha256(body)> <body>``
     <root>/<name>/journal.json     transient: an in-flight transaction
     <root>/<name>/*.tmp            transient: staged new file versions
 
-The sidecar records the catalog format version, the SHA-256 of each
-snapshot file's bytes, the snapshot epoch, and the graph's semantic
-checksum (:func:`repro.graph.io.graph_checksum`).  On load everything is
-verified; **any** mismatch — truncated or bit-flipped artifacts, a
-hand-edited graph file, a stale format version, a missing or corrupt
-sidecar — causes the artifacts to be *rebuilt from the graph and
-rewritten*, never trusted.  The graph file itself is the single source
-of truth for the snapshot; if it does not parse, the entry is unusable
-and a :class:`CatalogError` is raised.
+Only what cannot be derived is stored.  The filter artifacts
+(:class:`~repro.filtering.artifacts.DataArtifacts`) are built once per
+cold load, after the log replay.  The sidecar records the catalog
+format version, the SHA-256 of the graph file's bytes, the snapshot
+epoch, and the graph's semantic checksum
+(:func:`repro.graph.io.graph_checksum`).  A sidecar that is missing,
+unparsable, at another format version, or whose SHA-256 does not match
+the graph file is *repaired*: ``meta.json`` alone is rewritten from the
+graph.  The graph file itself is the single source of truth for the
+snapshot; if it does not parse, the entry is unusable and a
+:class:`CatalogError` is raised.
 
 An ``update`` does not rewrite the snapshot: it appends one fsynced
 record (epoch, delta payload, new graph checksum and sizes) to
-``delta.log``.  Loading replays the log on top of the verified snapshot
-through the same two calls the live update made (``apply_delta``, then
-``DataArtifacts.apply_delta``), checking each record's graph checksum,
-and stops at the first record that fails — a torn append, a flipped
-byte, a break in epoch continuity.  Only the writer cuts such a tail,
-right before its own append.  The update that would make the log reach
+``delta.log``.  Loading replays the log on top of the snapshot graph
+with ``apply_delta``, checking each record's graph checksum, and stops
+at the first record that fails — a torn append, a flipped byte, a
+break in epoch continuity.  Only the writer cuts such a tail, right
+before its own append.  The update that would make the log reach
 :data:`LOG_COMPACT_RECORDS` records commits a full snapshot instead
 (*compaction*), together with an empty log.
 
 Crash safety (DESIGN.md §10): every snapshot mutation (``add``,
-compaction, ``remove``, and the rebuild-on-load) is a **journaled
+compaction, ``remove``, and the sidecar repair) is a **journaled
 transaction**.  New file versions are staged as fsynced ``*.tmp``
 files, then a journal records the transaction's target state (epoch +
 per-file SHA-256), then each file is atomically renamed into place,
@@ -51,10 +52,10 @@ In memory the catalog keeps an LRU of warm :class:`GuPEngine` instances
 (graph + artifacts resident), so a long-running server reuses engines
 across requests instead of re-reading the store.  All counters needed
 by the service ``stats`` endpoint are kept on the catalog:
-``artifact_builds`` (from-scratch builds, e.g. on ``add``),
-``artifact_loads`` (clean loads from disk), ``artifact_rebuilds``
-(corruption/staleness recoveries), ``engine_hits`` / ``engine_misses``
-(LRU), ``engine_evictions``, the transaction recovery counters
+``artifact_builds`` (builds on ``add``), ``artifact_loads`` (cold loads
+whose sidecar was valid), ``sidecar_repairs`` (cold loads that rewrote
+the sidecar), ``engine_hits`` / ``engine_misses`` (LRU),
+``engine_evictions``, the transaction recovery counters
 ``txn_rollforwards`` / ``txn_rollbacks``, and the delta-log counters
 ``log_appends``, ``log_compactions``, ``log_replayed`` (records
 replayed on load), ``log_rejections`` (loads that stopped at an
@@ -83,13 +84,7 @@ from repro.dynamic.delta import (
     delta_from_payload,
     delta_to_payload,
 )
-from repro.filtering.artifacts import (
-    ARTIFACTS_FORMAT_VERSION,
-    ArtifactsFormatError,
-    DataArtifacts,
-    dumps_artifacts,
-    loads_artifacts,
-)
+from repro.filtering.artifacts import DataArtifacts
 from repro.graph.graph import Graph
 from repro.graph.io import graph_checksum, load_graph, loads_graph, saves_graph
 from repro.obs.explain import (
@@ -102,13 +97,12 @@ from repro.service.faults import NO_FAULTS, FaultPlan
 CATALOG_FORMAT_VERSION = 1
 
 GRAPH_FILE = "graph.graph"
-ARTIFACTS_FILE = "artifacts.bin"
 META_FILE = "meta.json"
 LOG_FILE = "delta.log"
 JOURNAL_FILE = "journal.json"
 ANALYZE_FILE = "analyze.json"
 TMP_SUFFIX = ".tmp"
-_ENTRY_FILES = (GRAPH_FILE, ARTIFACTS_FILE, META_FILE, LOG_FILE)
+_ENTRY_FILES = (GRAPH_FILE, META_FILE, LOG_FILE)
 
 # The update that would make an entry's delta log reach this many
 # records commits a full snapshot instead.  It bounds a cold load's
@@ -270,8 +264,8 @@ def txn_points(op: str) -> Tuple[str, ...]:
     """Every declared persistence point of one catalog operation, in
     execution order.  ``op`` is ``"update"`` (one delta-log append),
     ``"add"``/``"compact"`` (full snapshot transaction, empty log
-    included), ``"rebuild"`` (artifacts + sidecar only; the log is
-    kept), or ``"remove"``.  The fault-injection sweep enumerates these,
+    included), ``"repair"`` (the sidecar only; the log is kept), or
+    ``"remove"``.  The fault-injection sweep enumerates these,
     so the list *is* the contract: add a hook, and the sweep covers it.
     """
     if op == "remove":
@@ -284,8 +278,8 @@ def txn_points(op: str) -> Tuple[str, ...]:
         return ("catalog.log.begin", "catalog.log.sync")
     if op in ("add", "compact"):
         files: Tuple[str, ...] = _ENTRY_FILES
-    elif op == "rebuild":
-        files = (ARTIFACTS_FILE, META_FILE)
+    elif op == "repair":
+        files = (META_FILE,)
     else:
         raise ValueError(f"unknown catalog operation {op!r}")
     points = ["catalog.txn.begin"]
@@ -297,7 +291,7 @@ def txn_points(op: str) -> Tuple[str, ...]:
 
 
 class GraphCatalog:
-    """Named data graphs with persisted artifacts and warm engines.
+    """Named data graphs on disk and warm engines in memory.
 
     Thread-safe: a single lock serializes store access and LRU updates
     (engine *searches* run outside the catalog and share freely).
@@ -329,7 +323,7 @@ class GraphCatalog:
         self.counters = CounterGroup({
             "artifact_builds": 0,
             "artifact_loads": 0,
-            "artifact_rebuilds": 0,
+            "sidecar_repairs": 0,
             "artifact_patches": 0,
             "engine_hits": 0,
             "engine_misses": 0,
@@ -367,7 +361,7 @@ class GraphCatalog:
         state (snapshot plus logged updates) is a no-op; a different
         graph requires ``overwrite=True`` and **bumps the epoch** —
         epochs are monotonic per name across adds, updates, and
-        rebuilds, so caches and subscriptions stamped with an epoch can
+        repairs, so caches and subscriptions stamped with an epoch can
         always detect that an entry changed underneath them.  Returns
         the entry's info dict.
         """
@@ -398,8 +392,7 @@ class GraphCatalog:
         with self._lock:
             self.counters["artifact_builds"] += 1
             directory.mkdir(parents=True, exist_ok=True)
-            self._persist_entry(directory, graph, graph_text, artifacts,
-                                epoch=epoch)
+            self._persist_entry(directory, graph, graph_text, epoch=epoch)
             self._install(name, GuPEngine(graph, self.config, artifacts=artifacts))
         return self.info(name)
 
@@ -453,9 +446,10 @@ class GraphCatalog:
         The entry's graph is replaced by the delta-applied graph and its
         artifacts by the **incrementally patched** ones
         (:meth:`DataArtifacts.apply_delta` — counted under
-        ``artifact_patches``, never a rebuild), the epoch is bumped, and
-        a fresh warm engine is installed that inherits the old engine's
-        build-invariant cache (those entries never go stale).  The
+        ``artifact_patches``, never a from-scratch build), the epoch is
+        bumped, and a fresh warm engine is installed that inherits the
+        old engine's build-invariant cache (those entries never go
+        stale).  The
         update persists as one fsynced record appended to ``delta.log``
         — epoch, delta payload, new graph checksum and sizes — and is
         acknowledged only after that fsync, so a crash leaves the entry
@@ -501,7 +495,7 @@ class GraphCatalog:
                 else:
                     self._persist_entry(
                         directory, new_graph, saves_graph(new_graph),
-                        artifacts, epoch=record["epoch"],
+                        epoch=record["epoch"],
                     )
                     self.counters["log_compactions"] += 1
                 self._epochs[name] = record["epoch"]
@@ -562,8 +556,8 @@ class GraphCatalog:
     def engine_ex(self, name: str) -> Tuple[GuPEngine, str, int]:
         """Like :meth:`engine`, plus provenance for request logs:
         ``(engine, source, epoch)`` with ``source`` one of
-        ``"resident"`` (LRU hit), ``"load"`` (clean disk load), or
-        ``"rebuild"`` (corruption/staleness recovery)."""
+        ``"resident"`` (LRU hit), ``"load"`` (cold load, valid sidecar),
+        or ``"repair"`` (cold load that rewrote the sidecar)."""
         with self._lock:
             engine = self._resident.get(name)
             if engine is not None:
@@ -571,25 +565,23 @@ class GraphCatalog:
                 self._resident.move_to_end(name)
                 return engine, "resident", self._epochs.get(name, 1)
             self.counters["engine_misses"] += 1
-            graph, artifacts, rebuilt = self._load(name)
+            graph, artifacts, repaired = self._load(name)
             engine = GuPEngine(graph, self.config, artifacts=artifacts)
             self._install(name, engine)
-            source = "rebuild" if rebuilt else "load"
+            source = "repair" if repaired else "load"
             return engine, source, self._epochs.get(name, 1)
 
     def warm(self, name: str) -> bool:
-        """Ensure ``name``'s on-disk artifacts are valid and its engine
-        resident.  Returns whether the artifacts had to be rebuilt."""
+        """Ensure ``name``'s on-disk sidecar is valid and its engine
+        resident.  Returns whether the sidecar had to be repaired."""
         with self._lock:
-            before = self.counters["artifact_rebuilds"]
             if name in self._resident:
                 # Residency says nothing about the disk copy: re-verify it
                 # so ``warm`` always leaves a loadable store behind.
-                graph, artifacts, rebuilt = self._load(name)
+                graph, artifacts, repaired = self._load(name)
                 self._install(name, GuPEngine(graph, self.config, artifacts=artifacts))
-                return rebuilt
-            self.engine(name)
-            return self.counters["artifact_rebuilds"] > before
+                return repaired
+            return self.engine_ex(name)[1] == "repair"
 
     # -- zero-downtime reload (DESIGN.md §13) --------------------------
 
@@ -600,7 +592,7 @@ class GraphCatalog:
 
         Built for the server's zero-downtime ``reload`` op: another
         process (or a ``repro catalog`` invocation) may have added,
-        updated, rebuilt, or removed entries under this root since we
+        updated, repaired, or removed entries under this root since we
         opened it.  The scan and any loads happen **without replacing a
         single resident engine**; only then does one locked *swap phase*
         install every staged engine and epoch at once.  Engines handed
@@ -619,14 +611,14 @@ class GraphCatalog:
         * ``"lazy"``: the entry is not resident; the next ``engine()``
           call loads whatever epoch disk then holds (nothing to swap).
 
-        — plus ``old_epoch``/``epoch`` and whether the load had to
-        rebuild artifacts.  ``faults`` (default: the catalog's own
-        plan) fires the ``lifecycle.reload.{begin,scan,build,swap}``
-        hooks; an injected crash before the swap point leaves every
-        resident engine and remembered epoch untouched (old state), a
-        crash at/after it leaves the new state — never a mix, which is
-        exactly the journaled old-or-new invariant lifted from files to
-        the resident set.
+        — plus ``old_epoch``/``epoch``.  ``faults`` (default: the
+        catalog's own plan) fires the
+        ``lifecycle.reload.{begin,scan,build,swap}`` hooks; an injected
+        crash before the swap point leaves every resident engine and
+        remembered epoch untouched (old state), a crash at/after it
+        leaves the new state — never a mix, which is exactly the
+        journaled old-or-new invariant lifted from files to the resident
+        set.
         """
         plan = self.faults if faults is None else faults
         plan.reach("lifecycle.reload.begin")
@@ -637,14 +629,13 @@ class GraphCatalog:
         plan.reach("lifecycle.reload.scan")
 
         report: Dict[str, Dict[str, object]] = {}
-        staged: Dict[str, Tuple[GuPEngine, int, bool]] = {}
+        staged: Dict[str, Tuple[GuPEngine, int]] = {}
         for name in sorted(resident):
             if name not in disk_names:
                 report[name] = {
                     "action": "removed",
                     "old_epoch": old_epochs.get(name, 1),
                     "epoch": None,
-                    "rebuilt": False,
                 }
         for name in sorted(disk_names):
             old_epoch = old_epochs.get(name)
@@ -654,7 +645,6 @@ class GraphCatalog:
                     "action": "lazy",
                     "old_epoch": old_epoch,
                     "epoch": None,
-                    "rebuilt": False,
                 }
                 continue
             with self._lock:
@@ -671,7 +661,6 @@ class GraphCatalog:
                     "action": "kept",
                     "old_epoch": old_epoch or 1,
                     "epoch": old_epoch or 1,
-                    "rebuilt": False,
                 }
                 continue
             # Changed on disk: load the new epoch WITHOUT touching the
@@ -679,7 +668,7 @@ class GraphCatalog:
             # swap phase so concurrent requests keep logging the epoch
             # they are actually served from.
             with self._lock:
-                graph, artifacts, rebuilt = self._load(name)
+                graph, artifacts, _repaired = self._load(name)
                 new_epoch = self._epochs.get(name, disk_epoch)
                 if old_epoch is not None:
                     self._epochs[name] = old_epoch
@@ -688,13 +677,11 @@ class GraphCatalog:
             staged[name] = (
                 GuPEngine(graph, self.config, artifacts=artifacts),
                 new_epoch,
-                rebuilt,
             )
             report[name] = {
                 "action": "reloaded",
                 "old_epoch": old_epoch or 1,
                 "epoch": new_epoch,
-                "rebuilt": rebuilt,
             }
         plan.reach("lifecycle.reload.build")
 
@@ -703,7 +690,7 @@ class GraphCatalog:
                 if info["action"] == "removed":
                     self._resident.pop(name, None)
                     self._epochs.pop(name, None)
-            for name, (engine, epoch, _rebuilt) in staged.items():
+            for name, (engine, epoch) in staged.items():
                 self._install(name, engine)
                 self._epochs[name] = epoch
             self.counters["reloads"] += 1
@@ -757,11 +744,11 @@ class GraphCatalog:
     def _recover(self, directory: Path) -> Optional[int]:
         """Finish or discard an interrupted transaction in ``directory``.
 
-        Returns an epoch hint for the caller's rebuild path: when a
+        Returns an epoch hint for the caller's repair path: when a
         *forged* torn state left the new graph renamed into place but
         the journal unable to roll forward (impossible under our own
         write ordering, but the tests forge it), the graph content
-        belongs to the journal's target epoch and the rebuilt sidecar
+        belongs to the journal's target epoch and the repaired sidecar
         should say so.  ``None`` otherwise.  Call with ``self._lock``
         held.
         """
@@ -835,7 +822,7 @@ class GraphCatalog:
         # written, i.e. before any rename — the final files are still
         # wholly the old epoch.  Forged states (renames done, tmps torn)
         # degrade gracefully: the graph file is the source of truth and
-        # the ordinary load path rebuilds everything derived from it.
+        # the ordinary load path repairs the sidecar from it.
         logger.info("catalog %s: discarding unrecoverable txn", directory)
         self._discard_tmps(directory)
         journal_path.unlink(missing_ok=True)
@@ -889,7 +876,7 @@ class GraphCatalog:
         lives outside the journaled snapshot and the delta log — losing it
         in a crash loses telemetry, not truth.  The write is atomic
         (tmp + rename) so readers never observe a torn file, but skips
-        the fsyncs the graph artifacts pay: this runs on the serving
+        the fsyncs the snapshot files pay: this runs on the serving
         hot path for every analyzed query, and an fsync costs more than
         the analyze itself — a power cut may lose the newest records,
         never corrupt the file.  Keeps the newest
@@ -963,36 +950,31 @@ class GraphCatalog:
         directory: Path,
         graph: Graph,
         graph_text: str,
-        artifacts: DataArtifacts,
         epoch: int = 1,
         include_graph: bool = True,
     ) -> None:
         """Persist one snapshot as a single journaled transaction.
 
         A full snapshot (``add``, compaction) commits an empty delta log
-        with it.  ``include_graph=False`` is the rebuild-on-load path:
-        the graph file on disk *is* the source being recovered from and
-        must not be rewritten, and the delta log is kept — its records
-        still replay on top of this snapshot, and resetting it would
-        silently drop acknowledged updates.
+        with it.  ``include_graph=False`` is the sidecar repair: the
+        graph file on disk *is* the source being recovered from and must
+        not be rewritten, and the delta log is kept — its records still
+        replay on top of this snapshot, and resetting it would silently
+        drop acknowledged updates.
         """
-        blob = dumps_artifacts(artifacts)
         graph_bytes = graph_text.encode("utf-8")
         meta = {
             "format_version": CATALOG_FORMAT_VERSION,
-            "artifacts_format_version": ARTIFACTS_FORMAT_VERSION,
             "name": directory.name,
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
             "epoch": epoch,
             "graph_checksum": graph_checksum(graph),
             "graph_file_sha256": _sha256(graph_bytes),
-            "artifacts_sha256": _sha256(blob),
         }
         files: Dict[str, bytes] = {}
         if include_graph:
             files[GRAPH_FILE] = graph_bytes
-        files[ARTIFACTS_FILE] = blob
         files[META_FILE] = (
             json.dumps(meta, indent=2, sort_keys=True) + "\n"
         ).encode("utf-8")
@@ -1067,8 +1049,9 @@ class GraphCatalog:
 
     def _load(self, name: str) -> Tuple[Graph, DataArtifacts, bool]:
         """Load an entry from disk: recover any interrupted transaction,
-        verify the snapshot (rebuilding artifacts when needed), then
-        replay the delta log on top of it."""
+        parse the graph, repair the sidecar when needed, replay the
+        delta log, then build the artifacts once.  Returns the graph,
+        its artifacts and whether the sidecar was repaired."""
         directory = self._entry_dir(name)
         epoch_hint: Optional[int] = None
         if directory.exists():
@@ -1083,32 +1066,15 @@ class GraphCatalog:
             raise CatalogError(f"catalog entry {name!r} graph is corrupt: {exc}")
 
         meta = self._read_meta(directory)
-        artifacts: Optional[DataArtifacts] = None
-        if (
+        repaired = not (
             meta is not None
             and meta.get("format_version") == CATALOG_FORMAT_VERSION
-            # A sidecar from before an artifact-format bump is *stale*,
-            # not corrupt: skip the blob entirely and rebuild cleanly
-            # (loads_artifacts would reject its version anyway).
-            and meta.get("artifacts_format_version") == ARTIFACTS_FORMAT_VERSION
             and meta.get("graph_file_sha256")
             == _sha256(graph_text.encode("utf-8"))
-        ):
-            try:
-                blob = (directory / ARTIFACTS_FILE).read_bytes()
-            except OSError:
-                blob = b""
-            if meta.get("artifacts_sha256") == _sha256(blob):
-                try:
-                    artifacts = loads_artifacts(blob, graph)
-                    self.counters["artifact_loads"] += 1
-                except ArtifactsFormatError:
-                    pass  # fall through to rebuild
-        rebuilt = artifacts is None
-        if rebuilt:
-            artifacts = DataArtifacts(graph)
-            self.counters["artifact_rebuilds"] += 1
-            # A rebuild recovers the artifacts, not the entry's history:
+        )
+        if repaired:
+            self.counters["sidecar_repairs"] += 1
+            # A repair recovers the sidecar, not the entry's history:
             # keep whatever snapshot epoch the (possibly corrupt) sidecar
             # still had, unless recovery determined the graph content
             # already belongs to an aborted transaction's target epoch.
@@ -1119,24 +1085,22 @@ class GraphCatalog:
                 if records:
                     epoch = max(1, records[0]["epoch"] - 1)
             self._persist_entry(
-                directory, graph, graph_text, artifacts, epoch=epoch,
-                include_graph=False,
+                directory, graph, graph_text, epoch=epoch, include_graph=False
             )
-        graph, artifacts = self._replay(directory, graph, artifacts)
-        return graph, artifacts, rebuilt
+        else:
+            self.counters["artifact_loads"] += 1
+        graph = self._replay(directory, graph)
+        return graph, DataArtifacts(graph), repaired
 
-    def _replay(
-        self, directory: Path, graph: Graph, artifacts: DataArtifacts
-    ) -> Tuple[Graph, DataArtifacts]:
-        """Roll a verified snapshot forward through the delta log.
+    def _replay(self, directory: Path, graph: Graph) -> Graph:
+        """Roll the snapshot graph forward through the delta log.
 
-        Each record goes through the two calls the live update made —
-        ``apply_delta``, then ``DataArtifacts.apply_delta`` — so the
-        replayed state equals the live one by construction; its graph
-        checksum is checked in between.  The first record that fails
-        stops the replay: the last good state is served, a warning
-        logged and ``log_rejections`` counted, and the rest is left on
-        disk for the next update to cut.
+        Each record goes through the ``apply_delta`` the live update
+        made, and the result's graph checksum is checked against the
+        record.  The first record that fails stops the replay: the last
+        good graph is served, a warning logged and ``log_rejections``
+        counted, and the rest is left on disk for the next update to
+        cut.
         """
         log = self._log(directory)
         if log.records:
@@ -1144,7 +1108,7 @@ class GraphCatalog:
         reason = "bad record frame"
         for index, record in enumerate(log.records):
             try:
-                new_graph, summary = apply_delta(
+                new_graph, _summary = apply_delta(
                     graph, delta_from_payload(record["delta"])
                 )
                 if graph_checksum(new_graph) != record["graph_checksum"]:
@@ -1153,7 +1117,6 @@ class GraphCatalog:
                 reason = f"epoch {record['epoch']}: {exc}"
                 log.cut(index)
                 break
-            artifacts = artifacts.apply_delta(new_graph, summary)
             graph = new_graph
             self.counters["log_replayed"] += 1
         if log.size > log.end:
@@ -1163,7 +1126,7 @@ class GraphCatalog:
             )
             self.counters["log_rejections"] += 1
         self._epochs[directory.name] = log.epoch
-        return graph, artifacts
+        return graph
 
     def _install(self, name: str, engine: GuPEngine) -> None:
         self._resident[name] = engine

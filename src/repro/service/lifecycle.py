@@ -8,7 +8,7 @@ The other half of ROADMAP item 4 (DESIGN.md §13).  A running
     serving  →  draining   →  stopped          (``drain`` op / SIGTERM)
 
 **Reload** picks up whatever another process left under the catalog
-root — new entries, new epochs from out-of-band updates or rebuilds,
+root — new entries, new epochs from out-of-band updates or repairs,
 removed entries — without dropping a single in-flight query or
 standing subscription:
 

@@ -289,8 +289,8 @@ class MatchingServer:
     One :class:`QueryCache` per catalog entry (results are only valid
     for the data graph + config that produced them).  All counters are
     exposed by the ``stats`` op — including the catalog's artifact
-    build/load/rebuild counters, which is how tests assert that the
-    warm path rebuilds nothing.
+    build/load and sidecar-repair counters, which is how tests assert
+    that the warm path builds and repairs nothing.
     """
 
     def __init__(
@@ -1514,7 +1514,7 @@ class MatchingServer:
 
         Returns ``(result, cache_state, provenance)`` where provenance
         carries the request-log detail: cache hit/truncated-hit, engine
-        source (resident/load/rebuild) + epoch, effective workers, and
+        source (resident/load/repair) + epoch, effective workers, and
         the EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
         and structured log are bound thread-locally for the duration,
         so the procpool (and its fault hooks) log under this request's

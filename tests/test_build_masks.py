@@ -36,6 +36,7 @@ from repro.core.gcs import build_gcs
 from repro.filtering.artifacts import DataArtifacts
 from repro.filtering.dagdp import dag_graph_dp
 from repro.filtering.masks import MaskView, dag_graph_dp_masks
+from repro.filtering.nlf import nlf_candidates
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.matching.limits import SearchLimits
 from repro.utils.bitset import bits_of
@@ -248,7 +249,7 @@ def test_dagdp_masks_reach_same_fixpoint(seed, max_rounds):
     )
     artifacts = DataArtifacts(data)
     base_masks = artifacts.nlf_candidate_masks(query)
-    base_lists = artifacts.nlf_candidates(query)
+    base_lists = nlf_candidates(query, data)
     assert [bits_of(m) for m in base_masks] == base_lists
 
     got = dag_graph_dp_masks(

@@ -3,13 +3,14 @@
 An update persists as one SHA-framed, fsynced record appended to
 ``<entry>/delta.log``; a cold load verifies the snapshot, then replays
 the log.  These tests pin the log's own failure modes (torn tails,
-flipped bytes, a hand-edited snapshot, corrupt artifacts), the
+flipped bytes, a hand-edited snapshot, a stale sidecar), the
 effective-state rules of ``add``/``info``, the update reply's own
 epoch under concurrency, and a restart differential: after any mix of
 updates, compactions and cold reopens, a cold engine equals the live
-one and a from-scratch build, byte for byte.
+one and a from-scratch build (``tests.oracle_engines.artifact_values``).
 """
 
+import json
 import logging
 import random
 import tempfile
@@ -21,13 +22,12 @@ from hypothesis import strategies as st
 
 from repro.core.engine import GuPEngine
 from repro.dynamic.delta import GraphDelta, apply_delta
-from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
+from repro.filtering.artifacts import DataArtifacts
 from repro.graph.builder import graph_from_adjacency
 from repro.graph.generators import random_connected_graph
 from repro.graph.io import graph_checksum, saves_graph
 from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    ARTIFACTS_FILE,
     GRAPH_FILE,
     LOG_FILE,
     META_FILE,
@@ -36,6 +36,7 @@ from repro.service.catalog import (
 )
 from repro.service.client import ServiceClient
 from repro.service.server import ServerThread
+from tests.oracle_engines import artifact_values
 
 UPDATES = (
     GraphDelta(add_edges=((0, 3),)),
@@ -76,7 +77,7 @@ def record_spans(log: bytes):
 
 
 def assert_cold_equals_build(engine):
-    assert dumps_artifacts(engine.artifacts) == dumps_artifacts(
+    assert artifact_values(engine.artifacts) == artifact_values(
         DataArtifacts(engine.data)
     )
 
@@ -89,7 +90,7 @@ class TestAppendPath:
         entry = tmp_path / "g"
         snapshot = {
             name: (entry / name).read_bytes()
-            for name in (GRAPH_FILE, ARTIFACTS_FILE, META_FILE)
+            for name in (GRAPH_FILE, META_FILE)
         }
         assert (entry / LOG_FILE).read_bytes() == b""
         info, _ = catalog.update("g", UPDATES[0])
@@ -108,7 +109,7 @@ class TestAppendPath:
         assert engine.data == graphs[-1]
         assert fresh.counters["log_replayed"] == len(UPDATES)
         assert fresh.counters["artifact_loads"] == 1
-        assert fresh.counters["artifact_rebuilds"] == 0
+        assert fresh.counters["sidecar_repairs"] == 0
         assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
         assert fresh.info("g")["graph_checksum"] == graph_checksum(graphs[-1])
         assert_cold_equals_build(engine)
@@ -184,7 +185,7 @@ class TestLogFailureModes:
             engine = fresh.engine("g")
             assert engine.data == graphs[1], offset
             assert fresh.info("g")["epoch"] == 2
-            assert fresh.counters["artifact_rebuilds"] == 0
+            assert fresh.counters["sidecar_repairs"] == 0
             assert fresh.counters["log_replayed"] == 1
             assert fresh.counters["log_rejections"] == 1
             assert path.read_bytes() == full[:offset]  # readers never cut
@@ -230,7 +231,7 @@ class TestLogFailureModes:
         # The graph file is the source of truth; the first record's
         # delta still applies to it, but its checksum does not match.
         assert engine.data == edited
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.counters["log_replayed"] == 0
         assert fresh.counters["log_rejections"] == 1
         info = fresh.info("g")
@@ -245,34 +246,34 @@ class TestLogFailureModes:
         assert again.engine("g").data == apply_delta(edited, UPDATES[0])[0]
         assert again.counters["log_rejections"] == 0
 
-    def test_corrupt_artifacts_rebuild_then_replay(self, tmp_path):
+    def test_stale_sidecar_repair_then_replay(self, tmp_path):
         graphs = logged_store(tmp_path)
         entry = tmp_path / "g"
         log = (entry / LOG_FILE).read_bytes()
-        blob = bytearray((entry / ARTIFACTS_FILE).read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        (entry / ARTIFACTS_FILE).write_bytes(bytes(blob))
+        meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+        meta["format_version"] = 0
+        (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
 
         fresh = GraphCatalog(tmp_path)
         engine = fresh.engine("g")
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.counters["log_replayed"] == len(UPDATES)
         assert engine.data == graphs[-1]
         assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
-        # The rebuild must not reset the log: its updates were acked.
+        # The repair must not reset the log: its updates were acked.
         assert (entry / LOG_FILE).read_bytes() == log
         assert_cold_equals_build(engine)
         again = GraphCatalog(tmp_path)
         again.engine("g")
         assert again.counters["artifact_loads"] == 1
-        assert again.counters["artifact_rebuilds"] == 0
+        assert again.counters["sidecar_repairs"] == 0
 
     def test_lost_sidecar_keeps_the_logged_updates(self, tmp_path):
         graphs = logged_store(tmp_path)
         (tmp_path / "g" / META_FILE).unlink()
         fresh = GraphCatalog(tmp_path)
         assert fresh.engine("g").data == graphs[-1]
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
 
 
@@ -380,7 +381,7 @@ def random_delta(rng, graph):
 )
 def test_restart_differential(seed, limit, steps):
     """After every update, a cold ``GraphCatalog(root).engine(name)``
-    equals the live engine (checksum, info, artifact bytes) and a
+    equals the live engine (checksum, info, artifact values) and a
     from-scratch ``DataArtifacts`` build, across random cold reopens
     and compaction crossings."""
     rng = random.Random(seed)
@@ -408,11 +409,11 @@ def replay_against_cold_opens(root, data, rng, steps):
         assert graph_checksum(cold_engine.data) == graph_checksum(engine.data)
         assert cold_engine.data == engine.data
         assert cold.info("g") == {**live.info("g"), "resident": True}
-        assert dumps_artifacts(cold_engine.artifacts) == dumps_artifacts(
+        assert artifact_values(cold_engine.artifacts) == artifact_values(
             engine.artifacts
         )
         assert_cold_equals_build(cold_engine)
-        assert cold.counters["artifact_rebuilds"] == 0
+        assert cold.counters["sidecar_repairs"] == 0
 
 
 class TestServedRestart:

@@ -5,8 +5,9 @@ The acceptance contract of ``repro.dynamic``:
 * ``apply_delta`` produces exactly the graph a from-scratch
   ``GraphBuilder`` construction would, while *sharing* every untouched
   per-vertex structure with the source graph;
-* ``DataArtifacts.apply_delta`` serializes **byte-identically** to a
-  cold ``DataArtifacts(new_graph)`` build, and its carried-over lazy
+* ``DataArtifacts.apply_delta`` equals a cold
+  ``DataArtifacts(new_graph)`` build value for value
+  (``tests.oracle_engines.artifact_values``), and its carried-over lazy
   mask ladders answer exactly what a fresh instance computes;
 * ``ContinuousMatcher`` diff streams replay to exactly the full
   re-match result set after every delta.
@@ -33,10 +34,11 @@ from repro.dynamic.delta import (
     loads_delta,
     saves_delta,
 )
-from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
+from repro.filtering.artifacts import DataArtifacts
 from repro.graph.builder import GraphBuilder, graph_from_adjacency
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.io import graph_checksum
+from tests.oracle_engines import artifact_values
 
 
 def small_graph():
@@ -149,7 +151,7 @@ class TestApplyDelta:
         assert patched.label_buckets["A"] == ((0, 2), (-2, -1))
         assert ("C", 1) in patched._ldf_masks  # the C ladder is kept
         assert patched.reuse_report["label_buckets_rebuilt"] == 1
-        assert dumps_artifacts(patched) == dumps_artifacts(
+        assert artifact_values(patched) == artifact_values(
             DataArtifacts(new_graph)
         )
 
@@ -230,7 +232,7 @@ class TestArtifactsPatch:
         new_graph, summary = apply_delta(graph, delta)
         patched = artifacts.apply_delta(new_graph, summary)
         cold = DataArtifacts(new_graph)
-        assert dumps_artifacts(patched) == dumps_artifacts(cold)
+        assert artifact_values(patched) == artifact_values(cold)
 
     def test_patch_counts_as_patch_not_build(self):
         graph = small_graph()
@@ -300,18 +302,19 @@ class TestArtifactsPatch:
                     fresh.nlf_count_mask(label, count)
             assert patched.nlf_candidate_masks(query) == \
                 fresh.nlf_candidate_masks(query)
-            assert patched.ldf_candidates(query) == fresh.ldf_candidates(query)
+            assert patched.ldf_candidate_masks(query) == \
+                fresh.ldf_candidate_masks(query)
 
     def test_new_label_appears_and_orphan_label_kept(self):
         # Delta isolates the only C vertex (degree drops to 0) and adds
-        # a brand-new label D: both must round-trip byte-identically.
+        # a brand-new label D: both must equal a cold build.
         graph = graph_from_adjacency(["A", "B", "C"], [(0, 1), (1, 2)])
         artifacts = DataArtifacts(graph)
         delta = GraphDelta(add_vertices=("D",), remove_edges=((1, 2),))
         new_graph, summary = apply_delta(graph, delta)
         patched = artifacts.apply_delta(new_graph, summary)
         cold = DataArtifacts(new_graph)
-        assert dumps_artifacts(patched) == dumps_artifacts(cold)
+        assert artifact_values(patched) == artifact_values(cold)
         assert patched.label_bitmaps["D"] == 1 << 3
         assert patched.label_buckets["C"] == ((2,), (0,))
 

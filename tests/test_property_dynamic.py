@@ -5,8 +5,8 @@ deletes, vertex additions, including empty deltas — against a random
 base graph and asserts, after **every** step:
 
 * the incrementally-maintained graph equals a from-scratch rebuild;
-* ``DataArtifacts.apply_delta`` is byte-identical (serialized) to a
-  cold ``DataArtifacts`` build on the new graph, with warm mask
+* ``DataArtifacts.apply_delta`` equals a cold ``DataArtifacts`` build
+  on the new graph value for value, with warm mask
   ladders answering exactly what a fresh instance computes — along
   runs that mix random edits, degree-preserving edge swaps and vertex
   additions carrying a new label;
@@ -31,10 +31,11 @@ from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.dynamic.continuous import ContinuousMatcher
 from repro.dynamic.delta import GraphDelta, apply_delta
-from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
+from repro.filtering.artifacts import DataArtifacts
 from repro.graph.builder import GraphBuilder, graph_from_adjacency
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.graph.io import graph_checksum, loads_graph, saves_graph
+from tests.oracle_engines import artifact_values
 
 LABELS = ("A", "B", "C")
 
@@ -152,8 +153,8 @@ def test_artifact_patches_equal_cold_rebuild_along_edit_sequences(
         assert new_graph == builder_rebuild(graph, delta)
         patched = artifacts.apply_delta(new_graph, summary)
         cold = DataArtifacts(new_graph)
-        assert dumps_artifacts(patched) == dumps_artifacts(cold)
-        # Kept LDF ladders are a cache the bytes above do not cover.
+        assert artifact_values(patched) == artifact_values(cold)
+        # Kept LDF ladders are a cache the values above do not cover.
         assert warm_ldf_ladders(patched) == warm_ldf_ladders(cold)
         for label, count in list(patched._nlf_count_masks):
             assert patched.nlf_count_mask(label, count) == cold.nlf_count_mask(
@@ -265,7 +266,7 @@ def test_empty_delta_edge_case():
     new_graph, summary = apply_delta(graph, GraphDelta())
     assert new_graph == graph
     patched = artifacts.apply_delta(new_graph, summary)
-    assert dumps_artifacts(patched) == dumps_artifacts(DataArtifacts(new_graph))
+    assert artifact_values(patched) == artifact_values(DataArtifacts(new_graph))
     assert patched.reuse_report["vertices_touched"] == 0
     matcher = ContinuousMatcher(graph)
     query = random_connected_graph(2, 1, num_labels=2, seed=6)
@@ -294,7 +295,7 @@ def test_delete_last_edges_of_a_labels_only_vertex():
     assert new_graph.degree(3) == 0
     assert new_graph.neighbor_label_frequency(3) == {}
     patched = artifacts.apply_delta(new_graph, summary)
-    assert dumps_artifacts(patched) == dumps_artifacts(DataArtifacts(new_graph))
+    assert artifact_values(patched) == artifact_values(DataArtifacts(new_graph))
     # The C bucket survives with a zero-degree member, and its LDF mask
     # for any positive degree bound is now empty.
     assert patched.label_buckets["C"] == ((3,), (0,))

@@ -1,12 +1,14 @@
-"""Catalog durability: artifacts survive restarts, corruption rebuilds.
+"""Catalog durability: entries survive restarts, a bad sidecar is
+repaired.
 
 Differential style (as in ``tests/test_parallel_exact.py``): whatever
-the store's state — freshly built, reloaded in another process, or
-recovered from deliberate corruption — a catalog engine must return
-byte-identical ``match`` results to a fresh ``GuPEngine`` on the same
-graph.
+the store's state — freshly built, reloaded in another process,
+recovered from deliberate corruption, or written in the older layout
+with ``artifacts.bin`` — a catalog engine must return byte-identical
+``match`` results to a fresh ``GuPEngine`` on the same graph.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,19 +18,15 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import GuPEngine
-from repro.filtering.artifacts import (
-    ArtifactsFormatError,
-    DataArtifacts,
-    dumps_artifacts,
-    loads_artifacts,
-)
-from repro.graph.builder import graph_from_adjacency
+from repro.dynamic.delta import GraphDelta
+from repro.filtering.artifacts import DataArtifacts
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.graph.io import graph_checksum, loads_graph, save_graph, saves_graph
+from repro.graph.io import graph_checksum, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
+from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    ARTIFACTS_FILE,
     GRAPH_FILE,
+    LOG_FILE,
     META_FILE,
     CatalogError,
     GraphCatalog,
@@ -56,49 +54,15 @@ def assert_matches_direct(engine, data, queries):
         assert b.status == a.status
 
 
-class TestArtifactsSerialization:
-    def test_roundtrip_no_rebuild(self, instance):
-        data, queries = instance
-        blob = dumps_artifacts(DataArtifacts(data))
-        before = DataArtifacts.builds_performed
-        restored = loads_artifacts(blob, data)
-        assert DataArtifacts.builds_performed == before
-        assert restored.degrees == tuple(data.degree(v) for v in data.vertices())
-        for query in queries:
-            assert restored.nlf_candidates(query) == DataArtifacts(
-                data
-            ).nlf_candidates(query)
-
-    def test_rejects_wrong_graph(self, instance):
-        data, _ = instance
-        other = powerlaw_cluster_graph(40, 3, 0.3, num_labels=3, seed=99)
-        blob = dumps_artifacts(DataArtifacts(data))
-        with pytest.raises(ArtifactsFormatError):
-            loads_artifacts(blob, other)
-
-    @pytest.mark.parametrize("mutation", ["truncate", "flip", "garbage"])
-    def test_rejects_corrupt_blob(self, instance, mutation):
-        data, _ = instance
-        blob = dumps_artifacts(DataArtifacts(data))
-        if mutation == "truncate":
-            blob = blob[: len(blob) // 2]
-        elif mutation == "flip":
-            blob = blob[:10] + bytes([blob[10] ^ 0xFF]) + blob[11:]
-        else:
-            blob = b"not a pickle at all"
-        with pytest.raises(ArtifactsFormatError):
-            loads_artifacts(blob, data)
-
-
 class TestCatalogBasics:
     def test_add_persists_layout(self, instance, tmp_path):
         data, queries = instance
         catalog = GraphCatalog(tmp_path / "cat")
         info = catalog.add("g", data)
         entry = tmp_path / "cat" / "g"
-        assert (entry / GRAPH_FILE).exists()
-        assert (entry / ARTIFACTS_FILE).exists()
-        assert (entry / META_FILE).exists()
+        assert sorted(os.listdir(entry)) == sorted(
+            [GRAPH_FILE, META_FILE, LOG_FILE]
+        )
         assert info["graph_checksum"] == graph_checksum(data)
         assert catalog.names() == ["g"]
         assert_matches_direct(catalog.engine("g"), data, queries)
@@ -144,20 +108,27 @@ class TestCatalogBasics:
 
 
 class TestCatalogDurability:
-    def test_reload_uses_disk_artifacts(self, instance, tmp_path):
+    def test_reopen_builds_once_from_a_valid_sidecar(self, instance, tmp_path):
         data, queries = instance
         GraphCatalog(tmp_path / "cat").add("g", data)
+        entry = tmp_path / "cat" / "g"
+        files = {n: (entry / n).read_bytes() for n in os.listdir(entry)}
         reopened = GraphCatalog(tmp_path / "cat")
         before = DataArtifacts.builds_performed
         engine = reopened.engine("g")
-        assert DataArtifacts.builds_performed == before, "load must not build"
+        assert DataArtifacts.builds_performed == before + 1
         assert reopened.counters["artifact_loads"] == 1
-        assert reopened.counters["artifact_rebuilds"] == 0
+        assert reopened.counters["sidecar_repairs"] == 0
+        # A clean load writes nothing.
+        assert {
+            n: (entry / n).read_bytes() for n in os.listdir(entry)
+        } == files
         assert_matches_direct(engine, data, queries)
 
     def test_subprocess_round_trip(self, instance, tmp_path):
-        """Artifacts written here are loaded — not rebuilt — by a fresh
-        process, and serve byte-identical results."""
+        """An entry written here is loaded — not repaired — by a fresh
+        process, which builds the artifacts once and serves
+        byte-identical results."""
         data, queries = instance
         GraphCatalog(tmp_path / "cat").add("g", data)
         script = """
@@ -176,7 +147,7 @@ print(json.dumps({
     "num": result.num_embeddings,
     "status": result.status.value,
     "loads": catalog.counters["artifact_loads"],
-    "rebuilds": catalog.counters["artifact_rebuilds"],
+    "repairs": catalog.counters["sidecar_repairs"],
     "builds_in_process": DataArtifacts.builds_performed,
 }))
 """
@@ -198,31 +169,21 @@ print(json.dumps({
         assert reply["num"] == direct.num_embeddings
         assert reply["status"] == direct.status.value
         assert reply["loads"] == 1
-        assert reply["rebuilds"] == 0
-        assert reply["builds_in_process"] == 0
+        assert reply["repairs"] == 0
+        assert reply["builds_in_process"] == 1
 
     @pytest.mark.parametrize(
-        "corruption",
-        ["truncate_artifacts", "flip_artifacts", "delete_artifacts",
-         "corrupt_meta", "delete_meta", "stale_graph"],
+        "corruption", ["corrupt_meta", "delete_meta", "stale_graph"]
     )
     def test_corruption_triggers_rebuild_not_crash(
         self, instance, tmp_path, corruption
     ):
+        """A bad sidecar is rebuilt from the graph file, never trusted."""
         data, queries = instance
         root = tmp_path / "cat"
         GraphCatalog(root).add("g", data)
         entry = root / "g"
-        artifacts = entry / ARTIFACTS_FILE
-        if corruption == "truncate_artifacts":
-            artifacts.write_bytes(artifacts.read_bytes()[:20])
-        elif corruption == "flip_artifacts":
-            blob = bytearray(artifacts.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            artifacts.write_bytes(bytes(blob))
-        elif corruption == "delete_artifacts":
-            artifacts.unlink()
-        elif corruption == "corrupt_meta":
+        if corruption == "corrupt_meta":
             (entry / META_FILE).write_text("{ not json", encoding="utf-8")
         elif corruption == "delete_meta":
             (entry / META_FILE).unlink()
@@ -234,64 +195,84 @@ print(json.dumps({
             ]
         catalog = GraphCatalog(root)
         engine = catalog.engine("g")
-        assert catalog.counters["artifact_rebuilds"] == 1
+        assert catalog.counters["sidecar_repairs"] == 1
         assert catalog.counters["artifact_loads"] == 0
         assert_matches_direct(engine, data, queries)
-        # The rebuild rewrote the store: a fresh catalog loads cleanly.
+        # The repair rewrote the sidecar: a fresh catalog loads cleanly.
         after = GraphCatalog(root)
         after.engine("g")
         assert after.counters["artifact_loads"] == 1
-        assert after.counters["artifact_rebuilds"] == 0
+        assert after.counters["sidecar_repairs"] == 0
 
-    def test_old_artifact_format_version_rebuilds_cleanly(
+    def test_entry_with_artifacts_bin_loads_without_repair(
         self, instance, tmp_path
     ):
-        """A sidecar + blob written at the *previous* artifact format
-        version (v1: no build-path bitmaps) is stale, not corrupt: the
-        load rebuilds from the graph (counter increments), never
-        crashes, never silently reuses the old payload."""
-        import hashlib
-        import pickle
-
+        """An entry in the older layout — an ``artifacts.bin`` beside the
+        graph, its sidecar carrying ``artifacts_format_version`` and
+        ``artifacts_sha256`` — loads as it is: the blob is ignored (here
+        truncated to 0 bytes), the sidecar is valid, and updates,
+        compaction and removal all work on it."""
         data, queries = instance
         root = tmp_path / "cat"
-        GraphCatalog(root).add("g", data)
         entry = root / "g"
-
-        # Forge a faithful v1-era store: the pre-bitmap payload shape
-        # with a consistent sidecar (correct sha256, old version tags).
-        fresh = DataArtifacts(data)
-        v1_payload = (
-            1,
-            data.num_vertices,
-            data.num_edges,
-            fresh.degrees,
-            fresh.label_buckets,
-            [data.neighbor_label_frequency(v) for v in data.vertices()],
+        entry.mkdir(parents=True)
+        graph_bytes = saves_graph(data).encode("utf-8")
+        (entry / GRAPH_FILE).write_bytes(graph_bytes)
+        (entry / "artifacts.bin").write_bytes(b"")
+        (entry / LOG_FILE).write_bytes(b"")
+        meta = {
+            "format_version": 1,
+            "artifacts_format_version": 2,
+            "name": "g",
+            "num_vertices": data.num_vertices,
+            "num_edges": data.num_edges,
+            "epoch": 3,
+            "graph_checksum": graph_checksum(data),
+            "graph_file_sha256": hashlib.sha256(graph_bytes).hexdigest(),
+            "artifacts_sha256": hashlib.sha256(b"the old blob").hexdigest(),
+        }
+        (entry / META_FILE).write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
-        blob = pickle.dumps(v1_payload, protocol=pickle.HIGHEST_PROTOCOL)
-        (entry / ARTIFACTS_FILE).write_bytes(blob)
-        meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
-        meta["artifacts_format_version"] = 1
-        meta["artifacts_sha256"] = hashlib.sha256(blob).hexdigest()
-        (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
 
-        # The direct loader rejects the stale version outright ...
-        with pytest.raises(ArtifactsFormatError, match="version"):
-            loads_artifacts(blob, data)
-
-        # ... and the catalog turns that into one clean rebuild.
         catalog = GraphCatalog(root)
         engine = catalog.engine("g")
-        assert catalog.counters["artifact_rebuilds"] == 1
-        assert catalog.counters["artifact_loads"] == 0
+        assert catalog.counters["sidecar_repairs"] == 0
+        assert catalog.counters["artifact_loads"] == 1
+        assert catalog.info("g")["epoch"] == 3
+        fresh = GraphCatalog(tmp_path / "fresh")
+        fresh.add("g", data)
         assert_matches_direct(engine, data, queries)
-        # The rebuild rewrote blob + sidecar at the current version: a
-        # fresh catalog now loads cleanly with zero rebuilds.
-        after = GraphCatalog(root)
-        after.engine("g")
-        assert after.counters["artifact_loads"] == 1
-        assert after.counters["artifact_rebuilds"] == 0
+        limits = SearchLimits(max_embeddings=500)
+        for query in queries:
+            assert engine.match(query, limits=limits).embeddings == (
+                fresh.engine("g").match(query, limits=limits).embeddings
+            )
+
+        u, v = next(
+            (u, v) for u in data.vertices() for v in data.vertices()
+            if u < v and not data.has_edge(u, v)
+        )
+        info, _ = catalog.update("g", GraphDelta(add_edges=((u, v),)))
+        assert info["epoch"] == 4
+        assert catalog.counters["log_appends"] == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 2)
+            info, _ = catalog.update("g", GraphDelta(remove_edges=((u, v),)))
+        assert info["epoch"] == 5
+        assert catalog.counters["log_compactions"] == 1
+        compacted = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+        assert compacted["epoch"] == 5
+        assert "artifacts_sha256" not in compacted
+        reopened = GraphCatalog(root)
+        assert reopened.engine("g").data == data
+        assert reopened.counters["sidecar_repairs"] == 0
+        assert reopened.info("g")["epoch"] == 5
+
+        reopened.remove("g")
+        assert not entry.exists()
+        assert reopened.names() == []
 
     def test_unparseable_graph_is_an_error(self, instance, tmp_path):
         data, _ = instance
@@ -306,72 +287,7 @@ print(json.dumps({
         root = tmp_path / "cat"
         catalog = GraphCatalog(root)
         catalog.add("g", data)
-        assert catalog.warm("g") is False  # store valid, nothing rebuilt
-        (root / "g" / ARTIFACTS_FILE).write_bytes(b"junk")
+        assert catalog.warm("g") is False  # store valid, nothing repaired
+        (root / "g" / META_FILE).write_text("junk", encoding="utf-8")
         assert catalog.warm("g") is True
         assert GraphCatalog(root).warm("g") is False
-
-
-class TestCanonicalStore:
-    """Masks at rest are canonical Python ints: query-time derived
-    caches must not leak into the stored bytes, and a payload carrying
-    anything else (e.g. word arrays) is corrupt."""
-
-    def test_warm_dump_matches_disk_bytes(self, instance, tmp_path):
-        data, queries = instance
-        root = tmp_path / "cat"
-        catalog = GraphCatalog(root)
-        catalog.add("g", data)
-        # Warm the engine through real matches so derived caches (mask
-        # ladders, count vectors) exist before the live artifacts are
-        # re-serialized.
-        engine = catalog.engine("g")
-        for query in queries:
-            engine.match(query, limits=SearchLimits(max_embeddings=100))
-        disk = (root / "g" / ARTIFACTS_FILE).read_bytes()
-        assert dumps_artifacts(engine.artifacts) == disk
-
-    def test_dump_bytes_depend_on_values_not_identity(self):
-        """Equal string labels held as distinct objects (a graph parsed
-        from text, a reloaded payload) serialize like a cold build."""
-        data = graph_from_adjacency(
-            ["ab", "cd", "ab", "cd", 7], [(0, 1), (1, 2), (2, 3), (3, 4)]
-        )
-        cold = dumps_artifacts(DataArtifacts(data))
-        parsed = loads_graph(saves_graph(data))
-        assert dumps_artifacts(DataArtifacts(parsed)) == cold
-        assert dumps_artifacts(loads_artifacts(cold, parsed)) == cold
-
-    def test_mixed_width_payload_rejected_then_rebuilt(self, instance, tmp_path):
-        """A forged payload whose adjacency bitmaps are ``array('Q')``
-        64-bit word arrays instead of ints is non-canonical: the loader
-        rejects it outright and the catalog recovers with one clean
-        rebuild."""
-        import hashlib
-        import pickle
-        from array import array
-
-        data, queries = instance
-        root = tmp_path / "cat"
-        GraphCatalog(root).add("g", data)
-        entry = root / "g"
-
-        payload = list(pickle.loads((entry / ARTIFACTS_FILE).read_bytes()))
-        nbytes = 8 * max(1, (data.num_vertices + 63) // 64)
-        payload[7] = tuple(
-            array("Q", m.to_bytes(nbytes, "little")) for m in payload[7]
-        )
-        forged = pickle.dumps(tuple(payload), protocol=pickle.HIGHEST_PROTOCOL)
-        (entry / ARTIFACTS_FILE).write_bytes(forged)
-        meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
-        meta["artifacts_sha256"] = hashlib.sha256(forged).hexdigest()
-        (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
-
-        with pytest.raises(ArtifactsFormatError, match="canonical int masks"):
-            loads_artifacts(forged, data)
-
-        catalog = GraphCatalog(root)
-        engine = catalog.engine("g")
-        assert catalog.counters["artifact_rebuilds"] == 1
-        assert catalog.counters["artifact_loads"] == 0
-        assert_matches_direct(engine, data, queries)

@@ -7,7 +7,8 @@ cold, and asserts the entry is **byte-identical** to either the state
 before the operation or the state after an uninterrupted run — never
 anything in between.  Updates are swept on both of their paths: the
 delta-log append, and the compaction an entry whose log is one record
-short takes.  The point list is generated, so adding a hook to the
+short takes.  The sidecar repair a stale ``meta.json`` triggers on load
+is swept too.  The point list is generated, so adding a hook to the
 catalog automatically extends the sweep.
 
 Alongside it: forged torn states (partial writes journaling could not
@@ -42,7 +43,6 @@ from repro.graph.builder import graph_from_adjacency
 from repro.matching.limits import SearchLimits
 from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    ARTIFACTS_FILE,
     GRAPH_FILE,
     JOURNAL_FILE,
     LOG_COMPACT_RECORDS,
@@ -126,6 +126,29 @@ def snapshot(directory: Path):
         for child in sorted(directory.iterdir())
         if child.is_file()
     }
+
+
+def epoch2_snapshot(root: Path):
+    """Add the bipartite world at epoch 1 under ``root`` and return the
+    ``{filename: bytes}`` snapshot a compacting ``DELTA`` update would
+    write (made on a scratch copy; the store stays at epoch 1)."""
+    GraphCatalog(root).add("g", bipartite_world()[0])
+    scratch = root.parent / (root.name + "-scratch")
+    shutil.copytree(root, scratch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 1)
+        GraphCatalog(scratch).update("g", DELTA)
+    new = snapshot(scratch / "g")
+    shutil.rmtree(scratch)
+    return new
+
+
+def stale_sidecar_store(root: Path) -> bytes:
+    """An epoch-1 store whose graph file was hand-edited to the epoch-2
+    graph, so its sidecar is stale.  Returns the graph file's bytes."""
+    graph_bytes = epoch2_snapshot(root)[GRAPH_FILE]
+    (root / "g" / GRAPH_FILE).write_bytes(graph_bytes)
+    return graph_bytes
 
 
 def recover(root: Path, name: str):
@@ -224,11 +247,44 @@ class TestCrashPointSweep:
         else:
             assert info["epoch"] == epoch + 1
             assert engine.data.has_edge(0, 3)
-        assert fresh.counters["artifact_rebuilds"] == 0
+        assert fresh.counters["sidecar_repairs"] == 0
         assert fresh.counters["txn_rollbacks"] == 0
         assert fresh.counters["txn_rollforwards"] == (
             1 if rollforward_expected("update", point) else 0
         )
+
+    @pytest.mark.parametrize("point", txn_points("repair"))
+    def test_repair(self, tmp_path, point):
+        """A load that finds a stale sidecar (the graph file hand-edited)
+        rewrites ``meta.json`` alone; a kill anywhere in that rewrite
+        still ends, after one reopen, at the repaired bytes."""
+        root = tmp_path / "store"
+        new_graph = stale_sidecar_store(root)
+        shutil.copytree(root, tmp_path / "ref")
+        GraphCatalog(tmp_path / "ref").engine("g")  # the uninterrupted repair
+        after = snapshot(tmp_path / "ref" / "g")
+        assert after[GRAPH_FILE] == new_graph
+        assert after[META_FILE] != snapshot(root / "g")[META_FILE]
+
+        plan = crash_at(point)
+        with pytest.raises(InjectedCrash):
+            GraphCatalog(root, faults=plan).engine("g")
+        assert plan.fired() == 1, f"{point} was not on the executed path"
+
+        fresh = recover(root, "g")
+        assert snapshot(root / "g") == after
+        assert fresh.engine("g").data.has_edge(0, 3)  # the graph file wins
+        assert fresh.info("g")["epoch"] == 1
+        rolled = rollforward_expected("repair", point)
+        assert fresh.counters["txn_rollforwards"] == (1 if rolled else 0)
+        assert fresh.counters["sidecar_repairs"] == (
+            0 if rolled or point == "catalog.txn.commit" else 1
+        )
+        assert fresh.counters["txn_rollbacks"] == 0
+        again = GraphCatalog(root)
+        again.engine("g")
+        assert again.counters["sidecar_repairs"] == 0
+        assert again.counters["artifact_loads"] == 1
 
     @pytest.mark.parametrize("point", txn_points("remove"))
     def test_remove(self, tmp_path, point):
@@ -265,8 +321,14 @@ class TestCrashPointSweep:
         data, _ = bipartite_world()
         plan = FaultPlan()
         plan.record_history = True
+        GraphCatalog(tmp_path, faults=plan).add("g", data)
+        # The same graph, re-spelled: the sidecar's file hash goes stale,
+        # so the next cold load repairs it.
+        graph_file = tmp_path / "g" / GRAPH_FILE
+        graph_file.write_bytes(graph_file.read_bytes() + b"\n")
         catalog = GraphCatalog(tmp_path, faults=plan)
-        catalog.add("g", data)
+        catalog.engine("g")
+        assert catalog.counters["sidecar_repairs"] == 1
         appends = LOG_COMPACT_RECORDS - 1
         for delta in toggles(appends):
             catalog.update("g", delta)
@@ -274,13 +336,14 @@ class TestCrashPointSweep:
         catalog.remove("g")
         assert tuple(plan.history) == (
             txn_points("add")
+            + txn_points("repair")
             + txn_points("update") * appends
             + txn_points("compact")
             + txn_points("remove")
         )
 
     @pytest.mark.parametrize(
-        "point", ["catalog.log.begin", "catalog.txn.tmp.artifacts.bin"]
+        "point", ["catalog.log.begin", "catalog.txn.tmp.meta.json"]
     )
     def test_disk_full_is_reported_and_recoverable(
         self, tmp_path, point, short_log
@@ -312,51 +375,38 @@ class TestForgedTornStates:
     must still converge on a consistent epoch, with the honest counters.
     """
 
-    def setup_store(self, root):
-        data, _ = bipartite_world()
-        GraphCatalog(root).add("g", data)
-        # Materialize the epoch-2 snapshot files via a real compacting
-        # update on a scratch copy, then restore the epoch-1 store.
-        scratch = root.parent / "scratch"
-        shutil.copytree(root, scratch)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 1)
-            GraphCatalog(scratch).update("g", DELTA)
-        new = snapshot(scratch / "g")
-        shutil.rmtree(scratch)
-        return new
-
     def test_graph_written_meta_stale(self, tmp_path):
-        new = self.setup_store(tmp_path)
-        (tmp_path / "g" / GRAPH_FILE).write_bytes(new[GRAPH_FILE])
+        stale_sidecar_store(tmp_path)
 
         fresh = GraphCatalog(tmp_path)
         engine = fresh.engine("g")
         assert engine.data.has_edge(0, 3)  # the graph file wins
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.counters["txn_rollbacks"] == 0
         # No journal -> no transaction to attribute the graph to: the
         # stale sidecar's epoch is all the history we honestly have.
         assert fresh.info("g")["epoch"] == 1
-        # The rebuild repaired the store: a second cold open is clean.
+        # The repair rewrote the sidecar: a second cold open is clean.
         again = GraphCatalog(tmp_path)
         again.engine("g")
         assert again.counters["artifact_loads"] == 1
-        assert again.counters["artifact_rebuilds"] == 0
+        assert again.counters["sidecar_repairs"] == 0
 
     def test_artifacts_torn(self, tmp_path):
-        self.setup_store(tmp_path)
-        blob = (tmp_path / "g" / ARTIFACTS_FILE).read_bytes()
-        (tmp_path / "g" / ARTIFACTS_FILE).write_bytes(blob[: len(blob) // 2])
+        """A torn ``artifacts.bin`` left by the older store layout is
+        never read: the load is clean and keeps the epoch."""
+        epoch2_snapshot(tmp_path)
+        (tmp_path / "g" / "artifacts.bin").write_bytes(b"\x80\x05torn")
 
         fresh = GraphCatalog(tmp_path)
-        fresh.engine("g")
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert not fresh.engine("g").data.has_edge(0, 3)
+        assert fresh.counters["artifact_loads"] == 1
+        assert fresh.counters["sidecar_repairs"] == 0
         assert fresh.info("g")["epoch"] == 1
 
     def test_journal_dangling_after_partial_rename(self, tmp_path):
-        """Graph renamed to epoch 2, artifacts/meta old, tmps gone."""
-        new = self.setup_store(tmp_path)
+        """Graph renamed to epoch 2, meta old, tmps gone."""
+        new = epoch2_snapshot(tmp_path)
         (tmp_path / "g" / GRAPH_FILE).write_bytes(new[GRAPH_FILE])
         journal = {
             "op": "write",
@@ -369,15 +419,15 @@ class TestForgedTornStates:
         engine = fresh.engine("g")
         assert engine.data.has_edge(0, 3)
         # Unrecoverable as a transaction (staged bytes missing), but the
-        # journal proves the graph content *is* epoch 2 — the rebuilt
+        # journal proves the graph content *is* epoch 2 — the repaired
         # sidecar must say so instead of reviving epoch 1.
         assert fresh.counters["txn_rollbacks"] == 1
-        assert fresh.counters["artifact_rebuilds"] == 1
+        assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.info("g")["epoch"] == 2
         assert not (tmp_path / "g" / JOURNAL_FILE).exists()
 
     def test_journal_corrupt(self, tmp_path):
-        self.setup_store(tmp_path)
+        epoch2_snapshot(tmp_path)
         (tmp_path / "g" / JOURNAL_FILE).write_text("{not json")
 
         fresh = GraphCatalog(tmp_path)
@@ -388,7 +438,7 @@ class TestForgedTornStates:
         assert not (tmp_path / "g" / JOURNAL_FILE).exists()
 
     def test_dangling_tmps_without_journal(self, tmp_path):
-        new = self.setup_store(tmp_path)
+        new = epoch2_snapshot(tmp_path)
         for name in new:
             (tmp_path / "g" / (name + ".tmp")).write_bytes(new[name])
 
@@ -396,7 +446,7 @@ class TestForgedTornStates:
         fresh.engine("g")
         # Pre-journal garbage: silently discarded, clean load, epoch 1.
         assert fresh.counters["artifact_loads"] == 1
-        assert fresh.counters["artifact_rebuilds"] == 0
+        assert fresh.counters["sidecar_repairs"] == 0
         assert fresh.counters["txn_rollbacks"] == 0
         assert fresh.info("g")["epoch"] == 1
         assert not list((tmp_path / "g").glob("*.tmp"))

@@ -139,8 +139,7 @@ class TestCatalogReload:
         catalog.add("g", world_v1())
         report = catalog.reload()
         assert report == {
-            "g": {"action": "kept", "old_epoch": 1, "epoch": 1,
-                  "rebuilt": False},
+            "g": {"action": "kept", "old_epoch": 1, "epoch": 1},
         }
 
     def test_crash_before_swap_leaves_old_state(self, tmp_path):

@@ -73,7 +73,7 @@ class TestEndToEndExactness:
         with ServiceClient(*service.address) as client:
             base = client.stats()
 
-            # Pass 1 — cold catalog: engines load persisted artifacts.
+            # Pass 1 — cold catalog: the engine loads and builds once.
             for query, expected in zip(queries, direct):
                 reply = client.query(query, "wordnet", limit=LIMIT)
                 assert reply.cache == "miss"
@@ -81,16 +81,16 @@ class TestEndToEndExactness:
             cold = client.stats()
             assert cold["catalog"]["artifact_loads"] == 1
             assert cold["catalog"]["artifact_builds"] == 0
-            assert cold["catalog"]["artifact_rebuilds"] == 0
+            assert cold["catalog"]["sidecar_repairs"] == 0
 
-            # Pass 2 — warm cache: every query hits, nothing rebuilds.
+            # Pass 2 — warm cache: every query hits, nothing builds.
             for query, expected in zip(queries, direct):
                 reply = client.query(query, "wordnet", limit=LIMIT)
                 assert reply.cache == "hit"
                 assert_reply_identical(reply, expected)
             warm = client.stats()
             assert warm["qcache"]["hits"] >= len(queries)
-            for counter in ("artifact_builds", "artifact_rebuilds",
+            for counter in ("artifact_builds", "sidecar_repairs",
                             "artifact_loads"):
                 assert warm["catalog"][counter] == cold["catalog"][counter]
             assert (
@@ -612,7 +612,7 @@ class TestServeSubprocessSmoke:
                 assert_reply_identical(reply, direct)
                 stats = client.stats()
                 assert stats["server"]["served"] == 1
-                assert stats["catalog"]["artifact_rebuilds"] == 0
+                assert stats["catalog"]["sidecar_repairs"] == 0
                 client.shutdown()
             assert proc.wait(timeout=60) == 0
         finally:
