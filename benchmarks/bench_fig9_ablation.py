@@ -4,6 +4,11 @@ Paper shape: "Baseline" (no guards) has the most futile recursions;
 reservation guards ("R") remove a workload-dependent chunk; nogood
 guards on vertices ("R+NV") contribute the most; edge guards
 ("R+NV+NE") the second most; backjumping ("All") adds a little more.
+
+Each row also prices its guards: the total search seconds over every
+set (``QueryRunRecord.search_seconds``, build excluded) and the search
+microseconds per recursion, so a combination's cost sits next to the
+futile recursions it saves.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ SETS = ("8S", "16S", "24S", "8D", "16D", "24D")
 
 
 def run_ablation():
+    """Futile recursions per config and set, plus each config's total
+    ``(search_seconds, recursions)`` over all sets."""
     futile = {name: {} for name, _ in ABLATIONS}
+    cost = {name: [0.0, 0] for name, _ in ABLATIONS}
     for name, config in ABLATIONS:
         matcher = GuPMatcher(config, name=name)
         for set_name in SETS:
@@ -39,20 +47,24 @@ def run_ablation():
                 stop_on_dnf=False,
             )
             futile[name][set_name] = res.total_futile()
-    return futile
+            cost[name][0] += sum(r.search_seconds for r in res.records)
+            cost[name][1] += res.total_recursions()
+    return futile, cost
 
 
 def test_fig9_ablation(benchmark):
-    futile = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    futile, cost = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
 
     rows = [
         [name] + [futile[name][s] for s in SETS] + [sum(futile[name].values())]
+        + [round(cost[name][0], 3),
+           round(1e6 * cost[name][0] / max(cost[name][1], 1), 2)]
         for name, _ in ABLATIONS
     ]
     publish(
         "fig9_ablation",
         format_table(
-            ["Config"] + list(SETS) + ["Total"],
+            ["Config"] + list(SETS) + ["Total", "Search s", "us/rec"],
             rows,
             title=f"Fig. 9: futile recursions per guard combination on {DATASET}",
         ),

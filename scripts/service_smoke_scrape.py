@@ -21,7 +21,12 @@ path-backed structured request log, drives a query round-trip through
   equal the reply header's, and the Chrome trace exported from that request's span records is
   well-formed: every span's parent exists, the single root is the
   client attempt, and the procpool worker spans nest under the
-  ``engine.search`` phase span.
+  ``engine.search`` phase span;
+* against a real ``repro serve`` subprocess on the same catalog, the
+  smoke query re-issued under a vertex relabeling is a cache hit whose
+  embeddings are the first reply's under that relabeling (as a set),
+  and ``repro_qcache_translated_hits_total`` on its ``/metrics`` rises
+  by exactly one: a translated hit served from the cached frame.
 
 Exits nonzero with a message on the first violated check.  The request
 log is written to ``service-smoke-requests.jsonl`` and the trace
@@ -34,7 +39,9 @@ Run: ``PYTHONPATH=src python scripts/service_smoke_scrape.py``
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -120,6 +127,63 @@ def raw_request(host: str, port: int, payload: dict) -> dict:
     return json.loads(line)
 
 
+def translated_hits(host: str, port: int) -> float:
+    exposed = parse_exposition(http_get(host, port, "/metrics"))
+    return sum(
+        value for (name, _), value in exposed.items()
+        if name == "repro_qcache_translated_hits_total"
+    )
+
+
+def relabeled_hit_check(root: str, query) -> str:
+    """The smoke query, then a relabeled copy, against ``repro serve``
+    run as a subprocess on ``root``; returns a summary line."""
+    perm = list(reversed(range(query.num_vertices)))
+    relabeled = query.relabeled(perm)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--root", root,
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        if not banner:
+            fail("repro serve printed no banner")
+        host, port = "127.0.0.1", int(banner.rsplit(":", 1)[1])
+        with ServiceClient(host, port) as client:
+            first = client.query(query, "g")
+            before = translated_hits(host, port)
+            again = client.query(relabeled, "g")
+            after = translated_hits(host, port)
+            client.drain()
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    if again.cache != "hit":
+        fail(f"relabeled query was a cache {again.cache}, not a hit")
+    # New vertex i of the relabeled query is old vertex perm[i].
+    expected = {tuple(e[p] for p in perm) for e in first.embeddings}
+    if set(again.embeddings) != expected or \
+            again.num_embeddings != first.num_embeddings:
+        fail(
+            f"relabeled hit served {sorted(again.embeddings)}, "
+            f"expected {sorted(expected)}"
+        )
+    if after - before != 1:
+        fail(
+            "repro_qcache_translated_hits_total rose by "
+            f"{after - before}, not 1"
+        )
+    return (
+        "relabeled hit on a repro serve subprocess: "
+        f"{again.num_embeddings} embeddings translated"
+    )
+
+
 def main() -> int:
     data = graph_from_adjacency(
         ["A", "B", "A", "C", "D", "C"],
@@ -177,6 +241,7 @@ def main() -> int:
                 op_text = client.metrics()
             http_text = http_get(host, port, "/metrics")
             health = http_get(host, port, "/healthz")
+        relabeled = relabeled_hit_check(tmp, query)
 
     if '"status"' not in health:
         fail(f"/healthz returned no status: {health[:200]!r}")
@@ -257,7 +322,7 @@ def main() -> int:
         f"{len(RECONCILED)} counters reconciled, {server['queries']} "
         f"queries in counted outcomes, trace {reply.trace} "
         f"in {LOG_PATH}, {len(spans)} spans ({len(workers)} worker tasks) "
-        f"exported to {TRACE_PATH}"
+        f"exported to {TRACE_PATH}; {relabeled}"
     )
     return 0
 

@@ -103,6 +103,9 @@ JOURNAL_FILE = "journal.json"
 ANALYZE_FILE = "analyze.json"
 TMP_SUFFIX = ".tmp"
 _ENTRY_FILES = (GRAPH_FILE, META_FILE, LOG_FILE)
+# Entries written before the filter artifacts stopped being persisted
+# may still hold this file; loads ignore it and a full snapshot drops it.
+LEGACY_ARTIFACTS_FILE = "artifacts.bin"
 
 # The update that would make an entry's delta log reach this many
 # records commits a full snapshot instead.  It bounds a cold load's
@@ -956,7 +959,8 @@ class GraphCatalog:
         """Persist one snapshot as a single journaled transaction.
 
         A full snapshot (``add``, compaction) commits an empty delta log
-        with it.  ``include_graph=False`` is the sidecar repair: the
+        with it and deletes a leftover :data:`LEGACY_ARTIFACTS_FILE`.
+        ``include_graph=False`` is the sidecar repair: the
         graph file on disk *is* the source being recovered from and must
         not be rewritten, and the delta log is kept — its records still
         replay on top of this snapshot, and resetting it would silently
@@ -981,6 +985,13 @@ class GraphCatalog:
         if include_graph:
             files[LOG_FILE] = b""
         self._txn_commit(directory, files, epoch)
+        if include_graph:
+            # Best effort: a crash before this unlink leaves a file that
+            # loads ignore and the next full snapshot drops.
+            try:
+                (directory / LEGACY_ARTIFACTS_FILE).unlink(missing_ok=True)
+            except OSError:
+                pass
         self._epochs[directory.name] = epoch
         self._logs.pop(directory.name, None)
 

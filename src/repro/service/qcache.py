@@ -32,7 +32,10 @@ the representative's enumeration translated through the witness
 isomorphism: exact as a set when complete, and a valid prefix
 (cap-many correct, distinct embeddings) when capped — enumeration
 order is numbering-dependent, so only same-numbering repeats can be
-order-identical to a direct run.  Time and
+order-identical to a direct run.  An entry holds its enumeration as
+the reply frame (:mod:`repro.service.wire`), packed once, so a hit is
+a prefix slice of that frame (zero-copy for a same-numbering repeat)
+and a translated hit is a column permutation of the slice.  Time and
 recursion budgets never *invalidate* a cached answer (a budget caps
 effort, and the cached answer is already computed), but a run that was
 *killed* by one (``TIMEOUT``) proves nothing and is never cached.
@@ -46,13 +49,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, SearchStats, TerminationStatus
 from repro.obs.metrics import CounterGroup
+from repro.service.wire import FrameRows
 
 DEFAULT_LEAF_BUDGET = 4096
 """Individualization-refinement node budget before falling back to the
@@ -213,7 +216,8 @@ def canonical_form(
 
 
 class _Entry:
-    """One cached enumeration, stored in its producer's numbering."""
+    """One cached enumeration, stored as its reply frame (a
+    :class:`FrameRows`) in its producer's numbering."""
 
     __slots__ = ("perm", "embeddings", "total", "complete", "cap", "stats",
                  "has_embeddings")
@@ -221,7 +225,7 @@ class _Entry:
     def __init__(
         self,
         perm: Tuple[int, ...],
-        embeddings: Optional[List[Tuple[int, ...]]],
+        embeddings: Optional[FrameRows],
         total: int,
         complete: bool,
         cap: Optional[int],
@@ -412,31 +416,23 @@ class QueryCache:
     ) -> Optional[_Entry]:
         if result.status is TerminationStatus.TIMEOUT:
             return None
-        stats = replace(result.stats)
-        if result.status is TerminationStatus.COMPLETE:
-            if limits.collect:
-                if result.num_embeddings != len(result.embeddings):
-                    return None
-                embeddings: Optional[List[Tuple[int, ...]]] = [
-                    tuple(e) for e in result.embeddings
-                ]
-            else:
-                embeddings = None
-            return _Entry(
-                form.perm, embeddings, result.num_embeddings, True, None, stats
-            )
-        # EMBEDDING_LIMIT: keep only fully-materialized prefix runs.
-        if not limits.collect or limits.max_embeddings is None:
+        complete = result.status is TerminationStatus.COMPLETE
+        # A truncated run is kept only as a fully-materialized prefix.
+        if not complete and (
+            not limits.collect or limits.max_embeddings is None
+        ):
             return None
-        if result.num_embeddings != len(result.embeddings):
-            return None  # e.g. symmetry expansion: prefix not materialized
+        rows = None
+        if limits.collect:
+            if result.num_embeddings != len(result.embeddings):
+                return None  # e.g. symmetry expansion: not materialized
+            # Packed once: a result the server packed for its reply is
+            # already a view, and its frame is stored as it is.
+            rows = FrameRows.pack(result.embeddings)
         return _Entry(
-            form.perm,
-            [tuple(e) for e in result.embeddings],
-            result.num_embeddings,
-            False,
-            limits.max_embeddings,
-            stats,
+            form.perm, rows, result.num_embeddings, complete,
+            None if complete else limits.max_embeddings,
+            replace(result.stats),
         )
 
     def _decide(
@@ -470,13 +466,14 @@ class QueryCache:
         count, status = self._decide(entry, limits)
         if count is None:
             return None
-        embeddings: List[Tuple[int, ...]] = []
+        embeddings: Sequence[Tuple[int, ...]] = []
         if limits.collect:
-            embeddings = entry.embeddings[:count]
+            # Prefix-exact caps: the first ``count`` rows of the frame.
+            embeddings = entry.embeddings.prefix(count)
             mapping = self._compose(entry.perm, form.perm)
             if mapping is not None:  # None: identity, the exact repeat
                 self.counters["translated_hits"] += 1
-                embeddings = list(map(itemgetter(*mapping), embeddings))
+                embeddings = embeddings.permuted(mapping)
         return MatchResult(
             embeddings=embeddings,
             num_embeddings=count,

@@ -31,11 +31,14 @@ by a binary body (the :mod:`repro.service.wire` frame):
       and body go out in one write.  ``queue_seconds`` is
       admission-queue wait, reported separately from execution;
       ``encode_seconds`` is the time spent packing the body, outside
-      ``server_seconds``; ``trace`` echoes (or generates) the
-      request's trace id, the one its structured log lines share;
-      ``explain`` attaches an EXPLAIN (``"plan"``: no search, no rows)
-      or ANALYZE (``"analyze"``: the real search, cache bypassed, with
-      exact per-stage and per-guard counts) report to the header.
+      ``server_seconds`` (about 0 when the query went through the
+      cache: a hit serves a stored frame, and a miss packs the frame
+      the cache keeps while it executes); ``trace`` echoes (or
+      generates) the request's trace id, the one its structured log
+      lines share; ``explain`` attaches an EXPLAIN (``"plan"``: no
+      search, no rows) or ANALYZE (``"analyze"``: the real search,
+      cache bypassed, with exact per-stage and per-guard counts) report
+      to the header.
       Unknown keys are ignored.
 ``{"op": "update", "name": n, "delta": {"add_vertices": [...],
    "add_edges": [[u, v], ...], "remove_edges": [[u, v], ...]}}``
@@ -180,7 +183,7 @@ from repro.service.tenancy import (
     TenantState,
     TenantTable,
 )
-from repro.service.wire import encode_embeddings
+from repro.service.wire import FrameRows, encode_embeddings
 
 DEFAULT_PORT = 7464
 
@@ -1578,6 +1581,9 @@ class MatchingServer:
             else:
                 result = engine.match(query, limits=limits, workers=workers)
                 if form is not None:
+                    # Packed once: the reply and the cache entry share
+                    # this frame.
+                    result.embeddings = FrameRows.pack(result.embeddings)
                     cache.store(form, limits, result)
                     with self._counters_lock:
                         self._cache_epochs[name] = epoch

@@ -276,6 +276,31 @@ class TestLogFailureModes:
         assert fresh.counters["sidecar_repairs"] == 1
         assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
 
+    def test_lost_sidecar_after_compaction_takes_the_log_base(
+        self, tmp_path, monkeypatch
+    ):
+        """Without a sidecar, the snapshot epoch is the log's first
+        record - 1, also for a snapshot compacted at a later epoch."""
+        monkeypatch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 3)
+        later = (
+            GraphDelta(add_edges=((0, 5),)),
+            GraphDelta(remove_edges=((0, 3),)),
+        )
+        # Updates 1-2 append, update 3 compacts at epoch 4, and the two
+        # later ones append epochs 5 and 6 on top of that snapshot.
+        graphs = logged_store(tmp_path, UPDATES + later)
+        entry = tmp_path / "g"
+        assert len((entry / LOG_FILE).read_bytes().splitlines()) == 2
+        (entry / META_FILE).unlink()
+        fresh = GraphCatalog(tmp_path)
+        assert fresh.engine("g").data == graphs[-1]
+        assert fresh.counters["sidecar_repairs"] == 1
+        assert fresh.counters["log_replayed"] == 2
+        repaired = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+        assert repaired["epoch"] == 4
+        assert fresh.info("g")["epoch"] == 6
+        assert GraphCatalog(tmp_path).info("g")["epoch"] == 6
+
 
 class TestEffectiveState:
     def test_add_compares_against_the_logged_state(self, tmp_path):

@@ -211,7 +211,8 @@ print(json.dumps({
         graph, its sidecar carrying ``artifacts_format_version`` and
         ``artifacts_sha256`` — loads as it is: the blob is ignored (here
         truncated to 0 bytes), the sidecar is valid, and updates,
-        compaction and removal all work on it."""
+        compaction and removal all work on it; the compaction deletes
+        the blob."""
         data, queries = instance
         root = tmp_path / "cat"
         entry = root / "g"
@@ -265,6 +266,7 @@ print(json.dumps({
         compacted = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
         assert compacted["epoch"] == 5
         assert "artifacts_sha256" not in compacted
+        assert not (entry / "artifacts.bin").exists()
         reopened = GraphCatalog(root)
         assert reopened.engine("g").data == data
         assert reopened.counters["sidecar_repairs"] == 0
@@ -273,6 +275,20 @@ print(json.dumps({
         reopened.remove("g")
         assert not entry.exists()
         assert reopened.names() == []
+
+    def test_overwrite_drops_artifacts_bin(self, instance, tmp_path):
+        """``add(overwrite=True)`` is a full snapshot too: it deletes an
+        older entry's ``artifacts.bin`` after committing."""
+        data, _ = instance
+        catalog = GraphCatalog(tmp_path / "cat")
+        catalog.add("g", data)
+        leftover = tmp_path / "cat" / "g" / "artifacts.bin"
+        leftover.write_bytes(b"an old blob")
+        catalog.engine("g")
+        assert leftover.exists()  # loads leave it alone
+        catalog.add("g", data, overwrite=True)
+        assert not leftover.exists()
+        assert GraphCatalog(tmp_path / "cat").engine("g").data == data
 
     def test_unparseable_graph_is_an_error(self, instance, tmp_path):
         data, _ = instance

@@ -15,14 +15,17 @@ Two contracts under test:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import GuPEngine
 from repro.graph.builder import GraphBuilder, complete_graph, cycle_graph
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.matching.limits import SearchLimits
-from repro.matching.result import TerminationStatus
+from repro.matching.result import MatchResult, TerminationStatus
 from repro.matching.verify import is_embedding
 from repro.service.qcache import QueryCache, canonical_form, refine_colors
+from repro.service.wire import encode_embeddings
 from repro.workload.querygen import generate_query
 
 
@@ -240,3 +243,129 @@ class TestQueryCacheCapSemantics:
             cache.store(form, limits, engine.match(q, limits=limits))
         assert len(cache) == 2
         assert cache.counters["evictions"] >= 1
+
+
+def distinct_label_query(arity, rng):
+    """A query with no automorphism (every label differs), so exactly
+    one isomorphism maps a relabeled copy onto it."""
+    b = GraphBuilder()
+    b.add_vertices(list(range(arity)))
+    edges = {(v - 1, v) for v in range(1, arity)}
+    for _ in range(arity):
+        u, v = sorted(rng.sample(range(arity), 2)) if arity > 1 else (0, 0)
+        if u != v:
+            edges.add((u, v))
+    b.add_edges(sorted(edges))
+    return b.build()
+
+
+def synthetic_result(rows, num_embeddings, status):
+    return MatchResult(embeddings=rows, num_embeddings=num_embeddings,
+                       status=status, elapsed_seconds=0.0)
+
+
+def expected_serve(kind, total, stored_cap, cap, collect):
+    """``(count, status)`` a hit must carry, ``None`` for a miss: the
+    serve rules of the module docstring, spelled out."""
+    stop = None if cap is None else max(cap, 1)
+    if collect and kind == "count_only":
+        return None
+    if kind != "truncated" and (stop is None or total < stop):
+        return total, TerminationStatus.COMPLETE
+    if stop is None or (kind == "truncated" and stop > max(stored_cap, 1)):
+        return None
+    return stop, TerminationStatus.EMBEDDING_LIMIT
+
+
+class TestFrameServing:
+    """Hits are served from the stored frame: every body equals the
+    packed tuple-path translation of the stored rows, and identity hits
+    share the stored bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arity=st.integers(1, 16),
+        count=st.integers(0, 2000),
+        top=st.sampled_from([1, 2**16, 2**32 - 1]),
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(["complete", "truncated", "count_only"]),
+        data=st.data(),
+    )
+    def test_served_bodies_equal_the_tuple_path(
+        self, arity, count, top, seed, kind, data
+    ):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randint(0, top) for _ in range(arity))
+                for _ in range(count)]
+        query = distinct_label_query(arity, rng)
+        cache = QueryCache()
+        stored_cap = None
+        if kind == "truncated":
+            rows = rows or [(top,) * arity]
+            # A run truncated at cap C holds exactly max(C, 1) rows.
+            stored_cap = data.draw(st.sampled_from(
+                [len(rows), 0] if len(rows) == 1 else [len(rows)]))
+            stored = SearchLimits(max_embeddings=stored_cap)
+            result = synthetic_result(
+                rows, len(rows), TerminationStatus.EMBEDDING_LIMIT)
+        elif kind == "count_only":
+            stored = SearchLimits(collect=False)
+            result = synthetic_result([], len(rows),
+                                      TerminationStatus.COMPLETE)
+        else:
+            stored = SearchLimits()
+            result = synthetic_result(rows, len(rows),
+                                      TerminationStatus.COMPLETE)
+        _, form = cache.lookup(query, stored)
+        assert cache.store(form, stored, result)
+        frame = cache._entries[form.key].embeddings
+        perm = data.draw(st.permutations(range(arity)))
+        relabeled = query.relabeled(perm)
+        for cap in (None, 0, 1, rng.randint(0, len(rows) + 1),
+                    len(rows) + 3):
+            for collect in (True, False):
+                limits = SearchLimits(max_embeddings=cap, collect=collect)
+                want = expected_serve(kind, len(rows), stored_cap, cap,
+                                      collect)
+                for asked, mapping in ((query, range(arity)),
+                                       (relabeled, perm)):
+                    served, _ = cache.lookup(asked, limits)
+                    if want is None:
+                        assert served is None
+                        continue
+                    assert (served.num_embeddings, served.status) == want
+                    expected = [tuple(row[j] for j in mapping)
+                                for row in rows[:want[0]]] if collect else []
+                    assert encode_embeddings(served.embeddings) == \
+                        encode_embeddings(expected)
+                    assert served.embeddings == expected
+                    if collect and asked is query and frame.body:
+                        _, body = encode_embeddings(served.embeddings)
+                        assert body.obj is frame.body  # zero-copy
+
+    def test_zero_vertex_query_round_trips(self, workload):
+        data, _, engine = workload
+        empty = GraphBuilder().build()
+        cache = QueryCache()
+        limits = SearchLimits()
+        result = engine.match(empty, limits=limits)
+        assert result.embeddings == [()]
+        _, form = cache.lookup(empty, limits)
+        assert cache.store(form, limits, result)
+        for cap in (None, 0, 1):
+            served, _ = cache.lookup(empty, SearchLimits(max_embeddings=cap))
+            assert served.embeddings == [()]
+            assert list(served.embeddings) == [()]
+            assert served.num_embeddings == 1
+            assert encode_embeddings(served.embeddings) == (0, b"")
+
+    def test_entry_holds_a_frame_not_tuples(self, workload):
+        _, query, engine = workload
+        cache = QueryCache()
+        limits = SearchLimits()
+        full = engine.match(query, limits=limits)
+        _, form = cache.lookup(query, limits)
+        cache.store(form, limits, full)
+        rows = cache._entries[form.key].embeddings
+        assert isinstance(rows.body, bytes)
+        assert len(rows.body) == 4 * query.num_vertices * full.num_embeddings

@@ -1,6 +1,7 @@
 """The embedding frame codec and its transport edge cases."""
 
 import json
+import random
 import socket
 import threading
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.wire import decode_embeddings, encode_embeddings
+from repro.service.wire import FrameRows, decode_embeddings, encode_embeddings
 
 U32 = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -49,6 +50,99 @@ class TestCodec:
         _, body = encode_embeddings([(0, 1, 2)])
         with pytest.raises(ValueError):
             decode_embeddings(body[:-4], 3)
+
+
+@st.composite
+def frames(draw):
+    """``(arity, rows)``: arity 1-16, 0-2000 rows, ids up to 2**32 - 1.
+
+    Rows come from a drawn seed (drawing 2000 tuples one id at a time
+    is too slow); the top id is drawn so the 32-bit edge recurs.
+    """
+    arity = draw(st.integers(min_value=1, max_value=16))
+    count = draw(st.integers(min_value=0, max_value=2000))
+    top = draw(st.sampled_from([1, 255, 2**16, 2**32 - 1]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows = [tuple(rng.randint(0, top) for _ in range(arity))
+            for _ in range(count)]
+    if rows:
+        rows[-1] = (top,) * arity
+    return arity, rows
+
+
+def tuple_path(rows, mapping):
+    """The tuple translation a frame permutation replaces."""
+    return [tuple(row[j] for j in mapping) for row in rows]
+
+
+class TestFrameRows:
+    """A view over a packed frame behaves as the list of tuples it
+    decodes to, and its prefixes and permutations pack byte-identically
+    to the tuple lists they stand for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames(), st.data())
+    def test_view_is_its_rows(self, case, data):
+        arity, rows = case
+        view = FrameRows.pack(rows)
+        assert len(view) == len(rows)
+        assert view == rows and rows == view
+        assert list(view) == rows
+        assert encode_embeddings(view) == encode_embeddings(rows)
+        if rows:
+            i = data.draw(st.integers(-len(rows), len(rows) - 1))
+            assert view[i] == rows[i]
+        start = data.draw(st.integers(-5, len(rows) + 5))
+        stop = data.draw(st.integers(-5, len(rows) + 5))
+        step = data.draw(st.sampled_from([None, 1, 2, 7, -1]))
+        assert view[start:stop:step] == rows[start:stop:step]
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames(), st.data())
+    def test_prefix_and_permutation_bodies(self, case, data):
+        arity, rows = case
+        view = FrameRows.pack(rows)
+        count = data.draw(st.integers(0, len(rows)))
+        mapping = data.draw(st.permutations(range(arity)))
+        prefix = view.prefix(count)
+        assert prefix.body.obj is view.body  # zero-copy
+        assert encode_embeddings(prefix)[1] == encode_embeddings(
+            rows[:count])[1]
+        permuted = prefix.permuted(mapping)
+        expected = tuple_path(rows[:count], mapping)
+        assert encode_embeddings(permuted)[1] == encode_embeddings(
+            expected)[1]
+        assert permuted == expected
+
+    def test_zero_vertex_embedding(self):
+        view = FrameRows.pack([()])
+        assert view == [()] and list(view) == [()] and view[0] == ()
+        assert view[:5] == [()] and len(view.prefix(1)) == 1
+        assert encode_embeddings(view) == encode_embeddings([()]) == (0, b"")
+
+    def test_empty_view(self):
+        view = FrameRows.pack([])
+        assert view == [] and not view
+        assert encode_embeddings(view) == (0, b"")
+
+    def test_index_out_of_range(self):
+        view = FrameRows.pack([(1, 2)])
+        with pytest.raises(IndexError):
+            view[1]
+        with pytest.raises(IndexError):
+            view[-2]
+
+    def test_body_must_be_whole_rows(self):
+        with pytest.raises(ValueError):
+            FrameRows(2, b"\0" * 12, 2)
+
+    def test_views_compare_by_rows_and_are_not_hashable(self):
+        view = FrameRows.pack([(1, 2), (3, 4)])
+        assert view.prefix(1) == FrameRows.pack([(1, 2)])
+        assert view.prefix(1) != view
+        assert view != [[1, 2], [3, 4]] and view != ((1, 2), (3, 4))
+        with pytest.raises(TypeError):
+            hash(view)
 
 
 class _OneReplyServer:
