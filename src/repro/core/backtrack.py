@@ -31,16 +31,19 @@ is one cached OR — registering and releasing the watches of a whole
 node costs a few int operations instead of one refcount update per
 watched candidate.
 
-The recursion body is deliberately monolithic: guard probes and records
-against the default search-node encoded store are inlined as direct dict
-operations (the store object stays the single source of truth — the
-search just bypasses method-call overhead), and the per-pair folding of
-Definition 3.30 is expanded at both call sites.  CPython's per-call cost
-would otherwise dominate the per-recursion budget and hide the win of
-the O(1) refinement.  The readable reference implementation of the same
+The recursion body is deliberately monolithic: guard probes against the
+default search-node encoded store are inlined as direct dict operations
+(the store object stays the single source of truth — the search just
+bypasses method-call overhead), and the per-pair folding of Definition
+3.30 is expanded at both call sites.  CPython's per-call cost would
+otherwise dominate the per-recursion budget and hide the win of the O(1)
+refinement.  Edge-guard records, far rarer than probes, all go through
+``_record_edges``.  The readable reference implementation of the same
 algorithm is :mod:`repro.core.backtrack_ref`, a test oracle production
 never imports; ``tests/test_bitmap_cs.py`` proves the two searches
-return byte-identical embeddings, stats, and termination status.
+return byte-identical embeddings, termination status and stats, except
+that production's edge-nogood record count omits the oracle's dead
+records (below).
 
 Fixed-deadend-mask propagation
 ------------------------------
@@ -64,14 +67,29 @@ explored.  Definition 3.30 collapses as follows (see DESIGN.md §3):
 * on a backjump with mask ``K``, ``M[K]`` is a nogood contained in the
   current embedding, so every live pair soundly resolves to ``K``.
 
+Only guards that can still fire are recorded.  With the search-node
+store a guard recorded at depth ``k`` whose encoded length is ``k``
+names the depth-``k`` node itself; that node tries each candidate once
+and is past ``v`` when the guard is written, so the guard is dead and
+is skipped (an explicit guard can match at another node, so the explicit
+store keeps them).  Every depth-0 guard is of this kind, so the root
+pushes no watch frames; its watches still count toward ``max_watches``.
+The watches of ``(u_k, v)`` on ``u_{k+1}`` resolve at the child, one
+candidate at a time, so the child records them in place as each of its
+candidates resolves (on a conflict, on a failed recursion, or on a
+backjump for the candidates it never reached) instead of handing them
+back; only pairs that an ancestor also watches flow up as ``pair_vals``.
+
 When the search aborts (embedding cap / timeout), subtrees are no longer
 exhaustively explored and prove nothing: all recording stops immediately
-and the recursion unwinds.
+(records already made are sound and stay) and the recursion unwinds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import functools
+import types
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import GuPConfig
 from repro.core.gcs import GuardedCandidateSpace
@@ -88,6 +106,39 @@ allocating a tuple)."""
 
 _EMPTY_DICT: Dict[Pair, int] = {}
 _EMPTY_SET: Set[Pair] = set()
+
+# CPython (3.11+) keeps Python frames in 16 KiB data-stack chunks and
+# unmaps a chunk as soon as the frame at its base returns.  A recursion
+# frame here is about 1 KiB, so a deep search crosses a chunk boundary at
+# some depth, and each descent across it maps a chunk that the return
+# unmaps again: thousands of page faults per hard query, plus a TLB
+# shootdown each in a threaded server.  ``_chunk_call`` goes through a
+# trampoline whose own frame is over half a chunk, so CPython opens one
+# chunk that holds it and the whole recursion, and keeps it until the
+# search returns.  Elsewhere it is a plain call.
+_CHUNK_WORDS = 2048  # 16 KiB in 8-byte words
+
+
+def _call(fn, *args):
+    return fn(*args)
+
+
+@functools.lru_cache(maxsize=None)
+def _trampoline(size: int) -> Callable:
+    """``_call`` with a frame of ``size / 2 + 64`` words.  CPython sizes
+    a new chunk as the smallest 16 KiB power-of-two multiple that fits
+    the frame plus 1000 words: exactly ``size`` words here."""
+    return types.FunctionType(
+        _call.__code__.replace(co_stacksize=size // 2 + 64), {}
+    )
+
+
+def _chunk_call(words: int, fn: Callable, *args):
+    """``fn(*args)`` with at least ``words`` words of frame space above."""
+    size = 2 * _CHUNK_WORDS
+    while size // 2 - 128 < words:
+        size *= 2
+    return _trampoline(size)(fn, *args)
 
 
 class GuPSearch:
@@ -254,7 +305,12 @@ class GuPSearch:
 
         # Per-depth context, unpacked in one statement per recursion:
         # (C(u_k), refinement plan, forward core, reservation index or
-        # None, symmetry predecessor, vertex-guard table or None).
+        # None, symmetry predecessor, vertex-guard table or None, core
+        # targets beyond u_{k+1} whose watch frames are pushed, whether
+        # the child resolves the watches on u_{k+1} in place).  With the
+        # search-node store the root pushes no frames at all: every guard
+        # it could record names the root, which tries each candidate once.
+        live_root = self._ne_dict is None
         self._depth_ctx: List[tuple] = [
             (
                 self._cands[i],
@@ -263,6 +319,9 @@ class GuPSearch:
                 (self._reservations_at[i] or None) if self._reservations else None,
                 symmetry_prev[i] if symmetry_prev else -1,
                 self._nv_at[i] if self._nv_at is not None else None,
+                tuple(j for j in self._forward_core[i] if j > i + 1)
+                if i or live_root else (),
+                i + 1 in self._forward_core[i] and bool(i or live_root),
             )
             for i in range(self._n)
         ]
@@ -323,7 +382,17 @@ class GuPSearch:
         if root_mask is not None:
             local[0] &= root_mask
         bounds = [0] * self._n
-        self._backtrack(0, local, bounds, None)
+        # One frame per query vertex.  A recursion under half a chunk
+        # skips the trampoline: mapping a chunk per run (~17 µs) would
+        # cost tiny searches more than the churn it saves them.
+        code = self._backtrack.__code__
+        words = self._n * (code.co_nlocals + code.co_stacksize + 16)
+        if words > _CHUNK_WORDS // 2:
+            _chunk_call(
+                words + 256, self._backtrack, 0, local, bounds, None, False
+            )
+        else:
+            self._backtrack(0, local, bounds, None, False)
         return self._results, self._status
 
     # ------------------------------------------------------------------
@@ -342,6 +411,49 @@ class GuPSearch:
             mask |= 1 << image[w]
         return mask
 
+    def _record_edges(self, i: int, v: int, j: int, bits: int, dom: int) -> None:
+        """Line 11: record ``NE((u_i, v), (u_j, v'))`` with domain
+        ``dom`` for every position of ``v'`` in ``bits`` (non-zero, over
+        ``C(u_j)``).
+
+        With the search-node store a guard of encoded length ``i`` names
+        the depth-``i`` node itself, which tries ``v`` once and is past
+        it by now: it can never match, so it is not stored."""
+        cj = self._cands[j]
+        stats = self.stats
+        nogoods = self._nogoods
+        ne_dict = self._ne_dict
+        if ne_dict is None:
+            anc = self._anc
+            embedding = self._embedding
+            while bits:
+                lo = bits & -bits
+                bits ^= lo
+                nogoods.record_edge_nogood(
+                    i, v, j, cj[lo.bit_length() - 1], dom, anc, embedding
+                )
+                stats.nogoods_recorded_edge += 1
+            return
+        length = dom.bit_length()
+        if length == i:
+            return
+        key = (i, v, j)
+        per = ne_dict.get(key)
+        if per is None:
+            per = ne_dict[key] = {}
+        self._ne_pos[key] = self._ne_pos.get(key, 0) | bits
+        enc = (self._anc[length], length, dom)
+        count = bits.bit_count()
+        while bits:
+            lo = bits & -bits
+            bits ^= lo
+            v2 = cj[lo.bit_length() - 1]
+            if v2 not in per:
+                nogoods._num_edge += 1
+            per[v2] = enc
+        nogoods.recorded_edge += count
+        stats.nogoods_recorded_edge += count
+
     # ------------------------------------------------------------------
     # The recursion
     # ------------------------------------------------------------------
@@ -352,6 +464,7 @@ class GuPSearch:
         local: List[int],
         bounds: List[int],
         watched: Optional[Dict[int, int]],
+        adjacent: bool,
     ) -> Tuple[bool, int, Dict[Pair, int], Set[Pair]]:
         """Explore all extensions of the current partial embedding.
 
@@ -360,7 +473,11 @@ class GuPSearch:
         query vertex ``j >= depth`` to the bitmap of its positions
         watched by live ancestor frames and still locally present (the
         parent computes it exactly — see the watch comment in
-        ``__init__``); ``None`` when nothing is watched.
+        ``__init__``); ``None`` when nothing is watched.  ``adjacent``
+        says the parent watches every candidate edge from its assignment
+        ``(u_{depth-1}, v)`` into ``u_depth``: this node records those
+        guards itself as it resolves each candidate, and they never
+        appear in ``watched``.
 
         Returns ``(found, mask, pair_vals, used_pairs)``:
 
@@ -419,10 +536,17 @@ class GuPSearch:
             reservations_k,
             sym_prev_k,
             nv_k,
+            far_core,
+            adj_watch,
         ) = self._depth_ctx[k]
         pool = self._pool[k]
         k_bit = 1 << k
         below_k = k_bit - 1
+        if adjacent:
+            # The parent's guards on (u_{k-1}, v) -> (u_k, v'): domain
+            # below u_{k-1}, recorded here (Definition 3.30 cases 1/6).
+            adj_v = embedding[k - 1]
+            adj_below = below_k >> 1
 
         # Ancestor-watched pairs live at this node, as (target, position)
         # pairs; ``targeting`` is the live watched-position set at this
@@ -640,48 +764,13 @@ class GuPSearch:
                             # child_local (directions after the conflict
                             # were never refined — stop there).
                             dom = conflict_mask & below_k
-                            if ne_dict is not None:
-                                length = dom.bit_length()
-                                enc = (anc[length], length, dom)
-                                for j2, _e2, core2 in plan:
-                                    if core2:
-                                        bm = child_local[j2]
-                                        cj2 = cands[j2]
-                                        key4 = (k, v, j2)
-                                        per4 = ne_dict.get(key4)
-                                        if bm:
-                                            ne_pos[key4] = (
-                                                ne_pos.get(key4, 0) | bm
-                                            )
-                                        while bm:
-                                            lo4 = bm & -bm
-                                            bm ^= lo4
-                                            v2 = cj2[lo4.bit_length() - 1]
-                                            if per4 is None:
-                                                per4 = ne_dict[key4] = {}
-                                            if v2 not in per4:
-                                                nogoods._num_edge += 1
-                                            per4[v2] = enc
-                                            nogoods.recorded_edge += 1
-                                            stats.nogoods_recorded_edge += 1
-                                    if j2 == j:
-                                        break
-                            else:
-                                for j2, _e2, core2 in plan:
-                                    if core2:
-                                        bm = child_local[j2]
-                                        cj2 = cands[j2]
-                                        while bm:
-                                            lo4 = bm & -bm
-                                            bm ^= lo4
-                                            nogoods.record_edge_nogood(
-                                                k, v, j2,
-                                                cj2[lo4.bit_length() - 1],
-                                                dom, anc, embedding,
-                                            )
-                                            stats.nogoods_recorded_edge += 1
-                                    if j2 == j:
-                                        break
+                            for j2, _e2, core2 in plan:
+                                if core2 and child_local[j2]:
+                                    self._record_edges(
+                                        k, v, j2, child_local[j2], dom
+                                    )
+                                if j2 == j:
+                                    break
                     if anc_pairs is not None:
                         # Definition 3.30 case (3): the conflict mask is
                         # the fold value of every live pair.
@@ -695,6 +784,10 @@ class GuPSearch:
                             pair_acc[pr] = pair_acc.get(pr, 0) | cm
                     if (targeting >> p) & 1:
                         resolved_here[k << 24 | p] = conflict_mask & ~k_bit
+                    if adjacent:
+                        self._record_edges(
+                            k - 1, adj_v, k, 1 << p, conflict_mask & adj_below
+                        )
                     if not conflict_mask & k_bit:
                         if use_bj:
                             stats.backjumps += 1
@@ -716,10 +809,13 @@ class GuPSearch:
             # one bitmap frame per target (the frame IS child_local[j],
             # re-read after the child returns — children never mutate the
             # list they receive); the child's live watched sets are the
-            # surviving ancestor bits plus these frames.
-            pushed = False
+            # surviving ancestor bits plus these frames.  Every watch
+            # counts toward ``max_watches``, but only ``far_core`` frames
+            # are pushed: the child resolves u_{k+1} in place, and the
+            # root's guards could never fire.
             own_count = 0
             child_watched: Optional[Dict[int, int]] = None
+            child_adjacent = False
             if use_ne:
                 if anc_pairs is not None:
                     child_watched = pool[5]
@@ -732,16 +828,20 @@ class GuPSearch:
                     if not child_watched:
                         child_watched = None
                 if forward_core and self._watch_total < self._max_watches:
-                    pushed = True
-                    if child_watched is None:
-                        child_watched = pool[5]
-                        child_watched.clear()
                     for j2 in forward_core:
-                        frame = child_local[j2]
-                        own_count += frame.bit_count()
-                        prev = child_watched.get(j2)
-                        child_watched[j2] = frame if prev is None else prev | frame
+                        own_count += child_local[j2].bit_count()
                     self._watch_total += own_count
+                    child_adjacent = adj_watch
+                    if far_core:
+                        if child_watched is None:
+                            child_watched = pool[5]
+                            child_watched.clear()
+                        for j2 in far_core:
+                            frame = child_local[j2]
+                            prev = child_watched.get(j2)
+                            child_watched[j2] = (
+                                frame if prev is None else prev | frame
+                            )
 
             if obs is not None:
                 obs.on_descend(k, v, self._node_counter)
@@ -771,7 +871,7 @@ class GuPSearch:
                         obs.on_embedding(tuple(embedding))
             else:
                 child_found, child_mask, child_vals, child_used = self._backtrack(
-                    k + 1, child_local, child_bounds, child_watched
+                    k + 1, child_local, child_bounds, child_watched, child_adjacent
                 )
             if obs is not None:
                 obs.on_return(k, v, child_found, child_mask)
@@ -786,37 +886,19 @@ class GuPSearch:
                 return (found_any or child_found, 0, _EMPTY_DICT, _EMPTY_SET)
 
             # ---- line 11: update NE for edges incident to (u_k, v) --
-            if pushed:
+            if own_count:
                 if child_vals:
-                    for j2 in forward_core:
+                    for j2 in far_core:
                         frame = child_local[j2]
-                        cj2 = cands[j2]
                         jb2 = j2 << 24
                         while frame:
                             lo5 = frame & -frame
                             frame ^= lo5
-                            p2 = lo5.bit_length() - 1
-                            pr = jb2 | p2
-                            if pr in child_used or pr not in child_vals:
-                                continue
-                            dom = child_vals[pr] & below_k
-                            v2 = cj2[p2]
-                            if ne_dict is not None:
-                                length = dom.bit_length()
-                                key5 = (k, v, j2)
-                                per5 = ne_dict.get(key5)
-                                if per5 is None:
-                                    per5 = ne_dict[key5] = {}
-                                if v2 not in per5:
-                                    nogoods._num_edge += 1
-                                per5[v2] = (anc[length], length, dom)
-                                nogoods.recorded_edge += 1
-                                ne_pos[key5] = ne_pos.get(key5, 0) | lo5
-                            else:
-                                nogoods.record_edge_nogood(
-                                    k, v, j2, v2, dom, anc, embedding
+                            pr = jb2 | (lo5.bit_length() - 1)
+                            if pr in child_vals and pr not in child_used:
+                                self._record_edges(
+                                    k, v, j2, lo5, child_vals[pr] & below_k
                                 )
-                            stats.nogoods_recorded_edge += 1
                 self._watch_total -= own_count
 
             if anc_pairs is not None:
@@ -847,6 +929,10 @@ class GuPSearch:
                     pair_used.add(k << 24 | p)
                 else:
                     resolved_here[k << 24 | p] = child_mask & ~k_bit
+            if adjacent and not child_found:
+                self._record_edges(
+                    k - 1, adj_v, k, 1 << p, child_mask & adj_below
+                )
 
             # ---- lines 12-14: deadend discovery + backjumping --------
             if child_found:
@@ -897,6 +983,13 @@ class GuPSearch:
             node_mask = early_mask
         else:
             node_mask = (union_mask | bounds[k]) & ~k_bit
+        if adjacent and backjump_mask is not None:
+            # Candidates the backjump skipped resolve to its nogood.
+            rest = local[k] >> (p + 1) << (p + 1)
+            if rest:
+                self._record_edges(
+                    k - 1, adj_v, k, rest, backjump_mask & adj_below
+                )
 
         if anc_pairs is None and not resolved_here and not (
             backjump_mask is not None and targeting

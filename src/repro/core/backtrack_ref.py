@@ -13,7 +13,8 @@ for two reasons:
   ``tests/test_build_masks.py``, ``tests/test_config_matrix.py``) prove
   the production search in :mod:`repro.core.backtrack` and the mask
   builder in :mod:`repro.filtering.masks` return byte-identical GCSes,
-  embeddings, stats, and termination status;
+  embeddings, stats, and termination status (production's edge-nogood
+  record count omits :attr:`ListGuPSearch.dead_edge_records`);
 * the hot-path and build-path benchmarks (``benchmarks/bench_hotpath.py``,
   ``benchmarks/bench_buildpath.py``) measure production's speedup
   against these baselines.
@@ -150,6 +151,14 @@ class ListGuPSearch:
             gcs.nogoods = self._nogoods
         self._max_watches = max_watches
         self._symmetry_prev = symmetry_prev
+        # Edge records a search-node store can never match: encoded
+        # length == recording depth names the recording node, which is
+        # past the candidate by then.  This oracle records them anyway;
+        # production skips them, and the twin tests subtract this count.
+        self._encoded = (
+            getattr(self._nogoods, "representation", None) == "search_node"
+        )
+        self.dead_edge_records = 0
 
         # Per-run search state.
         self._deadline: Deadline = Deadline(None)
@@ -447,7 +456,10 @@ class ListGuPSearch:
                             # conflict mask is the fixed mask of every
                             # candidate edge incident to (u_k, v).
                             dom = conflict_mask & below_k
+                            dead = self._encoded and dom.bit_length() == k
                             for j, lst in refined_core:
+                                if dead:
+                                    self.dead_edge_records += len(lst)
                                 for v2 in lst:
                                     nogoods.record_edge_nogood(
                                         k, v, j, v2, dom, anc, embedding
@@ -507,6 +519,8 @@ class ListGuPSearch:
                     if p in child_used or p not in child_vals:
                         continue
                     dom = child_vals[p] & below_k
+                    if self._encoded and dom.bit_length() == k:
+                        self.dead_edge_records += 1
                     nogoods.record_edge_nogood(
                         k, v, p[0], p[1], dom, anc, embedding
                     )

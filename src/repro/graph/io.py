@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
@@ -86,13 +86,17 @@ def loads_graph(text: str, strict: bool = False) -> Graph:
     if sorted(labels) != list(range(n)):
         raise GraphFormatError("vertex ids must be exactly 0 .. n-1")
 
-    builder = GraphBuilder()
-    builder.add_vertices(labels[v] for v in range(n))
+    # Adjacency sets directly (duplicates collapse silently, as in
+    # GraphBuilder); Graph sorts each row.
+    adjacency: List[Set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u}, {v}) references unknown vertex")
-        builder.add_edge(u, v)
-    graph = builder.build()
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    graph = Graph([labels[v] for v in range(n)], adjacency)
 
     if strict:
         if declared_n >= 0 and declared_n != graph.num_vertices:

@@ -5,9 +5,10 @@ list-based search (:mod:`repro.core.backtrack_ref`, a test oracle that
 production never imports) must explore the exact same search tree, on
 the same production-built GCS: identical embeddings *in order*, identical
 termination status, and identical pruning/recording statistics — every
-counter, not just the result set.  This is what licenses the hot-path
-benchmark to compare their wall clocks as the same algorithm on two
-candidate representations.
+counter, not just the result set, except that production does not record
+the edge nogoods the oracle counts as dead (``assert_twin_stats``).
+This is what licenses the hot-path benchmark to compare their wall
+clocks as the same algorithm on two candidate representations.
 
 Covered here:
 
@@ -19,7 +20,6 @@ Covered here:
 * production (sequential, procpool, ANALYZE) never importing the oracle.
 """
 
-import dataclasses
 import itertools
 import os
 import random
@@ -33,7 +33,9 @@ from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.matching.limits import SearchLimits
-from tests.oracle_engines import ListSearchEngine
+from tests.oracle_engines import (
+    ListSearchEngine, assert_twin_stats, oracle_match,
+)
 from tests.test_config_matrix import CONFIGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,11 +44,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def assert_identical(query, data, config, limits=None):
     """Same production GCS, the two searches on it."""
     bitmap = GuPEngine(data, config).match(query, limits=limits)
-    listed = ListSearchEngine(data, config).match(query, limits=limits)
+    listed, dead = oracle_match(
+        ListSearchEngine(data, config), query, limits=limits
+    )
     assert bitmap.embeddings == listed.embeddings  # ordered, not set-wise
     assert bitmap.num_embeddings == listed.num_embeddings
     assert bitmap.status == listed.status
-    assert dataclasses.asdict(bitmap.stats) == dataclasses.asdict(listed.stats)
+    assert_twin_stats(bitmap.stats, listed.stats, dead, listed.status)
 
 
 def _instances(seed, count, max_q=7, max_d=24):
@@ -133,7 +137,39 @@ def test_max_watches_zero_identical():
         emb_b, status_b = b.run()
         assert emb_a == emb_b
         assert status_a == status_b
-        assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+        assert_twin_stats(a.stats, b.stats, b.dead_edge_records, status_b)
+
+
+@pytest.mark.parametrize("cap", (1, 8, 64))
+def test_max_watches_cap_identical(cap):
+    """A cap that binds partway through a search stays stats-identical:
+    every watch counts toward it, pushed as a frame or not."""
+    from repro.core.backtrack import GuPSearch
+    from repro.core.backtrack_ref import ListGuPSearch
+    from repro.core.gcs import build_gcs
+
+    from tests.test_live_edge_guards import ring
+
+    cases = list(_instances(seed=778, count=6, max_q=8))
+    cases.append((ring(8, 2), erdos_renyi_graph(60, 90, num_labels=2, seed=0)))
+    cases.append((
+        random_connected_graph(6, 9, num_labels=1, seed=1),
+        erdos_renyi_graph(30, 120, num_labels=1, seed=1),
+    ))
+    capped_runs = 0
+    for query, data in cases:
+        a = GuPSearch(build_gcs(query, data), max_watches=cap)
+        b = ListGuPSearch(build_gcs(query, data), max_watches=cap)
+        free = ListGuPSearch(build_gcs(query, data))
+        emb_a, status_a = a.run()
+        emb_b, status_b = b.run()
+        free.run()
+        assert emb_a == emb_b
+        assert status_a == status_b
+        assert_twin_stats(a.stats, b.stats, b.dead_edge_records, status_b)
+        if b.stats.nogoods_recorded_edge != free.stats.nogoods_recorded_edge:
+            capped_runs += 1
+    assert capped_runs > 0, "the cap never bound"
 
 
 def test_production_never_imports_the_oracle():

@@ -21,6 +21,7 @@ from repro.dynamic.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import QuerySetSpec, generate_query_set
+from tests.oracle_engines import assert_twin_stats, oracle_match
 
 ORACLE = Vf2Matcher()
 
@@ -113,11 +114,16 @@ TWIN_CROSS = [
      "use_nogood_vertex": False, "use_nogood_edge": False},
 ]
 
-def assert_twin_results(mask_result, reference_result, context):
+def assert_twin_results(mask_result, reference, context):
+    """``reference`` is ``oracle_match``'s (result, dead records) pair."""
+    reference_result, dead = reference
     assert mask_result.embeddings == reference_result.embeddings, context
     assert mask_result.num_embeddings == reference_result.num_embeddings, context
     assert mask_result.status == reference_result.status, context
-    assert mask_result.stats == reference_result.stats, context
+    assert_twin_stats(
+        mask_result.stats, reference_result.stats, dead,
+        reference_result.status, context,
+    )
 
 
 class TestReferenceTwin:
@@ -131,7 +137,7 @@ class TestReferenceTwin:
         for query, data in instances(seed=index * 101 + 13, count=8):
             assert_twin_results(
                 match(query, data, config=config),
-                ReferenceEngine(data, config).match(query),
+                oracle_match(ReferenceEngine(data, config), query),
                 knobs,
             )
 
@@ -149,7 +155,8 @@ class TestReferenceTwin:
         ref_engine = ReferenceEngine(data)
         for query in queries:
             assert_twin_results(
-                mask_engine.match(query), ref_engine.match(query), "fig6"
+                mask_engine.match(query), oracle_match(ref_engine, query),
+                "fig6",
             )
 
     def test_mask_twin_through_procpool(self, fig6_workload):
@@ -162,7 +169,8 @@ class TestReferenceTwin:
         for query in queries:
             par = mask_engine.match(query, workers=2)
             assert_twin_results(
-                par, ref_engine.match(query, workers=2), "fig6+procpool"
+                par, oracle_match(ref_engine, query, workers=2),
+                "fig6+procpool",
             )
             # and the pool itself is exact: same list as sequential
             assert par.embeddings == mask_engine.match(query).embeddings

@@ -5,6 +5,8 @@ backjumping skips siblings, ablation configs form a pruning ladder, and
 aborted runs never record guards.
 """
 
+import sys
+
 import pytest
 
 from repro.core.backtrack import GuPSearch
@@ -155,3 +157,43 @@ class TestWatchAccounting:
         reference = GuPSearch(build_gcs(q, d))
         ref_embeddings, _ = reference.run()
         assert sorted(embeddings) == sorted(ref_embeddings)
+
+
+class TestFrameChunk:
+    """The recursion runs in one data-stack chunk, wherever it starts."""
+
+    def test_chunk_call_is_a_plain_call_with_reserved_frame(self):
+        from repro.core.backtrack import _chunk_call, _trampoline
+
+        assert _chunk_call(3000, divmod, 17, 5) == (3, 2)
+        # 3000 words need a chunk of 8192: half of it is the trampoline.
+        assert _trampoline(8192).__code__.co_stacksize > 4096
+        assert _trampoline(4096) is _trampoline(4096)
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython's chunked frame stack",
+    )
+    def test_no_chunk_churn_at_any_base_depth(self):
+        # Without the reserved chunk, some caller depth puts a chunk
+        # boundary inside the recursion, and every descent across it
+        # maps a chunk (page faults) that the return unmaps again.
+        resource = pytest.importorskip("resource")
+        from repro.graph.builder import graph_from_adjacency
+        from repro.graph.generators import erdos_renyi_graph
+
+        query = graph_from_adjacency(
+            [i % 2 for i in range(8)], [(i, (i + 1) % 8) for i in range(8)]
+        )
+        gcs = build_gcs(query, erdos_renyi_graph(60, 90, num_labels=2, seed=0))
+
+        def faults(depth):
+            if depth:
+                return faults(depth - 1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            GuPSearch(gcs).run()
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(0)  # warm the allocator
+        worst = max(faults(depth) for depth in range(24))
+        assert worst < 100, worst

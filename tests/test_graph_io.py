@@ -105,3 +105,51 @@ class TestEdgeList:
     def test_list_labels_must_cover(self):
         with pytest.raises(ValueError):
             graph_from_edge_list([(0, 2)], labels=["A", "B"])
+
+
+def builder_path(text):
+    """The graph ``text`` describes, every record through GraphBuilder
+    (``loads_graph`` used to call ``add_edge`` once per edge)."""
+    builder = GraphBuilder()
+    vertices = {}
+    edges = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0] == "v":
+            label = parts[2]
+            vertices[int(parts[1])] = int(label) if label.lstrip("-").isdigit() else label
+        elif parts and parts[0] == "e":
+            edges.append((int(parts[1]), int(parts[2])))
+    builder.add_vertices(vertices[v] for v in range(len(vertices)))
+    builder.add_edges(edges)
+    return builder.build()
+
+
+class TestBuilderEquivalence:
+    @pytest.mark.parametrize("name", ["yeast", "human", "wordnet"])
+    def test_bundled_datasets(self, name):
+        from repro.workload.datasets import load_dataset
+
+        text = saves_graph(load_dataset(name, scale=0.1, seed=3))
+        assert loads_graph(text) == builder_path(text)
+
+    def test_duplicate_edges(self):
+        text = SAMPLE + "e 1 0\ne 0 1\ne 2 1\n"
+        graph = loads_graph(text)
+        assert graph == builder_path(text) == loads_graph(SAMPLE)
+        assert graph.neighbors(1) == (0, 2)
+
+    def test_self_loop_error_matches_builder(self):
+        text = SAMPLE + "e 2 2\n"
+        with pytest.raises(ValueError) as builder_error:
+            builder_path(text)
+        with pytest.raises(ValueError) as parse_error:
+            loads_graph(text)
+        assert type(parse_error.value) is type(builder_error.value) is ValueError
+        assert str(parse_error.value) == str(builder_error.value)
+        assert str(parse_error.value) == "self-loop at vertex 2 is not allowed"
+
+    def test_dangling_edge_is_a_format_error(self):
+        with pytest.raises(GraphFormatError) as error:
+            loads_graph(SAMPLE + "e 0 3\n")
+        assert str(error.value) == "edge (0, 3) references unknown vertex"

@@ -16,13 +16,19 @@ from repro.core.backtrack import GuPSearch
 from repro.core.config import GuPConfig
 from repro.core.gcs import build_gcs
 from repro.core.nogood import NogoodStore
+from repro.graph.builder import graph_from_adjacency
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 
 ORACLE = Vf2Matcher()
 
 
 class EdgeTracingStore(NogoodStore):
-    """Records every NE nogood with the embedding context at record time."""
+    """Records every NE nogood with the embedding context at record time.
+
+    Not the ``search_node`` representation: the search writes that
+    store's dicts directly and would bypass ``record_edge_nogood``."""
+
+    representation = "traced"
 
     def __init__(self):
         super().__init__()
@@ -57,12 +63,28 @@ def test_recorded_edge_nogoods_are_nogoods(
     data = erdos_renyi_graph(
         nd, int(nd * edge_factor), num_labels=labels, seed=seed + 1
     )
-    gcs = build_gcs(query, data, GuPConfig(ne_two_core_only=False))
-
-    store = EdgeTracingStore()
-    search = GuPSearch(
-        gcs, config=GuPConfig(ne_two_core_only=False), nogoods=store
+    assert_recorded_edge_nogoods_are_nogoods(
+        query, data, GuPConfig(ne_two_core_only=False)
     )
+
+
+def test_ring_query_edge_nogoods_are_nogoods():
+    # Past the root each ring vertex watches only the next one, so every
+    # guard here is recorded by the child, in place.
+    query = graph_from_adjacency(
+        [i % 2 for i in range(8)], [(i, (i + 1) % 8) for i in range(8)]
+    )
+    data = erdos_renyi_graph(60, 90, num_labels=2, seed=0)
+    assert assert_recorded_edge_nogoods_are_nogoods(query, data, GuPConfig()) > 0
+
+
+def assert_recorded_edge_nogoods_are_nogoods(query, data, config):
+    """Run the search with a tracing store; every NE record, materialized
+    against the embedding at record time, must be a nogood.  Returns the
+    number of records checked."""
+    gcs = build_gcs(query, data, config)
+    store = EdgeTracingStore()
+    search = GuPSearch(gcs, config=config, nogoods=store)
     store.embedding_ref = search._embedding
     search.run()
 
@@ -76,6 +98,7 @@ def test_recorded_edge_nogoods_are_nogoods(
             assert not all(emb[q] == w for q, w in complete), (
                 f"recorded NE nogood {complete} appears in {emb}"
             )
+    return len(store.snapshots)
 
 
 @settings(max_examples=15, deadline=None)
