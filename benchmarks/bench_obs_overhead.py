@@ -4,7 +4,9 @@ The ``repro.obs`` layer is supposed to be cheap enough to stay on by
 default: per served query the server records four phase histogram
 samples plus one request histogram sample, refreshes gauges only at
 scrape time, and emits one structured JSON log line.  This benchmark
-puts a number on that claim.
+puts a number on that claim.  A server keeps no log unless given one,
+so both comparisons pass an in-memory ``StructuredLog`` explicitly: the
+"on" side prices the log record and the engine spans as well.
 
 One server serves a warm cache-hit workload (the service hot path)
 while ``Observability.enabled`` is toggled *per request* (each query
@@ -22,8 +24,7 @@ are not stable enough to commit as an absolute baseline).
 
 A second paired comparison prices **EXPLAIN ANALYZE**: the same query
 run cache-bypassed plain vs with ``explain="analyze"`` (which runs the
-identical search plus stage-count collection, report assembly, and the
-``analyze.json`` sidecar write).  ``check_perf.py --gate obs`` holds
+identical search plus stage-count collection and report assembly).  ``check_perf.py --gate obs`` holds
 analyze-mode to ≤15% of the plain cache-bypass p50.
 
 The measured numbers are merged into ``BENCH_service.json`` under
@@ -49,7 +50,7 @@ for entry in (str(ROOT / "src"), str(ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from repro.obs import Observability  # noqa: E402
+from repro.obs import Observability, StructuredLog  # noqa: E402
 from repro.service.catalog import GraphCatalog  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.server import ServerThread  # noqa: E402
@@ -83,7 +84,7 @@ def run_overhead(batches: int, batch_size: int) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         GraphCatalog(tmp).add(DATASET, data)
-        obs = Observability()
+        obs = Observability(log=StructuredLog())
         thread = ServerThread(GraphCatalog(tmp), max_inflight=2, obs=obs)
         latencies = {"on": [], "off": []}
         with thread:
@@ -154,7 +155,8 @@ def run_analyze_overhead(batches: int, batch_size: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         GraphCatalog(tmp).add(DATASET, data)
         thread = ServerThread(
-            GraphCatalog(tmp), max_inflight=2, obs=Observability()
+            GraphCatalog(tmp), max_inflight=2,
+            obs=Observability(log=StructuredLog()),
         )
         latencies = {"plain": [], "analyze": []}
         with thread:

@@ -199,7 +199,8 @@ def _add_serve_parser(subparsers) -> None:
                    help="what to do when a subscriber's queue overflows")
     p.add_argument("--request-log", default=None, metavar="PATH",
                    help="append one structured JSON log line per request "
-                        "to PATH (trace ids propagate into pool workers)")
+                        "to PATH (trace ids propagate into pool workers); "
+                        "without it no request log is kept")
     p.add_argument("--tenants", default=None, metavar="FILE",
                    help="JSON file of per-tenant admission classes "
                         "(rate/burst/max_inflight/weight/max_workers)")

@@ -141,6 +141,20 @@ def _chunk_call(words: int, fn: Callable, *args):
     return _trampoline(size)(fn, *args)
 
 
+def _recurse(depth: int, fn: Callable, *args):
+    """``fn(*args)`` for a recursion ``depth`` frames of ``fn`` deep.
+
+    A recursion under half a chunk skips the trampoline: mapping a
+    chunk per run (~17 µs) would cost tiny searches more than the churn
+    it saves them.
+    """
+    code = fn.__code__
+    words = depth * (code.co_nlocals + code.co_stacksize + 16)
+    if words > _CHUNK_WORDS // 2:
+        return _chunk_call(words + 256, fn, *args)
+    return fn(*args)
+
+
 class GuPSearch:
     """One guarded backtracking run over a GCS (dense candidate bitmaps).
 
@@ -382,17 +396,8 @@ class GuPSearch:
         if root_mask is not None:
             local[0] &= root_mask
         bounds = [0] * self._n
-        # One frame per query vertex.  A recursion under half a chunk
-        # skips the trampoline: mapping a chunk per run (~17 µs) would
-        # cost tiny searches more than the churn it saves them.
-        code = self._backtrack.__code__
-        words = self._n * (code.co_nlocals + code.co_stacksize + 16)
-        if words > _CHUNK_WORDS // 2:
-            _chunk_call(
-                words + 256, self._backtrack, 0, local, bounds, None, False
-            )
-        else:
-            self._backtrack(0, local, bounds, None, False)
+        # One frame per query vertex.
+        _recurse(self._n, self._backtrack, 0, local, bounds, None, False)
         return self._results, self._status
 
     # ------------------------------------------------------------------

@@ -64,6 +64,7 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.backtrack import _recurse
 from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
 from repro.core.gcs import (
@@ -206,7 +207,9 @@ class ListGuPSearch:
                 if root_mask >> p & 1
             )
         bounds = [0] * self._n
-        self._backtrack(0, local, bounds)
+        # The same one-chunk rule as GuPSearch.run, so timing the two
+        # compares searches, not the caller's data-stack position.
+        _recurse(self._n, self._backtrack, 0, local, bounds)
         return self._results, self._status
 
     # ------------------------------------------------------------------

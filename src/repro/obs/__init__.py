@@ -11,30 +11,28 @@ Four pieces, designed to be cheap enough to stay on by default
 * :mod:`repro.obs.log` — JSON-lines structured logs with thread-local
   trace-id propagation that crosses the procpool process boundary.
 * :mod:`repro.obs.spans` — hierarchical timed spans on top of the
-  structured log, reconstructable into one causal tree per trace id and
-  exportable as Chrome trace-event JSON (``repro trace``).
+  structured log (the server's own phase spans are derived from its one
+  ``query`` line per request), reconstructable into one causal tree per
+  trace id and exportable as Chrome trace-event JSON (``repro trace``).
 * :mod:`repro.obs.explain` — EXPLAIN/ANALYZE report builders: matching
   order + scores + guard inventory (plan) and exact per-stage /
-  per-guard / per-worker work attribution (analyze), persisted as a
-  versioned ``analyze.json`` catalog sidecar.  ANALYZE is the one way to
-  inspect a served search: its ``search`` block carries the exact
-  recursion, backjump, embedding and per-guard pruning counts.  The
-  per-descend event stream (depths, every conflict) needs an observer,
-  which forces a sequential run, so it stays offline
-  (:class:`~repro.analysis.trace.TraceRecorder`).
+  per-guard / per-worker work attribution (analyze), returned in the
+  query reply.  ANALYZE is the one way to inspect a served search: its
+  ``search`` block carries the exact recursion, backjump, embedding and
+  per-guard pruning counts.  The per-descend event stream (depths,
+  every conflict) needs an observer, which forces a sequential run, so
+  it stays offline (:class:`~repro.analysis.trace.TraceRecorder`).
 
-:class:`Observability` bundles a registry + log + enabled flag; the
-server owns one and threads it everywhere.
+:class:`Observability` bundles a registry + an optional log + an
+enabled flag; the server owns one and threads it everywhere.  Without a
+log nothing is retained: a record is kept only where it has a reader.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.explain import (
-    ANALYZE_SIDECAR_VERSION,
-    FilterStageLog,
-)
+from repro.obs.explain import FilterStageLog
 from repro.obs.log import (
     StructuredLog,
     current_fields,
@@ -53,7 +51,6 @@ from repro.obs.metrics import (
 from repro.obs.spans import (
     build_chrome_trace,
     current_span,
-    emit_span,
     new_span_id,
     set_base_span,
     span,
@@ -63,7 +60,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "ANALYZE_SIDECAR_VERSION",
     "CounterGroup",
     "DEFAULT_BUCKETS",
     "FilterStageLog",
@@ -75,7 +71,6 @@ __all__ = [
     "current_log",
     "current_span",
     "current_trace",
-    "emit_span",
     "new_span_id",
     "new_trace_id",
     "parse_exposition",
@@ -90,11 +85,12 @@ __all__ = [
 
 
 class Observability:
-    """Registry + structured log + master switch, as one handle.
+    """Registry + optional structured log + master switch, as one handle.
 
-    ``enabled=False`` turns off the *new* costs — phase histograms and
-    structured log lines — while the counters keep counting (they
-    predate this layer and the ``stats`` op depends on them).
+    ``log=None`` (the default) is no sink: :meth:`emit` writes nothing
+    and the server binds no log to its request threads.  ``enabled=False``
+    turns off the log lines and the phase histograms, while the counters
+    keep counting (the ``stats`` op depends on them).
     """
 
     def __init__(
@@ -105,14 +101,9 @@ class Observability:
     ) -> None:
         self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.log = log if log is not None else StructuredLog()
+        self.log = log
 
     def emit(self, event: str, **fields) -> None:
-        """Log a structured line iff observability is enabled."""
-        if self.enabled:
+        """Log a structured line iff enabled and there is a sink."""
+        if self.enabled and self.log is not None:
             self.log.emit(event, **fields)
-
-    def observe(self, handle, seconds: float) -> None:
-        """Record a latency sample iff observability is enabled."""
-        if self.enabled:
-            handle.observe(seconds)

@@ -21,11 +21,9 @@ calls the *ordinary* ``GuPEngine.match`` on the very GCS it inspected
 to an unobserved run (``tests/test_explain_differential.py`` proves it
 for production and the seed oracle × workers).
 
-Analyze summaries are persisted by the server as a versioned
-``analyze.json`` sidecar next to the catalog entry's artifact files
-(:meth:`repro.service.catalog.GraphCatalog.store_analysis`) — the
-per-query feature corpus a cost-model planner (deferred on the
-ROADMAP) would train on.
+The report is returned in the query reply and nothing else keeps it: a
+served analyze is one ``query`` line in a ``--request-log`` like any
+other query.
 """
 
 from __future__ import annotations
@@ -34,14 +32,6 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.matching.result import MatchResult, SearchStats
-
-ANALYZE_SIDECAR_VERSION = 1
-"""Schema version stamped into every ``analyze.json`` sidecar; readers
-must reject (and writers overwrite) sidecars of any other version."""
-
-ANALYZE_SIDECAR_MAX_RECORDS = 64
-"""Bound on records kept per entry (oldest dropped first)."""
-
 
 class FilterStageLog:
     """Passive collector of per-vertex candidate counts per filter stage.
@@ -185,35 +175,3 @@ def analyze_report(
     report["tasks"] = tasks or []
     return report
 
-
-def sidecar_record(
-    report: Dict[str, Any],
-    trace: Optional[str] = None,
-    elapsed_seconds: Optional[float] = None,
-) -> Dict[str, Any]:
-    """One ``analyze.json`` feature record distilled from a report.
-
-    Keeps the planner-relevant features (query shape, order, stage
-    counts, search attribution, worker split) and drops the bulky
-    per-vertex presentation rows; the full report still travels in the
-    query reply for the caller that asked.
-    """
-    record = {
-        "trace": trace,
-        "query": report.get("query"),
-        "ordering": report.get("ordering"),
-        "order": report.get("order"),
-        "filter": report.get("filter"),
-        "stages": report.get("stages"),
-        "reservations": report.get("reservations"),
-        "two_core_edges": report.get("two_core_edges"),
-        "candidate_space": report.get("candidate_space"),
-        "build_seconds": report.get("build_seconds"),
-        "workers": report.get("workers", 1),
-        "result": report.get("result"),
-        "search": report.get("search"),
-        "tasks": report.get("tasks"),
-    }
-    if elapsed_seconds is not None:
-        record["elapsed_seconds"] = round(elapsed_seconds, 6)
-    return record

@@ -1,11 +1,15 @@
 """Structured JSON request logs + trace-id propagation.
 
-One request = one trace id = many log lines: the client stamps a trace
-id on each attempt, the server logs its handling under the same id, and
-the procpool ships the id to worker processes through the pickle-once
-initializer so even a worker that a fault plan kills mid-task has
-already written its line.  A crash-recovery sequence is reconstructable
-from the log alone by grepping one trace id.
+One request = one trace id: the client stamps a trace id on each
+attempt, the server writes one ``query`` line for the request under the
+same id (its canonical record: outcome, provenance and phase timings,
+from which :mod:`repro.obs.spans` derives the server's phase spans),
+and the procpool ships the id to worker processes through the
+pickle-once initializer so even a worker that a fault plan kills
+mid-task has already written its line.  A crash-recovery sequence is
+reconstructable from the log alone by grepping one trace id.  A sink is
+opt-in: :class:`repro.obs.Observability` has none by default, and
+``repro serve`` opens one only for ``--request-log``.
 
 :class:`StructuredLog` writes one JSON object per line.  When backed by
 a path it opens the file in append mode and emits each record as a
@@ -51,8 +55,9 @@ class StructuredLog:
     """An append-only JSON-lines log, safe across threads and processes.
 
     ``path=None`` keeps the last ``memory_limit`` records in memory
-    (``records``) — handy in tests and as a server default that cannot
-    grow without bound.  ``stream=`` writes to an open text stream
+    (``records``) — an explicit choice for tests and the observability
+    bench; a server without a log keeps nothing.  ``stream=`` writes to
+    an open text stream
     (e.g. ``sys.stderr``).  ``path=`` appends to a file and survives
     pickling.
     """
@@ -82,9 +87,7 @@ class StructuredLog:
             # line under the binding, but an explicit field always wins.
             record.setdefault(key, value)
         if self.path is None and self._stream is None:
-            # Memory-backed: keep the dict, skip serialization entirely
-            # (this is the server's default sink, so it sits on the
-            # query hot path — see bench_obs_overhead.py).
+            # Memory-backed: keep the dict, skip serialization entirely.
             with self._lock:
                 self.records.append(record)
             return record
@@ -99,51 +102,6 @@ class StructuredLog:
                 self._stream.write(line)
                 self._stream.flush()
             return record
-
-    def emit_many(
-        self, event: str, batch: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Emit several records of one event kind in a single pass.
-
-        The per-record bookkeeping ``emit`` pays — wall-clock stamp,
-        pid, thread-context lookups, the sink lock — is paid once for
-        the whole batch.  This sits on the query hot path: the server
-        closes three phase spans per served request, and emitting them
-        one by one shows up in the ≤5% observability overhead budget.
-        """
-        ts = round(time.time(), 6)
-        pid = os.getpid()
-        ctx_trace = current_trace()
-        ctx_fields = current_fields()
-        out: List[Dict[str, Any]] = []
-        for fields in batch:
-            record: Dict[str, Any] = {"ts": ts, "event": event}
-            trace = fields.pop("trace", None) or ctx_trace
-            if trace:
-                record["trace"] = trace
-            record["pid"] = pid
-            record.update(fields)
-            if ctx_fields:
-                for key, value in ctx_fields.items():
-                    record.setdefault(key, value)
-            out.append(record)
-        if self.path is None and self._stream is None:
-            with self._lock:
-                self.records.extend(out)
-            return out
-        lines = "".join(
-            json.dumps(r, sort_keys=True, default=str) + "\n" for r in out
-        )
-        with self._lock:
-            if self.path is not None:
-                if self._file is None:
-                    self._file = open(self.path, "a", encoding="utf-8")
-                self._file.write(lines)
-                self._file.flush()
-            elif self._stream is not None:
-                self._stream.write(lines)
-                self._stream.flush()
-            return out
 
     def close(self) -> None:
         with self._lock:

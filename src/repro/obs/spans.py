@@ -20,8 +20,13 @@ initializer context and each worker seeds its stack with
 :func:`set_base_span`, so per-root-partition task spans are children
 of the search phase span that dispatched them.
 
-Reconstruction: :func:`spans_for_trace` collects one trace's span
-records from a log, :func:`build_chrome_trace` converts them to the
+The server emits no span lines of its own: its ``server.request`` /
+``server.queue`` / ``server.stream`` spans are derived from its one
+``query`` line per request (:func:`served_spans`), so a served request
+writes one record plus whatever engine and worker spans it opened.
+
+Reconstruction: :func:`spans_for_trace` collects one trace's spans
+from a log, :func:`build_chrome_trace` converts them to the
 Chrome trace-event JSON that ``chrome://tracing`` and Perfetto open
 directly, and :func:`validate_span_tree` checks the causal tree (every
 parent resolves, one root per trace) — the CI smoke runs all three
@@ -40,12 +45,15 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.log import StructuredLog, current_log
+from repro.obs.log import current_log
 
 _local = threading.local()
 
 SPAN_EVENT = "span"
 """The structured-log event name every closed span is emitted under."""
+
+QUERY_EVENT = "query"
+"""The event name of the server's one line per query request."""
 
 
 def new_span_id() -> str:
@@ -103,10 +111,11 @@ class span_scope:
 class span:
     """Context manager timing one named phase as a child of the current span.
 
-    The id/parent are resolved at ``__enter__``; one ``event="span"``
-    log line is emitted at ``__exit__`` iff a structured log is bound
-    to the thread (:func:`repro.obs.log.current_log`), stamped with the
-    bound trace id like every other line.  Attrs must be JSON-friendly.
+    Only when a structured log is bound to the thread
+    (:func:`repro.obs.log.current_log`) does it take an id and a parent
+    at ``__enter__`` and emit one ``event="span"`` line at ``__exit__``,
+    stamped with the bound trace id like every other line; otherwise it
+    reads the clock twice and nothing else.  Attrs must be JSON-friendly.
     """
 
     __slots__ = ("name", "attrs", "id", "parent", "t0")
@@ -119,71 +128,27 @@ class span:
         self.t0 = 0.0
 
     def __enter__(self) -> "span":
-        stack = _stack()
-        self.parent = stack[-1] if stack else None
-        self.id = new_span_id()
-        stack.append(self.id)
+        if current_log() is not None:
+            stack = _stack()
+            self.parent = stack[-1] if stack else None
+            self.id = new_span_id()
+            stack.append(self.id)
         self.t0 = time.monotonic()
         return self
 
     def __exit__(self, *exc) -> None:
         dur = time.monotonic() - self.t0
+        if self.id is None:
+            return
         stack = getattr(_local, "stack", None)
         if stack and stack[-1] == self.id:
             stack.pop()
         log = current_log()
         if log is not None:
-            emit_span(
-                log, self.name, self.id, self.parent, self.t0, dur,
-                **self.attrs,
+            log.emit(
+                SPAN_EVENT, name=self.name, span=self.id, parent=self.parent,
+                t0=round(self.t0, 6), dur=round(dur, 6), **self.attrs,
             )
-
-
-def emit_span(
-    log: StructuredLog,
-    name: str,
-    span_id: str,
-    parent: Optional[str],
-    t0: float,
-    dur: float,
-    trace: Optional[str] = None,
-    **attrs: Any,
-) -> None:
-    """Low-level span emission for phases timed without a live ``span``.
-
-    The server measures queue wait inside the admission path and only
-    later (on the request's executor thread) knows the request span —
-    this writes the same record shape a closing :class:`span` would.
-    """
-    record = {
-        "name": name,
-        "span": span_id,
-        "parent": parent,
-        "t0": round(t0, 6),
-        "dur": round(dur, 6),
-    }
-    record.update(attrs)
-    if trace is not None:
-        record["trace"] = trace
-    log.emit(SPAN_EVENT, **record)
-
-
-def emit_spans(
-    log: StructuredLog,
-    spans: Sequence[Dict[str, Any]],
-    trace: Optional[str] = None,
-) -> None:
-    """Batch form of :func:`emit_span` — one log pass for all records.
-
-    ``spans`` holds ready-made record dicts (``name``/``span``/
-    ``parent``/``t0``/``dur`` plus attrs); the shared ``trace`` is
-    stamped onto each.  The server closes its per-request phase spans
-    through this so the hot path pays the log bookkeeping once.
-    """
-    if trace is not None:
-        for record in spans:
-            record.setdefault("trace", trace)
-    log.emit_many(SPAN_EVENT, list(spans))
 
 
 # ----------------------------------------------------------------------
@@ -194,13 +159,53 @@ def emit_spans(
 def spans_for_trace(
     records: Sequence[Dict[str, Any]], trace: str
 ) -> List[Dict[str, Any]]:
-    """The ``event="span"`` records of one trace, sorted by start time."""
-    spans = [
-        r for r in records
-        if r.get("event") == SPAN_EVENT and r.get("trace") == trace
-    ]
+    """One trace's spans, sorted by start time: its ``event="span"``
+    records plus the phase spans derived from its served ``query``
+    records (:func:`served_spans`)."""
+    spans: List[Dict[str, Any]] = []
+    for record in records:
+        if record.get("trace") != trace:
+            continue
+        if record.get("event") == SPAN_EVENT:
+            spans.append(record)
+        elif (
+            record.get("event") == QUERY_EVENT
+            and record.get("outcome") == "served"
+            and record.get("span")
+        ):
+            spans.extend(served_spans(record))
     spans.sort(key=lambda r: (r.get("t0", 0.0), r.get("span", "")))
     return spans
+
+
+def served_spans(record: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The server's three phase spans of one served ``query`` record.
+
+    The record is the request's one canonical line: its ``span`` /
+    ``parent`` / ``t0`` / ``dur`` are the request span's (the parent is
+    the client's attempt span), and ``queue_t0`` / ``queue_seconds`` and
+    ``stream_t0`` / ``stream_seconds`` time the admission queue and the
+    reply write inside it.  The queue and stream spans take the request
+    span id with a ``.queue`` / ``.stream`` suffix: nothing parents to
+    them, so they only need to be unique in the trace.
+    """
+    request = record["span"]
+    common = {
+        "ts": record.get("ts"), "event": SPAN_EVENT,
+        "trace": record.get("trace"), "pid": record.get("pid"),
+    }
+    return [
+        {**common, "name": "server.request", "span": request,
+         "parent": record.get("parent"), "t0": record["t0"],
+         "dur": record["dur"], "tenant": record.get("tenant"),
+         "data": record.get("data")},
+        {**common, "name": "server.queue", "span": request + ".queue",
+         "parent": request, "t0": record["queue_t0"],
+         "dur": record["queue_seconds"]},
+        {**common, "name": "server.stream", "span": request + ".stream",
+         "parent": request, "t0": record["stream_t0"],
+         "dur": record["stream_seconds"]},
+    ]
 
 
 def build_chrome_trace(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

@@ -87,10 +87,6 @@ from repro.dynamic.delta import (
 from repro.filtering.artifacts import DataArtifacts
 from repro.graph.graph import Graph
 from repro.graph.io import graph_checksum, load_graph, loads_graph, saves_graph
-from repro.obs.explain import (
-    ANALYZE_SIDECAR_MAX_RECORDS,
-    ANALYZE_SIDECAR_VERSION,
-)
 from repro.obs.metrics import CounterGroup
 from repro.service.faults import NO_FAULTS, FaultPlan
 
@@ -100,12 +96,12 @@ GRAPH_FILE = "graph.graph"
 META_FILE = "meta.json"
 LOG_FILE = "delta.log"
 JOURNAL_FILE = "journal.json"
-ANALYZE_FILE = "analyze.json"
 TMP_SUFFIX = ".tmp"
 _ENTRY_FILES = (GRAPH_FILE, META_FILE, LOG_FILE)
-# Entries written before the filter artifacts stopped being persisted
-# may still hold this file; loads ignore it and a full snapshot drops it.
-LEGACY_ARTIFACTS_FILE = "artifacts.bin"
+# Files older entries may still hold: the persisted filter artifacts
+# and the EXPLAIN ANALYZE sidecar.  Loads ignore them and a full
+# snapshot drops them.
+LEGACY_FILES = ("artifacts.bin", "analyze.json")
 
 # The update that would make an entry's delta log reach this many
 # records commits a full snapshot instead.  It bounds a cold load's
@@ -858,79 +854,6 @@ class GraphCatalog:
             return False
         return isinstance(journal, dict) and journal.get("op") == "remove"
 
-    # -- analyze sidecar (EXPLAIN ANALYZE feature corpus) --------------
-
-    def store_analysis(
-        self, name: str, record: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Append one EXPLAIN ANALYZE record to the entry's sidecar."""
-        return self.store_analyses(name, [record])
-
-    def store_analyses(
-        self, name: str, new_records: List[Dict[str, object]]
-    ) -> Dict[str, object]:
-        """Append EXPLAIN ANALYZE records in one sidecar rewrite.
-
-        The rewrite is O(full sidecar), so the server's background
-        writer batches a burst of analyzed queries into a single call
-        per entry rather than paying one rewrite per query.
-
-        ``analyze.json`` is *derived observational data* and deliberately
-        lives outside the journaled snapshot and the delta log — losing it
-        in a crash loses telemetry, not truth.  The write is atomic
-        (tmp + rename) so readers never observe a torn file, but skips
-        the fsyncs the snapshot files pay: this runs on the serving
-        hot path for every analyzed query, and an fsync costs more than
-        the analyze itself — a power cut may lose the newest records,
-        never corrupt the file.  Keeps the newest
-        :data:`~repro.obs.explain.ANALYZE_SIDECAR_MAX_RECORDS` records,
-        oldest dropped first.  Returns the sidecar as written.
-        """
-        directory = self._entry_dir(name)
-        with self._lock:
-            if not (directory / META_FILE).exists():
-                raise CatalogError(f"unknown catalog entry {name!r}")
-            sidecar = self._read_analysis(directory)
-            records = sidecar["records"]
-            records.extend(new_records)
-            del records[:-ANALYZE_SIDECAR_MAX_RECORDS]
-            blob = (json.dumps(sidecar, sort_keys=True) + "\n").encode(
-                "utf-8"
-            )
-            tmp = directory / (ANALYZE_FILE + TMP_SUFFIX)
-            tmp.write_bytes(blob)
-            os.replace(tmp, directory / ANALYZE_FILE)
-            return sidecar
-
-    def load_analysis(self, name: str) -> Dict[str, object]:
-        """The entry's ``analyze.json`` sidecar.
-
-        Missing, unreadable, or wrong-schema-version sidecars all yield
-        a fresh empty shell — the sidecar is best-effort by design and
-        a version bump invalidates old records wholesale.
-        """
-        directory = self._entry_dir(name)
-        with self._lock:
-            if not (directory / META_FILE).exists():
-                raise CatalogError(f"unknown catalog entry {name!r}")
-            return self._read_analysis(directory)
-
-    @staticmethod
-    def _read_analysis(directory: Path) -> Dict[str, object]:
-        try:
-            sidecar = json.loads(
-                (directory / ANALYZE_FILE).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            sidecar = None
-        if (
-            not isinstance(sidecar, dict)
-            or sidecar.get("version") != ANALYZE_SIDECAR_VERSION
-            or not isinstance(sidecar.get("records"), list)
-        ):
-            return {"version": ANALYZE_SIDECAR_VERSION, "records": []}
-        return sidecar
-
     # -- internals -----------------------------------------------------
 
     def _entry_dir(self, name: str) -> Path:
@@ -959,7 +882,7 @@ class GraphCatalog:
         """Persist one snapshot as a single journaled transaction.
 
         A full snapshot (``add``, compaction) commits an empty delta log
-        with it and deletes a leftover :data:`LEGACY_ARTIFACTS_FILE`.
+        with it and deletes any leftover :data:`LEGACY_FILES`.
         ``include_graph=False`` is the sidecar repair: the
         graph file on disk *is* the source being recovered from and must
         not be rewritten, and the delta log is kept — its records still
@@ -988,10 +911,11 @@ class GraphCatalog:
         if include_graph:
             # Best effort: a crash before this unlink leaves a file that
             # loads ignore and the next full snapshot drops.
-            try:
-                (directory / LEGACY_ARTIFACTS_FILE).unlink(missing_ok=True)
-            except OSError:
-                pass
+            for legacy in LEGACY_FILES:
+                try:
+                    (directory / legacy).unlink(missing_ok=True)
+                except OSError:
+                    pass
         self._epochs[directory.name] = epoch
         self._logs.pop(directory.name, None)
 

@@ -148,7 +148,6 @@ import asyncio
 import json
 import logging
 import math
-import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -163,9 +162,8 @@ from repro.graph.io import loads_graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, SearchStats, TerminationStatus
 from repro.obs import Observability, new_trace_id, trace_context
-from repro.obs.explain import sidecar_record
 from repro.obs.metrics import CounterGroup
-from repro.obs.spans import emit_spans, new_span_id, span_scope
+from repro.obs.spans import QUERY_EVENT, new_span_id, span_scope
 from repro.service.catalog import CatalogError, GraphCatalog
 from repro.service.faults import NO_FAULTS, FaultPlan, InjectedCrash
 from repro.service.lifecycle import (
@@ -385,14 +383,6 @@ class MatchingServer:
         self._subs: Dict[str, Dict[int, _Subscription]] = {}
         self._next_sub_id = 1
         self._update_lock: Optional[asyncio.Lock] = None
-        # EXPLAIN ANALYZE sidecar persistence happens off the request
-        # path: rewriting a full 64-record analyze.json costs multiples
-        # of the analyze itself, so query threads enqueue the distilled
-        # record here and a lazily-started daemon writes it out;
-        # aclose() drains the queue so a stopped server has flushed
-        # every record.
-        self._analysis_queue: "queue.Queue" = queue.Queue()
-        self._analysis_thread: Optional[threading.Thread] = None
 
     # -- observability (DESIGN.md §12) ---------------------------------
 
@@ -582,67 +572,7 @@ class MatchingServer:
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
         self._executor = self._aux_executor = None
-        if self._analysis_thread is not None:
-            # FIFO queue: the sentinel lands behind every pending
-            # record, so joining here means the sidecar holds every
-            # analyze the server acknowledged.
-            self._analysis_queue.put(None)
-            self._analysis_thread.join(timeout=10.0)
-            self._analysis_thread = None
         self.lifecycle.state = STOPPED
-
-    def _enqueue_analysis(self, name: str, record: Dict) -> None:
-        """Queue one analyze record for the background sidecar writer."""
-        with self._counters_lock:
-            if self._analysis_thread is None:
-                self._analysis_thread = threading.Thread(
-                    target=self._analysis_writer,
-                    name="analysis-writer",
-                    daemon=True,
-                )
-                self._analysis_thread.start()
-        self._analysis_queue.put((name, record))
-
-    def _analysis_writer(self) -> None:
-        while True:
-            item = self._analysis_queue.get()
-            if item is None:
-                return
-            batch = [item]
-            stop = False
-            # Debounce: the sidecar rewrite is O(full file), so a burst
-            # of analyzed queries coalesces into one rewrite per entry
-            # — per-record writes would let the writer's GIL time tax
-            # the very queries whose work it records.
-            deadline = time.monotonic() + 0.05
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._analysis_queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            by_name: Dict[str, List[Dict]] = {}
-            for name, record in batch:
-                by_name.setdefault(name, []).append(record)
-            for name, records in by_name.items():
-                try:
-                    self.catalog.store_analyses(name, records)
-                except (CatalogError, OSError) as exc:
-                    # Derived telemetry: a lost write is reported on
-                    # the obs stream, never surfaced to (or failing)
-                    # the queries that produced it — long answered.
-                    self.obs.emit(
-                        "analysis_sidecar_error", data=name,
-                        error=str(exc),
-                    )
-            if stop:
-                return
 
     # -- connection handling -------------------------------------------
 
@@ -1252,8 +1182,10 @@ class MatchingServer:
         trace = fields.trace
         # Causal spans: the client's attempt span (if sent) parents our
         # request span, so one exported tree covers the whole round trip.
+        # Without a sink no line is written, so no span is drawn.
+        logged = self.obs.enabled and self.obs.log is not None
         client_span = fields.ident("span")
-        request_span = new_span_id()
+        request_span = new_span_id() if logged else None
         request_t0 = time.monotonic()
         priority = request.get("priority", "normal")
         try:
@@ -1319,7 +1251,6 @@ class MatchingServer:
                 )
                 return
             server_seconds = time.perf_counter() - started
-            stream_t0 = time.monotonic()
             header = {
                 "ok": True,
                 "num_embeddings": result.num_embeddings,
@@ -1347,6 +1278,9 @@ class MatchingServer:
                 search_seconds=round(result.elapsed_seconds, 6),
                 server_seconds=round(server_seconds, 6),
                 **({"explain": explain} if explain else {}),
+                **({"span": request_span, "parent": client_span,
+                    "t0": round(request_t0, 6),
+                    "queue_t0": round(queue_t0, 6)} if logged else {}),
             )
             if self.obs.enabled:
                 hist = self._phase_hist
@@ -1355,23 +1289,6 @@ class MatchingServer:
                 hist["search"].observe(result.elapsed_seconds)
                 hist["stream"].observe(stream_seconds)
                 self._request_hist.observe(server_seconds + stream_seconds)
-                # Server-side phase spans: queue and stream around the
-                # engine spans _execute emitted under request_span, the
-                # request span itself parented by the client's attempt.
-                # One batched log pass — three emits would triple the
-                # per-record bookkeeping on the hot path.
-                emit_spans(self.obs.log, (
-                    {"name": "server.queue", "span": new_span_id(),
-                     "parent": request_span, "t0": round(queue_t0, 6),
-                     "dur": round(queue_seconds, 6)},
-                    {"name": "server.stream", "span": new_span_id(),
-                     "parent": request_span, "t0": round(stream_t0, 6),
-                     "dur": round(stream_seconds, 6)},
-                    {"name": "server.request", "span": request_span,
-                     "parent": client_span, "t0": round(request_t0, 6),
-                     "dur": round(time.monotonic() - request_t0, 6),
-                     "tenant": tenant, "data": name},
-                ), trace=trace)
         finally:
             self._active -= 1
             tstate.inflight -= 1
@@ -1414,18 +1331,24 @@ class MatchingServer:
         ``result``'s embeddings framed behind it; then counts
         ``outcome`` (``served``/``shed``/``error``) on the server, and
         a served or shed one on ``tstate``, and writes the ``query`` log
-        line, whose fields are ``log``.  A reply that cannot be written
-        counts as an error and re-raises.  Returns the seconds spent
-        framing and writing.
+        line, whose fields are ``log``.  A served line is the request's
+        one record and gains ``stream_seconds`` here; given the request
+        span (``span``, ``parent``, ``t0``) and ``queue_t0`` by a caller
+        with a sink, it also gains ``stream_t0`` and the request's
+        ``dur``, and
+        :func:`repro.obs.spans.served_spans` derives the server's phase
+        spans from it.  A reply that cannot be written counts as an
+        error and re-raises.  Returns the seconds spent framing and
+        writing.
         """
         if isinstance(reply, str):
             reply = {"ok": False, "error": reply, "trace": trace}
-        started = time.perf_counter()
+        started = time.monotonic()
         body = b""
         if result is not None:
             arity, body = encode_embeddings(result.embeddings)
             # Packing the frame is reported apart from server_seconds.
-            reply["encode_seconds"] = round(time.perf_counter() - started, 6)
+            reply["encode_seconds"] = round(time.monotonic() - started, 6)
             reply["arity"], reply["bytes"] = arity, len(body)
         try:
             await self._send(writer, reply, body)
@@ -1433,18 +1356,21 @@ class MatchingServer:
             outcome, log["error"] = "error", f"reply write failed: {exc!r}"
             raise
         finally:
-            seconds = time.perf_counter() - started
+            seconds = time.monotonic() - started
             if outcome == "served":
                 self._bump("served")
                 tstate.counters.inc("served")
                 log["stream_seconds"] = round(seconds, 6)
+                if "t0" in log:
+                    log["stream_t0"] = round(started, 6)
+                    log["dur"] = round(started + seconds - log["t0"], 6)
             elif outcome == "shed":
                 self._bump("rejected")
                 self._bump(f"shed_{log['priority']}")
                 tstate.counters.inc(f"shed_{log['reason']}")
             else:
                 self._bump("errors")
-            self.obs.emit("query", trace=trace, outcome=outcome, **log)
+            self.obs.emit(QUERY_EVENT, trace=trace, outcome=outcome, **log)
         return seconds
 
     def _parse_query(
@@ -1575,9 +1501,6 @@ class MatchingServer:
                     query, mode="analyze", limits=limits, workers=workers
                 )
                 report["qcache"] = {"decision": "bypass", "reason": "analyze"}
-                self._enqueue_analysis(
-                    name, sidecar_record(report, trace=trace)
-                )
             else:
                 result = engine.match(query, limits=limits, workers=workers)
                 if form is not None:

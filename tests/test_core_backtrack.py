@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.core.backtrack import GuPSearch
+from repro.core.backtrack_ref import ListGuPSearch
 from repro.core.config import GuPConfig
 from repro.core.engine import match
 from repro.core.gcs import build_gcs
@@ -170,20 +171,17 @@ class TestFrameChunk:
         assert _trampoline(8192).__code__.co_stacksize > 4096
         assert _trampoline(4096) is _trampoline(4096)
 
-    @pytest.mark.skipif(
-        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
-        reason="CPython's chunked frame stack",
-    )
-    def test_no_chunk_churn_at_any_base_depth(self):
-        # Without the reserved chunk, some caller depth puts a chunk
-        # boundary inside the recursion, and every descent across it
-        # maps a chunk (page faults) that the return unmaps again.
+    @staticmethod
+    def worst_faults(search, ring):
+        """Most page faults of one ``search`` run on a ``ring``-vertex
+        ring query, over caller depths 0-23."""
         resource = pytest.importorskip("resource")
         from repro.graph.builder import graph_from_adjacency
         from repro.graph.generators import erdos_renyi_graph
 
         query = graph_from_adjacency(
-            [i % 2 for i in range(8)], [(i, (i + 1) % 8) for i in range(8)]
+            [i % 2 for i in range(ring)],
+            [(i, (i + 1) % ring) for i in range(ring)],
         )
         gcs = build_gcs(query, erdos_renyi_graph(60, 90, num_labels=2, seed=0))
 
@@ -191,9 +189,32 @@ class TestFrameChunk:
             if depth:
                 return faults(depth - 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            GuPSearch(gcs).run()
+            search(gcs).run()
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         faults(0)  # warm the allocator
-        worst = max(faults(depth) for depth in range(24))
+        return max(faults(depth) for depth in range(24))
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython's chunked frame stack",
+    )
+    def test_no_chunk_churn_at_any_base_depth(self):
+        # Without the reserved chunk, some caller depth puts a chunk
+        # boundary inside the recursion, and every descent across it
+        # maps a chunk (page faults) that the return unmaps again.  An
+        # 8-vertex ring takes the search just over half a chunk.
+        worst = self.worst_faults(GuPSearch, 8)
+        assert worst < 100, worst
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython's chunked frame stack",
+    )
+    @pytest.mark.parametrize("search", [GuPSearch, ListGuPSearch])
+    def test_no_chunk_churn_on_a_deeper_ring(self, search):
+        # The oracle's recursion needs over half a chunk only from a
+        # 12-vertex ring.  It follows the same rule, so the hot-path
+        # gate's ratio over it compares searches, not stack positions.
+        worst = self.worst_faults(search, 12)
         assert worst < 100, worst

@@ -7,8 +7,8 @@ production, the seed oracle and the two engines that swap one seed twin
 in, sequential and through the procpool — the combinations whose code
 paths actually differ.  Alongside: plan
 reports without running search, qcache ``peek`` never perturbing the
-cache, the versioned ``analyze.json`` sidecar's bounds, and a served
-query's causal span tree reconstructed from the request log.
+cache, and a served query's causal span tree reconstructed from the
+request log.
 """
 
 import json
@@ -19,19 +19,20 @@ from repro.core.engine import GuPEngine
 from repro.graph.builder import graph_from_adjacency
 from repro.matching.limits import SearchLimits
 from repro.obs import Observability, StructuredLog
-from repro.obs.explain import (
-    ANALYZE_SIDECAR_MAX_RECORDS,
-    ANALYZE_SIDECAR_VERSION,
-    sidecar_record,
-)
 from repro.obs.spans import (
     build_chrome_trace,
     children_of,
     spans_for_trace,
     validate_span_tree,
 )
-from repro.service.catalog import CatalogError, GraphCatalog
-from repro.service.client import ServiceClient
+from repro.service.catalog import GraphCatalog
+from repro.service.client import (
+    RetryPolicy,
+    ServiceClient,
+    ServiceError,
+    ServiceOverloaded,
+)
+from repro.service.faults import FaultPlan, FaultRule
 from repro.service.qcache import QueryCache
 from repro.service.server import ServerThread
 from repro.workload.datasets import load_dataset
@@ -182,62 +183,6 @@ class TestQueryCachePeek:
             )
 
 
-class TestAnalyzeSidecar:
-    def test_store_load_roundtrip(self, tmp_path, world):
-        data, query = world
-        catalog = GraphCatalog(tmp_path)
-        catalog.add("g", data)
-        report, _ = GuPEngine(data).explain(
-            query, mode="analyze", limits=SearchLimits(max_embeddings=5)
-        )
-        record = sidecar_record(report, trace="t1")
-        sidecar = catalog.store_analysis("g", record)
-        assert sidecar["version"] == ANALYZE_SIDECAR_VERSION
-        loaded = catalog.load_analysis("g")
-        assert loaded["version"] == ANALYZE_SIDECAR_VERSION
-        assert len(loaded["records"]) == 1
-        assert loaded["records"][0]["trace"] == "t1"
-        assert loaded["records"][0]["search"]["recursions"] > 0
-        # Durable on disk as plain JSON, no tmp left behind.
-        path = tmp_path / "g" / "analyze.json"
-        assert json.loads(path.read_text(encoding="utf-8")) == loaded
-        assert not list((tmp_path / "g").glob("*.tmp"))
-
-    def test_record_bound_drops_oldest(self, tmp_path):
-        data, _ = tiny_world()
-        catalog = GraphCatalog(tmp_path)
-        catalog.add("g", data)
-        for i in range(ANALYZE_SIDECAR_MAX_RECORDS + 5):
-            catalog.store_analysis("g", {"trace": f"t{i}"})
-        loaded = catalog.load_analysis("g")
-        assert len(loaded["records"]) == ANALYZE_SIDECAR_MAX_RECORDS
-        assert loaded["records"][0]["trace"] == "t5"
-        assert loaded["records"][-1]["trace"] == (
-            f"t{ANALYZE_SIDECAR_MAX_RECORDS + 4}"
-        )
-
-    def test_unknown_entry_rejected(self, tmp_path):
-        catalog = GraphCatalog(tmp_path)
-        with pytest.raises(CatalogError):
-            catalog.store_analysis("ghost", {"trace": "t"})
-        with pytest.raises(CatalogError):
-            catalog.load_analysis("ghost")
-
-    def test_version_mismatch_resets(self, tmp_path):
-        data, _ = tiny_world()
-        catalog = GraphCatalog(tmp_path)
-        catalog.add("g", data)
-        path = tmp_path / "g" / "analyze.json"
-        path.write_text(
-            json.dumps({"version": 999, "records": [{"trace": "old"}]}),
-            encoding="utf-8",
-        )
-        assert catalog.load_analysis("g")["records"] == []
-        catalog.store_analysis("g", {"trace": "new"})
-        records = catalog.load_analysis("g")["records"]
-        assert [r["trace"] for r in records] == ["new"]
-
-
 class TestServedSpanTree:
     """One served analyze query leaves an exact causal span tree."""
 
@@ -257,10 +202,6 @@ class TestServedSpanTree:
         assert reply.embeddings == plain.embeddings
         assert reply.explain["mode"] == "analyze"
         assert reply.cache == "bypass"
-        # The background sidecar writer drains on server close: the
-        # analyzed query's record must be on disk by now.
-        loaded = GraphCatalog(catalog_root).load_analysis("g")
-        assert [r["trace"] for r in loaded["records"]] == [reply.trace]
 
         records = StructuredLog(path=str(log_path)).read_records()
         spans = spans_for_trace(records, reply.trace)
@@ -294,3 +235,74 @@ class TestServedSpanTree:
             parent = event["args"].get("parent")
             assert parent is None or parent in ids
         json.dumps(export)  # must be serializable as-is
+
+    def test_served_query_record_derives_server_spans(self, tmp_path):
+        """A served ``query`` line is the request's one server record:
+        ``spans_for_trace`` derives the request, queue and stream spans
+        from its fields.  Shed and error lines derive none."""
+        data, query = tiny_world()
+        GraphCatalog(tmp_path).add("g", data)
+        server_log, client_log = StructuredLog(), StructuredLog()
+        plan = FaultPlan([FaultRule("server.admission", "overload", times=1)])
+        with ServerThread(
+            GraphCatalog(tmp_path), faults=plan,
+            obs=Observability(log=server_log),
+        ) as thread:
+            with ServiceClient(
+                *thread.address, retry=RetryPolicy(attempts=1),
+                log=client_log,
+            ) as client:
+                with pytest.raises(ServiceOverloaded):
+                    client.query(query, "g")
+                with pytest.raises(ServiceError):
+                    client.query(query, "nope")
+                client.query(query, "g")
+                hit = client.query(query, "g")
+                assert client.ping()  # the line follows the reply
+        assert hit.cache == "hit"
+        records = server_log.read_records()
+        [record] = [r for r in records if r.get("trace") == hit.trace]
+        assert (record["event"], record["outcome"]) == ("query", "served")
+        [attempt] = [
+            r for r in client_log.read_records()
+            if r.get("trace") == hit.trace and r["event"] == "span"
+        ]
+
+        spans = spans_for_trace(records, hit.trace)
+        by_name = {r["name"]: r for r in spans}
+        assert sorted(by_name) == [
+            "server.queue", "server.request", "server.stream",
+        ]
+        request = by_name["server.request"]
+        assert request["span"] == record["span"]
+        assert request["parent"] == attempt["span"]
+        assert (request["t0"], request["dur"]) == (record["t0"], record["dur"])
+        assert (request["tenant"], request["data"]) == (record["tenant"], "g")
+        for phase in ("queue", "stream"):
+            derived = by_name[f"server.{phase}"]
+            assert derived["span"] == f"{record['span']}.{phase}"
+            assert derived["parent"] == record["span"]
+            assert (derived["t0"], derived["dur"]) == (
+                record[f"{phase}_t0"], record[f"{phase}_seconds"]
+            )
+        for derived in spans:
+            assert derived["event"] == "span"
+            assert (derived["trace"], derived["pid"]) == (
+                hit.trace, record["pid"]
+            )
+        # The phases nest inside the request span.
+        end = request["t0"] + request["dur"] + 1e-6
+        assert request["t0"] <= by_name["server.queue"]["t0"] + 1e-6
+        assert by_name["server.queue"]["t0"] <= by_name["server.stream"]["t0"]
+        stream = by_name["server.stream"]
+        assert stream["t0"] + stream["dur"] <= end
+        tree = spans_for_trace(client_log.read_records() + records, hit.trace)
+        assert validate_span_tree(tree) == []
+
+        unserved = [
+            r for r in records
+            if r["event"] == "query" and r["outcome"] != "served"
+        ]
+        assert sorted(r["outcome"] for r in unserved) == ["error", "shed"]
+        for line in unserved:
+            assert spans_for_trace(records, line["trace"]) == []

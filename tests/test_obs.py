@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.trace import TraceRecorder
+from repro.cli import main as cli_main
 from repro.core.engine import GuPEngine
 from repro.dynamic.delta import GraphDelta
 from repro.graph.builder import graph_from_adjacency
@@ -39,10 +40,16 @@ from repro.obs import (
     trace_context,
 )
 from repro.obs.metrics import MetricsError
+from repro.obs.spans import current_span, span, span_scope
 from repro.service.catalog import GraphCatalog
-from repro.service.client import RetryPolicy, ServiceClient
+from repro.service.client import (
+    RetryPolicy,
+    ServiceClient,
+    ServiceError,
+    ServiceOverloaded,
+)
 from repro.service.faults import FaultPlan, FaultRule
-from repro.service.server import ServerThread
+from repro.service.server import MatchingServer, ServerThread
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import generate_query
 
@@ -218,6 +225,31 @@ class TestStructuredLog:
             record = log.emit("e")
         assert record["trace"] == "t-bound"
 
+    def test_observability_emits_only_to_a_sink(self):
+        assert Observability().log is None
+        Observability().emit("query", outcome="served")  # no sink: no-op
+        log = StructuredLog()
+        Observability(log=log).emit("query", outcome="served")
+        Observability(enabled=False, log=log).emit("query", outcome="shed")
+        assert [r["outcome"] for r in log.read_records()] == ["served"]
+
+    def test_span_without_a_log_takes_no_id(self):
+        with span_scope("base"):
+            with span("engine.build") as bare:
+                assert current_span() == "base"
+            assert bare.id is None
+            log = StructuredLog()
+            with trace_context("feedbeef00000002", log):
+                with span("engine.search", workers=1) as timed:
+                    assert current_span() == timed.id
+            assert current_span() == "base"
+        [record] = log.read_records()
+        assert (record["name"], record["span"], record["parent"]) == (
+            "engine.search", timed.id, "base"
+        )
+        assert record["trace"] == "feedbeef00000002"
+        assert record["workers"] == 1
+
     def test_new_trace_ids_unique(self):
         ids = {new_trace_id() for _ in range(100)}
         assert len(ids) == 100
@@ -346,7 +378,7 @@ class TestServerObservability:
         )
         thread, query = serve_world(
             tmp_path, faults=plan, subscriber_queue=1,
-            subscriber_policy="drop",
+            subscriber_policy="drop", obs=Observability(log=StructuredLog()),
         )
         updates = [GraphDelta(add_edges=((0, u),)) for u in (3, 4, 5)]
         final = GraphDelta(add_edges=((1, 3),))
@@ -437,6 +469,35 @@ class TestServerObservability:
             assert parsed[key] == 3, phase
         assert parsed[("repro_server_request_seconds_count", ())] == 3
 
+    def test_default_server_keeps_no_log_and_still_counts(self, tmp_path):
+        # No sink by default: nothing is retained, yet a shed query, a
+        # miss, a hit and an error advance the counters and the phase
+        # histograms exactly as they do with a log.
+        plan = FaultPlan([FaultRule("server.admission", "overload", times=1)])
+        thread, query = serve_world(tmp_path, faults=plan)
+        assert thread.server.obs.log is None
+        with thread:
+            with ServiceClient(
+                *thread.address, retry=RetryPolicy(attempts=1)
+            ) as client:
+                with pytest.raises(ServiceOverloaded):
+                    client.query(query, "g")
+                assert client.query(query, "g").cache == "miss"
+                assert client.query(query, "g").cache == "hit"
+                with pytest.raises(ServiceError, match="nope"):
+                    client.query(query, "nope")
+                server = client.stats()["server"]
+                parsed = parse_exposition(client.metrics())
+        assert thread.server.obs.log is None
+        assert (
+            server["queries"], server["served"], server["rejected"],
+            server["errors"], server["shed_normal"],
+        ) == (4, 2, 1, 1, 1)
+        for phase in ("queue", "build", "search", "stream"):
+            key = ("repro_server_phase_seconds_count", (("phase", phase),))
+            assert parsed[key] == 2, phase
+        assert parsed[("repro_server_request_seconds_count", ())] == 2
+
 
 class TestTracePropagation:
     def test_one_trace_across_client_server_and_workers(self, tmp_path):
@@ -511,6 +572,49 @@ class TestCli:
             metrics = self.run_cli("metrics", host, str(port))
             assert metrics.returncode == 0, metrics.stderr
             assert "repro_server_served_total 1" in metrics.stdout
+
+    def test_serve_builds_a_log_only_for_request_log(
+        self, tmp_path, monkeypatch
+    ):
+        class Started(Exception):
+            pass
+
+        logs = []
+
+        async def start(server, host, port):
+            logs.append(server.obs.log)
+            raise Started
+
+        monkeypatch.setattr(MatchingServer, "start", start)
+        base = ["serve", "--root", str(tmp_path / "cat"), "--port", "0"]
+        with pytest.raises(Started):
+            cli_main(base)
+        path = tmp_path / "requests.jsonl"
+        with pytest.raises(Started):
+            cli_main([*base, "--request-log", str(path)])
+        assert logs[0] is None
+        assert logs[1].path == str(path)
+
+    def test_trace_exports_derived_server_spans(self, tmp_path, capsys):
+        log_path = tmp_path / "requests.jsonl"
+        thread, query = serve_world(
+            tmp_path, obs=Observability(log=StructuredLog(path=str(log_path)))
+        )
+        with thread:
+            with ServiceClient(*thread.address) as client:
+                reply = client.query(query, "g", cache=False)
+                assert client.ping()  # the query line follows the reply
+        out = tmp_path / "trace.json"
+        args = ["trace", reply.trace, "--log", str(log_path), "--out", str(out)]
+        assert cli_main(args) == 0
+        assert "5 span(s)" in capsys.readouterr().out
+        events = json.loads(out.read_text(encoding="utf-8"))["traceEvents"]
+        assert sorted(e["name"] for e in events) == [
+            "engine.build", "engine.search",
+            "server.queue", "server.request", "server.stream",
+        ]
+        args[1] = "0" * 16
+        assert cli_main(args) == 1
 
     def test_unreachable_server_exits_one(self):
         with socket.socket() as probe:

@@ -209,10 +209,12 @@ print(json.dumps({
     ):
         """An entry in the older layout — an ``artifacts.bin`` beside the
         graph, its sidecar carrying ``artifacts_format_version`` and
-        ``artifacts_sha256`` — loads as it is: the blob is ignored (here
-        truncated to 0 bytes), the sidecar is valid, and updates,
-        compaction and removal all work on it; the compaction deletes
-        the blob."""
+        ``artifacts_sha256``, and an ``analyze.json`` EXPLAIN ANALYZE
+        sidecar with a staged ``analyze.json.tmp`` — loads as it is: the
+        blob and the analyze sidecar are ignored (the blob here truncated
+        to 0 bytes), recovery sweeps the stray tmp, the sidecar is valid,
+        and updates, compaction and removal all work on it; the
+        compaction deletes the blob and the analyze sidecar."""
         data, queries = instance
         root = tmp_path / "cat"
         entry = root / "g"
@@ -220,6 +222,11 @@ print(json.dumps({
         graph_bytes = saves_graph(data).encode("utf-8")
         (entry / GRAPH_FILE).write_bytes(graph_bytes)
         (entry / "artifacts.bin").write_bytes(b"")
+        (entry / "analyze.json").write_text(
+            '{"version": 1, "records": [{"trace": "t1"}]}\n',
+            encoding="utf-8",
+        )
+        (entry / "analyze.json.tmp").write_bytes(b'{"version": 1, "rec')
         (entry / LOG_FILE).write_bytes(b"")
         meta = {
             "format_version": 1,
@@ -242,6 +249,8 @@ print(json.dumps({
         assert catalog.counters["sidecar_repairs"] == 0
         assert catalog.counters["artifact_loads"] == 1
         assert catalog.info("g")["epoch"] == 3
+        assert not (entry / "analyze.json.tmp").exists()
+        assert (entry / "analyze.json").exists()  # loads leave it alone
         fresh = GraphCatalog(tmp_path / "fresh")
         fresh.add("g", data)
         assert_matches_direct(engine, data, queries)
@@ -267,6 +276,7 @@ print(json.dumps({
         assert compacted["epoch"] == 5
         assert "artifacts_sha256" not in compacted
         assert not (entry / "artifacts.bin").exists()
+        assert not (entry / "analyze.json").exists()
         reopened = GraphCatalog(root)
         assert reopened.engine("g").data == data
         assert reopened.counters["sidecar_repairs"] == 0
@@ -278,16 +288,19 @@ print(json.dumps({
 
     def test_overwrite_drops_artifacts_bin(self, instance, tmp_path):
         """``add(overwrite=True)`` is a full snapshot too: it deletes an
-        older entry's ``artifacts.bin`` after committing."""
+        older entry's ``artifacts.bin`` and ``analyze.json`` after
+        committing."""
         data, _ = instance
         catalog = GraphCatalog(tmp_path / "cat")
         catalog.add("g", data)
-        leftover = tmp_path / "cat" / "g" / "artifacts.bin"
-        leftover.write_bytes(b"an old blob")
+        entry = tmp_path / "cat" / "g"
+        leftovers = [entry / "artifacts.bin", entry / "analyze.json"]
+        for leftover in leftovers:
+            leftover.write_bytes(b"an old file")
         catalog.engine("g")
-        assert leftover.exists()  # loads leave it alone
+        assert all(p.exists() for p in leftovers)  # loads leave them alone
         catalog.add("g", data, overwrite=True)
-        assert not leftover.exists()
+        assert not any(p.exists() for p in leftovers)
         assert GraphCatalog(tmp_path / "cat").engine("g").data == data
 
     def test_unparseable_graph_is_an_error(self, instance, tmp_path):

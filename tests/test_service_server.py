@@ -26,6 +26,7 @@ from repro.cli import main as cli_main
 from repro.core.engine import GuPEngine
 from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
+from repro.obs import Observability, StructuredLog
 from repro.service.catalog import GraphCatalog
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.faults import FaultPlan, FaultRule
@@ -55,7 +56,10 @@ def service(workload, tmp_path_factory):
     root = tmp_path_factory.mktemp("catalog")
     GraphCatalog(root).add("wordnet", data)  # build + persist, then discard
     catalog = GraphCatalog(root)  # cold: nothing resident
-    with ServerThread(catalog, max_inflight=2, max_pending=8) as thread:
+    with ServerThread(
+        catalog, max_inflight=2, max_pending=8,
+        obs=Observability(log=StructuredLog()),
+    ) as thread:
         yield thread
 
 
@@ -499,7 +503,10 @@ class TestQueryOutcomes:
             ({"data": "nope"}, "error"),
         ]
         traces = []
-        with ServerThread(GraphCatalog(root), faults=plan) as thread:
+        with ServerThread(
+            GraphCatalog(root), faults=plan,
+            obs=Observability(log=StructuredLog()),
+        ) as thread:
             with socket.create_connection(thread.address, timeout=30) as sock:
                 handle = sock.makefile("rwb")
                 for fields, outcome in mix:
@@ -535,7 +542,10 @@ class TestQueryOutcomes:
             async def drain(self):
                 raise ConnectionResetError("peer went away")
 
-        server = MatchingServer(GraphCatalog(tmp_path / "catalog"))
+        server = MatchingServer(
+            GraphCatalog(tmp_path / "catalog"),
+            obs=Observability(log=StructuredLog()),
+        )
         tstate = server.tenants.resolve(None)
         with pytest.raises(ConnectionResetError):
             asyncio.run(server._query_exit(
