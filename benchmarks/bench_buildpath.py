@@ -116,7 +116,9 @@ def run_grid(sets, repeats: int = 5, smoke: bool = False):
                     bucket = set_totals[backend]
                     bucket["candidates"] += gcs.cs.total_candidates()
                     bucket["candidate_edges"] += gcs.cs.num_candidate_edges
-                    bucket["reservations"] += len(gcs.reservations)
+                    bucket["reservations"] += sum(
+                        gcs.reservation_sizes().values()
+                    )
                     bucket["wall_seconds"] += best
                     bucket["builds"] += 1
                 assert (

@@ -40,25 +40,24 @@ def main() -> None:
 
     # -- reservation guards (Algorithm 1, Example 3.13) ------------------
     cs = CandidateSpace(query, data, candidates)
-    reservations = generate_reservation_guards(cs, size_limit=3)
-    print("\nreservation guards R(u_i, v) (Example 3.13):")
-    for i in query.vertices():
-        row = []
-        for v in cs.candidates[i]:
-            guard = sorted(reservations[(i, v)])
-            row.append(f"v{v}:{{{','.join('v%d' % w for w in guard)}}}")
-        print(f"  u{i}: " + "  ".join(row))
-
-    # -- guarded backtracking (Fig. 3 / Example 3.34) --------------------
     gcs = GuardedCandidateSpace(
         original_query=query,
         query=query,
         data=data,
         order=list(query.vertices()),
         cs=cs,
-        reservations=reservations,
+        reservations=generate_reservation_guards(cs, size_limit=3),
         two_core=frozenset(two_core_edges(query)),
     )
+    print("\nreservation guards R(u_i, v) (Example 3.13):")
+    for i in query.vertices():
+        row = []
+        for v in cs.candidates[i]:
+            guard = sorted(gcs.reservation(i, v))
+            row.append(f"v{v}:{{{','.join('v%d' % w for w in guard)}}}")
+        print(f"  u{i}: " + "  ".join(row))
+
+    # -- guarded backtracking (Fig. 3 / Example 3.34) --------------------
     search = GuPSearch(gcs, config=GuPConfig.full())
     embeddings, status = search.run()
 

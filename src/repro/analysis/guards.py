@@ -59,13 +59,7 @@ def guard_inventory(
     ``gcs.nogoods`` holds the store of the *most recent* search over the
     GCS; pass the matching :class:`SearchStats` for prune counters.
     """
-    size_hist: Dict[int, int] = {}
-    nontrivial = 0
-    for (i, v), guard in gcs.reservations.items():
-        size_hist[len(guard)] = size_hist.get(len(guard), 0) + 1
-        if guard != frozenset((v,)):
-            nontrivial += 1
-
+    size_hist = gcs.reservation_sizes()
     store = gcs.nogoods
     nv_hist: Dict[int, int] = {}
     iter_guards = getattr(store, "iter_vertex_guards", None)
@@ -88,8 +82,8 @@ def guard_inventory(
         }
 
     return GuardInventory(
-        reservations_total=len(gcs.reservations),
-        reservations_nontrivial=nontrivial,
+        reservations_total=sum(size_hist.values()),
+        reservations_nontrivial=gcs.nontrivial_reservations,
         reservation_size_histogram=size_hist,
         nv_guards=store.num_vertex_guards,
         ne_guards=store.num_edge_guards,

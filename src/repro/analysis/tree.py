@@ -167,7 +167,7 @@ def trace_search(
         reservations = (
             generate_reservation_guards(cs, config.reservation_limit)
             if config.use_reservation
-            else {}
+            else []
         )
         gcs = GuardedCandidateSpace(
             original_query=query,

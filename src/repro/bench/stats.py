@@ -69,11 +69,6 @@ def total_recursions(result: QuerySetResult) -> int:
     return result.total_recursions()
 
 
-def total_futile_recursions(result: QuerySetResult) -> int:
-    """Total futile recursions over the set (Fig. 9)."""
-    return result.total_futile()
-
-
 def finished_matrix(
     results: Iterable[QuerySetResult],
 ) -> Dict[str, Dict[str, bool]]:

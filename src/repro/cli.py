@@ -500,13 +500,8 @@ def _cmd_inspect(args) -> int:
         size = len(gcs.cs.candidates[i])
         print(f"  u{gcs.order[i]} (step {i}): {size} candidates")
 
-    nontrivial = sum(
-        1
-        for (i, v), guard in gcs.reservations.items()
-        if guard != frozenset((v,))
-    )
-    print(f"reservation guards: {len(gcs.reservations)} total, "
-          f"{nontrivial} non-trivial")
+    print(f"reservation guards: {sum(gcs.reservation_sizes().values())} "
+          f"total, {gcs.nontrivial_reservations} non-trivial")
     print(f"2-core query edges (NE-guard eligible): {len(gcs.two_core)}")
     print(f"GCS build time: {gcs.build_seconds:.4f}s")
     return 0

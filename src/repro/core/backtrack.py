@@ -21,7 +21,10 @@ iteration decodes set bits lazily.  Only the NE-guard and watched-pair
 paths — which genuinely need to visit individual candidates — decode
 bits, and they decode only the relevant ones (guard scans run only for
 ``(u_k, v, u_j)`` triples that actually carry guards; watched-pair
-bookkeeping touches only the *dropped* bits ``old & ~refined``).
+bookkeeping touches only the *dropped* bits ``old & ~refined``).  The
+GCS stores reservation guards by the same positions, non-trivial ones
+only, so line 5 is one small-int dict get and most candidates probe
+nothing.
 
 Watched candidate edges piggyback on the same dense index: watch
 lifetimes are strictly LIFO per target (an ancestor registers its watch
@@ -229,25 +232,7 @@ class GuPSearch:
             for i in query.vertices()
         ]
         self._data = gcs.data
-        self._reservations = gcs.reservations if self.config.use_reservation else {}
-        # Per-vertex reservation index, keyed by candidate *position*:
-        # the hot loop already holds the position of every candidate it
-        # decodes, so the probe is one small-int dict get.
-        self._reservations_at: List[Dict[int, FrozenSet[int]]] = [
-            {} for _ in range(self._n)
-        ]
-        positions = cs.positions
-        for (i, v), guard in self._reservations.items():
-            if len(guard) == 1 and v in guard:
-                # The trivial reservation {v} can only fire when v is
-                # already in the image — which the injectivity check
-                # (line 4) has always ruled out by then.  Omitting it
-                # from the index changes no outcome and no statistic,
-                # and leaves most candidates with no guard to probe.
-                continue
-            p = positions[i].get(v)
-            if p is not None:
-                self._reservations_at[i][p] = guard
+        reservations = gcs.reservations if self.config.use_reservation else []
         # Always a fresh store unless the caller supplies one: encoded
         # nogoods reference this run's search-node ids, so guards from a
         # previous run over the same GCS would match spuriously.
@@ -274,7 +259,7 @@ class GuPSearch:
             if self._ne_dict:
                 for (gi, gv, gj), per_v2 in self._ne_dict.items():
                     bm = 0
-                    pos_j = positions[gj]
+                    pos_j = cs.positions[gj]
                     for v2 in per_v2:
                         p2 = pos_j.get(v2)
                         if p2 is not None:
@@ -318,7 +303,7 @@ class GuPSearch:
         ]
 
         # Per-depth context, unpacked in one statement per recursion:
-        # (C(u_k), refinement plan, forward core, reservation index or
+        # (C(u_k), refinement plan, forward core, reservation table or
         # None, symmetry predecessor, vertex-guard table or None, core
         # targets beyond u_{k+1} whose watch frames are pushed, whether
         # the child resolves the watches on u_{k+1} in place).  With the
@@ -330,7 +315,7 @@ class GuPSearch:
                 self._cands[i],
                 self._plans[i],
                 self._forward_core[i],
-                (self._reservations_at[i] or None) if self._reservations else None,
+                (reservations[i] or None) if reservations else None,
                 symmetry_prev[i] if symmetry_prev else -1,
                 self._nv_at[i] if self._nv_at is not None else None,
                 tuple(j for j in self._forward_core[i] if j > i + 1)
@@ -378,7 +363,7 @@ class GuPSearch:
         the root this way (§3.5.2) without rebuilding the candidate
         space.  Restricting the root is equivalent to searching a GCS
         whose ``C(u_0)`` is the selected subset: the refinement plans,
-        reservation index, and watch machinery never read the dropped
+        reservation tables, and watch machinery never read the dropped
         root candidates.
 
         Returns the embeddings (in reordered query-vertex numbering —

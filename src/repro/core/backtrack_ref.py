@@ -134,14 +134,13 @@ class ListGuPSearch:
             for i in query.vertices()
         ]
         self._data = gcs.data
-        self._reservations = gcs.reservations if self.config.use_reservation else {}
-        # Per-vertex reservation index: avoids tuple-key hashing in the
-        # hot candidate loop (one plain dict get per local candidate).
-        self._reservations_at: List[Dict[int, FrozenSet[int]]] = [
-            {} for _ in range(self._n)
-        ]
-        for (i, v), guard in self._reservations.items():
-            self._reservations_at[i][v] = guard
+        # Reservation index keyed by vertex: this search iterates
+        # candidate vertices, not positions.
+        tables = gcs.reservations if self.config.use_reservation else []
+        self._reservations_at: List[Optional[Dict[int, FrozenSet[int]]]] = [
+            {cands[p]: guard for p, guard in table.items()}
+            for cands, table in zip(gcs.cs.candidates, tables)
+        ] or [None] * self._n
         # Always a fresh store unless the caller supplies one: encoded
         # nogoods reference this run's search-node ids, so guards from a
         # previous run over the same GCS would match spuriously.
@@ -304,7 +303,7 @@ class ListGuPSearch:
         anc = self._anc
         nogoods = self._nogoods
         data = self._data
-        reservations_k = self._reservations_at[k] if self._reservations else None
+        reservations_k = self._reservations_at[k]
         sym_prev_k = self._symmetry_prev[k] if self._symmetry_prev else -1
         forward = self._forward[k]
         forward_core = self._forward_core[k]

@@ -13,7 +13,7 @@ on as a test oracle in :mod:`repro.core.backtrack_ref`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -116,7 +116,3 @@ class GuPConfig:
     def full(cls) -> "GuPConfig":
         """"All": complete GuP (the default)."""
         return cls()
-
-    def with_reservation_limit(self, r: Optional[int]) -> "GuPConfig":
-        """Copy with a different ``r`` (Fig. 8 sweep)."""
-        return replace(self, reservation_limit=r)

@@ -5,7 +5,8 @@ A GCS packages everything GuP's backtracking needs:
 * the candidate space (candidate vertices + candidate edges) built by
   extended DAG-graph DP over the *reordered* query graph (the matching
   order is baked in by renumbering, §2.2);
-* the reservation guard of every candidate vertex (Algorithm 1);
+* the reservation guard of every candidate vertex (Algorithm 1), stored
+  only where it is not the trivial ``{v}``;
 * a (mutable) nogood store, populated on the fly during search;
 * the set of query edges inside the 2-core — nogood guards on edges are
   generated only there (§3.3.3).
@@ -19,6 +20,7 @@ the GCS.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -186,8 +188,25 @@ class GuardedCandidateSpace:
         return self.cs.candidates
 
     def reservation(self, i: int, v: int) -> FrozenSet[int]:
-        """``R(u_i, v)``; defaults to the trivial reservation."""
-        return self.reservations.get((i, v), frozenset((v,)))
+        """``R(u_i, v)``; the trivial ``{v}`` unless a guard is stored."""
+        table = self.reservations[i] if self.reservations else {}
+        return table.get(self.cs.positions[i].get(v), frozenset((v,)))
+
+    @property
+    def nontrivial_reservations(self) -> int:
+        """Number of candidates whose guard is not the trivial ``{v}``."""
+        return sum(map(len, self.reservations))
+
+    def reservation_sizes(self) -> Dict[int, int]:
+        """Histogram guard size -> candidates, over every candidate (one
+        with no stored guard has the trivial ``{v}``, size 1)."""
+        if not self.reservations:
+            return {}
+        sizes = Counter(len(g) for t in self.reservations for g in t.values())
+        trivial = self.cs.total_candidates() - self.nontrivial_reservations
+        if trivial:
+            sizes[1] += trivial
+        return dict(sorted(sizes.items()))
 
     def edge_in_two_core(self, i: int, j: int) -> bool:
         """Whether query edge ``(u_i, u_j)`` lies inside the 2-core."""
@@ -200,12 +219,6 @@ class GuardedCandidateSpace:
             out[self.order[position]] = v
         return tuple(out)
 
-    def fresh_nogoods(self) -> NogoodStore:
-        """New empty nogood store (one per worker in parallel search)."""
-        store = NogoodStore()
-        self.nogoods = store
-        return store
-
     def memory_estimate(self) -> Dict[str, int]:
         """Byte estimates in Table 3's cost model."""
         cs_bytes = (
@@ -215,7 +228,7 @@ class GuardedCandidateSpace:
         nv_bytes, ne_bytes = self.nogoods.memory_estimate_bytes()
         return {
             "candidate_space": cs_bytes,
-            "reservation": reservation_memory_bytes(self.reservations),
+            "reservation": reservation_memory_bytes(self.reservation_sizes()),
             "nogood_vertices": nv_bytes,
             "nogood_edges": ne_bytes,
         }
@@ -332,7 +345,7 @@ def finish_gcs(
             cs, size_limit=config.reservation_limit
         )
     else:
-        reservations = {}
+        reservations = []
 
     if config.use_nogood_edge and config.ne_two_core_only:
         core_edges = (

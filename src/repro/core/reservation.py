@@ -15,6 +15,11 @@ forward-adjacent candidate ``v' ∈ N(v) ∩ C(u_j)`` and every
 *matchable* (Lemma 3.7) is a reservation guard candidate (Lemma 3.11);
 the smallest one over all forward neighbors becomes ``R(u_i, v)``, with
 the trivial reservation ``{v}`` as fallback (Definition 3.12).
+
+The trivial ``{v}`` cannot prune (the injectivity check has already
+rejected every ``v`` in the image) and is never stored: the tables hold
+the non-trivial guards by candidate position, the search's key, and
+:class:`repro.core.gcs.GuardedCandidateSpace` answers ``{v}`` for the rest.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from repro.utils.bipartite import has_saturating_matching
 from repro.utils.bitset import iter_bits
 from repro.utils.vertexcover import constrained_vertex_cover
 
-ReservationGuards = Dict[Tuple[int, int], FrozenSet[int]]
-"""Mapping candidate vertex ``(i, v)`` -> reservation guard set."""
+ReservationGuards = List[Dict[int, FrozenSet[int]]]
+"""Per query vertex ``u_i``: position of ``v`` in ``C(u_i)`` -> the
+non-trivial guard ``R(u_i, v)``.  A missing position means ``{v}``; an
+empty list means no guards were generated."""
 
 
 def is_matchable(
@@ -93,8 +100,9 @@ def _reservation_graph_edges(
 ) -> List[Tuple[int, int]]:
     """Edge set ``E_R`` of Eq. (1) for candidate ``(u_i, v)`` and ``u_j``."""
     edges: List[Tuple[int, int]] = []
+    table, pos_j = guards[j], cs.positions[j]
     for v2 in cs.adjacent_candidates(i, v, j):
-        for w in guards[(j, v2)]:
+        for w in table.get(pos_j[v2], (v2,)):
             if w != v:
                 edges.append((v2, w))
     return edges
@@ -104,11 +112,12 @@ def generate_reservation_guards(
     cs: CandidateSpace,
     size_limit: Optional[int] = 3,
 ) -> ReservationGuards:
-    """Algorithm 1: reservation guards for every candidate vertex.
+    """Algorithm 1: the non-trivial reservation guard of every candidate.
 
     ``size_limit`` is the paper's ``r`` (``None`` = unbounded).  The
     returned guards satisfy Definition 3.3 — property tests verify this
-    by enumerating rooted subembeddings on small instances.
+    by enumerating rooted subembeddings on small instances.  The result
+    has one table per query vertex (see :data:`ReservationGuards`).
 
     On a mask-built CS (dense build path) the generation is dispatched
     to :func:`_generate_reservation_guards_masks`, which produces the
@@ -119,13 +128,12 @@ def generate_reservation_guards(
         return _generate_reservation_guards_masks(cs, size_limit)
     query = cs.query
     n = query.num_vertices
-    guards: ReservationGuards = {}
+    guards: ReservationGuards = [{} for _ in range(n)]
 
     for i in range(n - 1, -1, -1):
         forward = [j for j in query.neighbors(i) if j > i]
-        for v in cs.candidates[i]:
-            best: FrozenSet[int] = frozenset((v,))  # trivial reservation
-            trivial = True
+        for p, v in enumerate(cs.candidates[i]):
+            best = None  # the trivial {v} until a cover qualifies: not stored
             for j in forward:
                 edges = _reservation_graph_edges(cs, guards, i, v, j)
                 cover = constrained_vertex_cover(
@@ -140,10 +148,10 @@ def generate_reservation_guards(
                 # maximally strong) reservation — every rooted
                 # subembedding via u_j is impossible (see Lemma 3.10
                 # with all R(u_j, v') \ {v} empty).
-                if trivial or len(candidate) < len(best):
+                if best is None or len(candidate) < len(best):
                     best = candidate
-                    trivial = False
-            guards[(i, v)] = best
+            if best is not None:
+                guards[i][p] = best
     return guards
 
 
@@ -158,9 +166,9 @@ def _generate_reservation_guards_masks(
     mask-built CS holds eagerly.  Two shortcuts, both *exact* (proven
     equal output by ``tests/test_build_masks.py``):
 
-    * **All-trivial covers.**  ``nontrivial[j]`` marks the positions of
-      ``C(u_j)`` whose guard is not the trivial ``{v'}``, so one AND
-      tells whether every forward-adjacent candidate ``v'`` still
+    * **All-trivial covers.**  The bitmap of the positions stored in
+      ``guards[j]`` marks the non-trivial guards of ``C(u_j)``, so one
+      AND tells whether every forward-adjacent candidate ``v'`` still
       carries its trivial guard.  Then every edge of ``E_R`` is the
       self-loop ``(v', v')`` (``v' != v``: a graph has no self-loops),
       so the *only* vertex cover is the full endpoint set — no greedy
@@ -177,12 +185,12 @@ def _generate_reservation_guards_masks(
     query = cs.query
     n = query.num_vertices
     candidates = cs.candidates
-    guards: ReservationGuards = {}
-    nontrivial = [0] * n
+    guards: ReservationGuards = [{} for _ in range(n)]
 
     for i in range(n - 1, -1, -1):
         forward = [
-            (j, cs.edge_bitmap_map(i, j), candidates[j], nontrivial[j])
+            (j, cs.edge_bitmap_map(i, j), candidates[j], guards[j],
+             sum(1 << q for q in guards[j]))
             for j in query.neighbors(i)
             if j > i
         ]
@@ -194,11 +202,9 @@ def _generate_reservation_guards_masks(
                 hit = _cache[s] = is_matchable(cs, _i, s)
             return hit
 
-        marked = 0
         for p, v in enumerate(candidates[i]):
-            best: FrozenSet[int] = frozenset((v,))  # trivial reservation
-            trivial = True
-            for j, table, cand_j, marked_j in forward:
+            best = None  # the trivial {v} until a cover qualifies: not stored
+            for j, table, cand_j, guards_j, marked_j in forward:
                 bm = table.get(v, 0)
                 if not bm & marked_j:
                     if size_limit is not None and bm.bit_count() > size_limit:
@@ -215,7 +221,7 @@ def _generate_reservation_guards_masks(
                     edges: List[Tuple[int, int]] = []
                     for q in iter_bits(bm):
                         v2 = cand_j[q]
-                        for w in guards[(j, v2)]:
+                        for w in guards_j.get(q, (v2,)):
                             if w != v:
                                 edges.append((v2, w))
                     cover = constrained_vertex_cover(
@@ -224,16 +230,14 @@ def _generate_reservation_guards_masks(
                     if cover is None:
                         continue
                     candidate = frozenset(cover)
-                if trivial or len(candidate) < len(best):
+                if best is None or len(candidate) < len(best):
                     best = candidate
-                    trivial = False
-            guards[(i, v)] = best
-            if len(best) != 1 or v not in best:
-                marked |= 1 << p
-        nontrivial[i] = marked
+            if best is not None:
+                guards[i][p] = best
     return guards
 
 
-def reservation_memory_bytes(guards: ReservationGuards) -> int:
-    """Table 3 cost model: one word per reserved vertex + key reference."""
-    return sum((len(g) + 2) * 8 for g in guards.values())
+def reservation_memory_bytes(sizes: Dict[int, int]) -> int:
+    """Table 3 cost model: one word per reserved vertex + key reference,
+    over a histogram guard size -> number of candidates."""
+    return sum((size + 2) * 8 * count for size, count in sizes.items())

@@ -171,8 +171,3 @@ def triangle_count(graph: Graph) -> int:
             if w > v and w in larger_nbrs:
                 count += 1
     return count
-
-
-def shortest_path_lengths(graph: Graph, root: int) -> Dict[int, int]:
-    """Alias of :func:`bfs_levels` under its conventional name."""
-    return bfs_levels(graph, root)

@@ -115,9 +115,7 @@ def plan_report(gcs, config, stage_log: Optional[FilterStageLog] = None) -> Dict
             row["in_cover"] = vertex in cover
         vertex_scores.append(row)
 
-    reserved_vertices = sum(
-        len(r) for r in gcs.reservations.values()
-    )
+    reservation_sizes = gcs.reservation_sizes()
     memory = gcs.memory_estimate()
     report: Dict[str, Any] = {
         "mode": "plan",
@@ -140,8 +138,10 @@ def plan_report(gcs, config, stage_log: Optional[FilterStageLog] = None) -> Dict
             else None
         ),
         "reservations": {
-            "guards": len(gcs.reservations),
-            "reserved_vertices": reserved_vertices,
+            "guards": sum(reservation_sizes.values()),
+            "reserved_vertices": sum(
+                size * count for size, count in reservation_sizes.items()
+            ),
             "memory_bytes": memory["reservation"],
         },
         "two_core_edges": len(gcs.two_core),

@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 import threading
 import time
 from collections import deque
@@ -136,17 +135,6 @@ class StructuredLog:
 
     def __setstate__(self, state):
         self.__init__(path=state["path"])
-
-
-_STDERR_LOG: Optional[StructuredLog] = None
-
-
-def stderr_log() -> StructuredLog:
-    """Process-wide stderr-backed log (lazy singleton)."""
-    global _STDERR_LOG
-    if _STDERR_LOG is None:
-        _STDERR_LOG = StructuredLog(stream=sys.stderr)
-    return _STDERR_LOG
 
 
 class trace_context:

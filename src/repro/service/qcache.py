@@ -260,11 +260,9 @@ class QueryCache:
     def __init__(
         self,
         max_entries: int = 256,
-        leaf_budget: int = DEFAULT_LEAF_BUDGET,
         cap_serving: bool = True,
     ) -> None:
         self.max_entries = max_entries
-        self.leaf_budget = leaf_budget
         self.cap_serving = cap_serving
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
@@ -295,7 +293,7 @@ class QueryCache:
         ``form`` should be passed back to :meth:`store` after the engine
         runs, so canonicalization happens once per request.
         """
-        form = canonical_form(query, self.leaf_budget)
+        form = canonical_form(query)
         with self._lock:
             if not form.exact:
                 self.counters["inexact_keys"] += 1
@@ -316,7 +314,7 @@ class QueryCache:
         what a real request would get from the cache while leaving the
         cache byte-identical.
         """
-        form = canonical_form(query, self.leaf_budget)
+        form = canonical_form(query)
         with self._lock:
             entry = self._entries.get(form.key)
             report: Dict[str, object] = {"exact_key": form.exact}

@@ -173,7 +173,7 @@ from repro.service.lifecycle import (
     LifecycleManager,
     complete_matches,
 )
-from repro.service.qcache import DEFAULT_LEAF_BUDGET, QueryCache
+from repro.service.qcache import QueryCache
 from repro.service.tenancy import (
     PRIORITY_RANKS,
     FairSlots,
@@ -193,6 +193,9 @@ DEFAULT_PORT = 7464
 MAX_REQUEST_BYTES = 16 << 20
 
 PRIORITIES = ("high", "normal", "low")
+
+# Upper bound on a query's procpool ``workers`` option.
+MAX_REQUEST_WORKERS = 8
 
 # The error text of a shed query, by rejection reason.
 _SHED_ERRORS = {
@@ -300,10 +303,8 @@ class MatchingServer:
         max_inflight: int = 2,
         max_pending: int = 8,
         cache_entries: int = 256,
-        max_request_workers: int = 8,
         default_time_limit: Optional[float] = None,
         default_recursion_limit: Optional[int] = None,
-        leaf_budget: int = DEFAULT_LEAF_BUDGET,
         high_headroom: int = 1,
         subscriber_queue: int = 64,
         subscriber_policy: str = "disconnect",
@@ -322,10 +323,8 @@ class MatchingServer:
         self.max_inflight = max(1, max_inflight)
         self.max_pending = max(0, max_pending)
         self.cache_entries = cache_entries
-        self.max_request_workers = max(1, max_request_workers)
         self.default_time_limit = default_time_limit
         self.default_recursion_limit = default_recursion_limit
-        self.leaf_budget = leaf_budget
         self.high_headroom = max(0, high_headroom)
         self.subscriber_queue = max(1, subscriber_queue)
         self.subscriber_policy = subscriber_policy
@@ -1398,8 +1397,8 @@ class MatchingServer:
         # procpool worker processes as well as matching slots.
         workers = min(
             fields.number("workers", 1, int) or 1,
-            self.max_request_workers,
-            max_workers or self.max_request_workers,
+            MAX_REQUEST_WORKERS,
+            max_workers or MAX_REQUEST_WORKERS,
         )
         use_cache = bool(request.get("cache", True))
         # explain: null (off), "plan" (report without searching), or
@@ -1415,7 +1414,6 @@ class MatchingServer:
             if cache is None:
                 cache = QueryCache(
                     max_entries=self.cache_entries,
-                    leaf_budget=self.leaf_budget,
                     cap_serving=not self.catalog.config.break_symmetry,
                 )
                 self._caches[name] = cache

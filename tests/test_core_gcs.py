@@ -43,7 +43,7 @@ class TestBuildGcs:
 
     def test_reservations_skipped_when_disabled(self, paper_query, paper_data):
         gcs = build_gcs(paper_query, paper_data, GuPConfig.baseline())
-        assert gcs.reservations == {}
+        assert gcs.reservations == []
         # Fallback accessor still answers with the trivial reservation.
         i = 0
         v = gcs.cs.candidates[0][0]
@@ -76,13 +76,6 @@ class TestBuildGcs:
         }
         assert est["candidate_space"] > 0
         assert est["reservation"] > 0
-
-    def test_fresh_nogoods_resets(self, paper_query, paper_data):
-        gcs = build_gcs(paper_query, paper_data)
-        store1 = gcs.nogoods
-        store2 = gcs.fresh_nogoods()
-        assert store2 is gcs.nogoods
-        assert store2 is not store1
 
     def test_build_seconds_recorded(self, paper_query, paper_data):
         gcs = build_gcs(paper_query, paper_data)

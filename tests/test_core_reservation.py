@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.gcs import build_gcs
 from repro.core.reservation import (
     generate_reservation_guards,
     is_matchable,
@@ -18,6 +19,14 @@ from repro.core.reservation import (
 from repro.filtering.candidate_space import CandidateSpace, build_candidate_space
 from repro.filtering.nlf import nlf_candidates
 from tests.conftest import make_random_pair
+
+
+def all_guards(cs, R):
+    """Every candidate's ``((i, v), R(u_i, v))``: the stored guard at the
+    candidate's position, else the trivial ``{v}``."""
+    for i, cands in enumerate(cs.candidates):
+        for p, v in enumerate(cands):
+            yield (i, v), R[i].get(p, frozenset((v,)))
 
 
 def rooted_subembeddings(cs, i, v):
@@ -66,10 +75,12 @@ class TestPaperExamples:
     def test_example_3_13(self, paper_query, paper_data):
         cs = CandidateSpace(paper_query, paper_data, nlf_candidates(paper_query, paper_data))
         R = generate_reservation_guards(cs, size_limit=3)
-        assert R[(3, 9)] == frozenset({0})
-        assert R[(2, 5)] == frozenset({0})
-        assert R[(4, 0)] == frozenset({0})
-        assert R[(4, 13)] == frozenset({13})
+        pos = cs.positions
+        assert R[3][pos[3][9]] == frozenset({0})
+        assert R[2][pos[2][5]] == frozenset({0})
+        # The trivial reservations {v} are not stored.
+        assert pos[4][0] not in R[4]
+        assert pos[4][13] not in R[4]
 
     def test_example_3_8_matchability(self, paper_query, paper_data):
         cs = CandidateSpace(paper_query, paper_data, nlf_candidates(paper_query, paper_data))
@@ -93,10 +104,13 @@ class TestGeneration:
     def test_every_candidate_gets_a_guard(self, paper_query, paper_data):
         cs = CandidateSpace(paper_query, paper_data, nlf_candidates(paper_query, paper_data))
         R = generate_reservation_guards(cs)
+        # One table per query vertex, holding only non-trivial guards;
+        # every other candidate has the trivial {v}.
+        assert len(R) == paper_query.num_vertices
         for i in paper_query.vertices():
-            for v in cs.candidates[i]:
-                assert (i, v) in R
-                assert len(R[(i, v)]) >= 0
+            for p, guard in R[i].items():
+                assert 0 <= p < len(cs.candidates[i])
+                assert guard != frozenset((cs.candidates[i][p],))
 
     def test_size_limit_respected(self, rng):
         for _ in range(10):
@@ -104,14 +118,17 @@ class TestGeneration:
             cs = build_candidate_space(q, d, method="nlf")
             for r in (0, 1, 2, 3):
                 R = generate_reservation_guards(cs, size_limit=r)
-                for (i, v), guard in R.items():
+                for (i, v), guard in all_guards(cs, R):
                     # Trivial fallback {v} is exempt from the limit.
                     assert len(guard) <= max(r, 1)
 
     def test_memory_model(self, paper_query, paper_data):
-        cs = CandidateSpace(paper_query, paper_data, nlf_candidates(paper_query, paper_data))
-        R = generate_reservation_guards(cs)
-        assert reservation_memory_bytes(R) > 0
+        gcs = build_gcs(paper_query, paper_data)
+        sizes = gcs.reservation_sizes()
+        # Every candidate has a guard, the trivial ones included.
+        assert sum(sizes.values()) == gcs.cs.total_candidates()
+        assert reservation_memory_bytes(sizes) > 0
+        assert reservation_memory_bytes(sizes) == gcs.memory_estimate()["reservation"]
 
 
 class TestReservationProperty:
@@ -123,7 +140,7 @@ class TestReservationProperty:
             q, d = make_random_pair(rng, max_query=5, max_data=10)
             cs = build_candidate_space(q, d, method="nlf")
             R = generate_reservation_guards(cs, size_limit=size_limit)
-            for (i, v), guard in R.items():
+            for (i, v), guard in all_guards(cs, R):
                 # Definition 3.3: every rooted subembedding must hit the
                 # guard.  An empty guard therefore asserts there is no
                 # rooted subembedding at all.
@@ -140,6 +157,6 @@ class TestReservationProperty:
             q, d = make_random_pair(rng, max_query=5, max_data=10)
             cs = build_candidate_space(q, d, method="nlf")
             R = generate_reservation_guards(cs, size_limit=3)
-            for (i, v), guard in R.items():
+            for (i, v), guard in all_guards(cs, R):
                 if guard == frozenset():
                     assert rooted_subembeddings(cs, i, v) == []

@@ -85,10 +85,12 @@ class TestExample313:
         q, d = graphs
         cs = CandidateSpace(q, d, nlf_candidates(q, d))
         R = generate_reservation_guards(cs, size_limit=3)
-        assert R[(4, 0)] == frozenset({0})
-        assert R[(4, 13)] == frozenset({13})
-        assert R[(3, 9)] == frozenset({0})
-        assert R[(2, 5)] == frozenset({0})
+        pos = cs.positions
+        # R(u4, v0) = {v0} and R(u4, v13) = {v13} are trivial: not stored.
+        assert pos[4][0] not in R[4]
+        assert pos[4][13] not in R[4]
+        assert R[3][pos[3][9]] == frozenset({0})
+        assert R[2][pos[2][5]] == frozenset({0})
 
 
 class TestExample320:

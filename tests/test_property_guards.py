@@ -21,6 +21,7 @@ from repro.core.nogood import NogoodStore
 from repro.core.config import GuPConfig
 from repro.core.engine import match
 from repro.core.gcs import build_gcs
+from repro.graph.builder import graph_from_adjacency
 from repro.graph.generators import erdos_renyi_graph, random_connected_graph
 
 ORACLE = Vf2Matcher()
@@ -52,6 +53,25 @@ def test_guarded_search_is_complete(seed, nq, nd, labels, extra_q, edge_factor):
     assert got == expected
 
 
+class TracingStore(NogoodStore):
+    """Records every NV nogood with the embedding prefix at record time
+    (the assignments the guard's dom mask refers to).
+
+    Not the ``search_node`` representation: the search writes that
+    store's dicts directly and would bypass ``record_vertex``."""
+
+    representation = "traced"
+
+    def __init__(self):
+        super().__init__()
+        self.snapshots = []
+        self.embedding_ref = None
+
+    def record_vertex(self, i, v, guard):
+        self.snapshots.append((i, v, guard, tuple(self.embedding_ref)))
+        super().record_vertex(i, v, guard)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**30),
@@ -65,31 +85,31 @@ def test_recorded_vertex_nogoods_are_nogoods(
     seed, nq, nd, labels, extra_q, edge_factor
 ):
     query, data = _instance(seed, nq, nd, labels, extra_q, edge_factor)
+    assert_recorded_vertex_nogoods_are_nogoods(query, data)
+
+
+def test_ring_query_vertex_nogoods_are_nogoods():
+    query = graph_from_adjacency(
+        [i % 2 for i in range(8)], [(i, (i + 1) % 8) for i in range(8)]
+    )
+    data = erdos_renyi_graph(60, 90, num_labels=2, seed=0)
+    assert assert_recorded_vertex_nogoods_are_nogoods(query, data) > 0
+
+
+def assert_recorded_vertex_nogoods_are_nogoods(query, data):
+    """Run the search with a tracing store; every NV record, materialized
+    against the embedding prefix at record time, must be a nogood.
+    Returns the number of records checked."""
     gcs = build_gcs(query, data)
-
-    # Capture every recorded NV guard together with the embedding prefix
-    # at record time (the assignments the guard's dom mask refers to).
-    class TracingStore(NogoodStore):
-        def __init__(self):
-            super().__init__()
-            self.snapshots = []
-            self.embedding_ref = None
-
-        def record_vertex(self, i, v, guard):
-            self.snapshots.append((i, v, guard, tuple(self.embedding_ref)))
-            super().record_vertex(i, v, guard)
-
     store = TracingStore()
     search = GuPSearch(gcs, nogoods=store)
     store.embedding_ref = search._embedding
     search.run()
-    snapshots = store.snapshots
 
     # Oracle ground truth: set of full embeddings (reordered numbering).
-    full = ORACLE.match(gcs.query, data).embeddings
-    full_set = [tuple(e) for e in full]
+    full_set = [tuple(e) for e in ORACLE.match(gcs.query, data).embeddings]
 
-    for i, v, guard, prefix in snapshots:
+    for i, v, guard, prefix in store.snapshots:
         _node, length, dom = guard
         # The nogood D = prefix[dom bits] plus the attachment (u_i, v).
         assignments = [(b, prefix[b]) for b in range(len(prefix)) if dom >> b & 1]
@@ -100,6 +120,7 @@ def test_recorded_vertex_nogoods_are_nogoods(
                 f"recorded NV nogood {assignments} appears in full "
                 f"embedding {emb}"
             )
+    return len(store.snapshots)
 
 
 @settings(max_examples=20, deadline=None)
