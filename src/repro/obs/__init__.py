@@ -107,3 +107,8 @@ class Observability:
         """Log a structured line iff enabled and there is a sink."""
         if self.enabled and self.log is not None:
             self.log.emit(event, **fields)
+
+    def write(self, event: str, record: dict) -> None:
+        """:meth:`StructuredLog.write` iff enabled and there is a sink."""
+        if self.enabled and self.log is not None:
+            self.log.write(event, record)

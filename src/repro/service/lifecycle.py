@@ -17,8 +17,10 @@ standing subscription:
    matching slot is consumed), then atomically swaps the resident set.
    Queries admitted before the swap finish on their admitted epoch;
    queries admitted after see the new one.
-2. Query caches of every changed entry are dropped (results cached
-   against the old epoch would be wrong; "kept" entries keep theirs).
+2. Query caches of every changed entry are emptied and moved to the
+   new epoch (results cached against the old epoch would be wrong;
+   "kept" entries keep theirs), so a query that ran on the old engine
+   cannot store its result afterwards.
 3. Every subscription on a changed entry is **re-attached across the
    epoch boundary with exact diff-replay**: the standing query is
    re-enumerated on the new engine and the subscriber receives one
@@ -170,19 +172,21 @@ class LifecycleManager:
                     server._aux_executor,
                     lambda: server.catalog.reload(faults=server.faults),
                 )
-                with server._counters_lock:
-                    for name, info in report.items():
-                        # Cached results belong to the old epoch.
-                        # "kept" entries normally keep theirs — unless
-                        # the cache's recorded epoch trails the entry's,
-                        # which happens when a previous reload crashed
-                        # between the catalog swap and this very
-                        # invalidation step.
-                        stamp = server._cache_epochs.get(name)
-                        if info["action"] != "kept" or \
-                                stamp not in (None, info["epoch"]):
+                for name, info in report.items():
+                    # Cached results belong to the old epoch.  "kept"
+                    # entries normally keep theirs — unless the cache's
+                    # epoch trails the entry's, which happens when a
+                    # previous reload crashed between the catalog swap
+                    # and this very invalidation step.
+                    epoch = info["epoch"]
+                    if epoch is None:  # removed, or loaded lazily
+                        with server._counters_lock:
                             server._caches.pop(name, None)
-                            server._cache_epochs.pop(name, None)
+                    elif info["action"] == "reloaded" or \
+                            name in server._caches:
+                        # Made if absent: a search still running on the
+                        # old engine then cannot store into a new cache.
+                        server._cache_for(name, epoch).reset(epoch)
                 replayed = await self._replay_subscriptions(
                     report, trace=trace
                 )

@@ -6,19 +6,23 @@ differently by whatever produced them.  This module gives every labeled
 query graph a **canonical form** so isomorphic queries share one cache
 slot:
 
-* **Color refinement** (1-WL): vertices start colored by label and are
-  repeatedly split by the multiset of neighbor colors until stable.
-  This alone distinguishes most query graphs but is not complete.
+* **Partition refinement**: vertices start in one cell per label, and
+  cells are split by neighbour counts into other cells until every
+  vertex of a cell has the same number of neighbours in each cell (an
+  equitable partition, as in nauty/Traces: McKay and Piperno,
+  "Practical graph isomorphism, II", J. Symbolic Computation 2014).
+  Its cells are the classes of 1-WL color refinement; this alone
+  distinguishes most query graphs but is not complete.
 * **Backtracking canonical labeling** (individualization-refinement):
-  when refinement leaves non-singleton color classes, the smallest
-  class is individualized vertex by vertex and refined again, exploring
-  every branch; the lexicographically smallest edge encoding over all
-  discrete leaves is the canonical form.  This is exact — two graphs
-  get the same key *iff* they are isomorphic — and cheap for the small
-  query graphs of this workload (≤ a few dozen vertices).  A node
-  budget bounds the worst case (highly symmetric same-label graphs);
-  on overrun the key degrades to the exact graph encoding (identical
-  numbering only), which is still sound, merely less shared.
+  when refinement leaves non-singleton cells, the first smallest cell
+  is individualized vertex by vertex and refined again, exploring
+  every branch; the smallest edge encoding over all discrete leaves is
+  the canonical form.  This is exact — two graphs get the same key
+  *iff* they are isomorphic — and cheap for the small query graphs of
+  this workload (≤ a few dozen vertices).  A node budget bounds the
+  worst case (highly symmetric same-label graphs); on overrun the key
+  degrades to the exact graph encoding (identical numbering only),
+  which is still sound, merely less shared.
 
 Cache-cap semantics (:class:`QueryCache`): the engine's
 ``max_embeddings`` truncation is *prefix-exact* — a capped run returns
@@ -65,7 +69,7 @@ up, and those fall back soundly."""
 
 
 # ----------------------------------------------------------------------
-# Color refinement + canonical labeling
+# Partition refinement + canonical labeling
 # ----------------------------------------------------------------------
 
 
@@ -74,97 +78,191 @@ def _label_sort_key(label: object) -> Tuple[str, str]:
     return (type(label).__name__, repr(label))
 
 
-def _initial_colors(graph: Graph) -> List[int]:
-    palette = {
-        label: i
-        for i, label in enumerate(sorted(set(graph.labels), key=_label_sort_key))
-    }
-    return [palette[label] for label in graph.labels]
-
-
-def refine_colors(graph: Graph, colors: Optional[List[int]] = None) -> List[int]:
-    """Stable 1-WL coloring (dense ints, deterministic numbering).
-
-    Starting colors default to the label classes.  Each round recolors a
-    vertex by ``(color, sorted multiset of neighbor colors)`` and
-    re-ranks densely; refinement only ever splits classes, so the loop
-    stabilizes within ``num_vertices`` rounds.
-    """
-    if colors is None:
-        colors = _initial_colors(graph)
-    n = graph.num_vertices
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in graph.neighbors(v))))
-            for v in range(n)
-        ]
-        ranks = {
-            signature: rank
-            for rank, signature in enumerate(sorted(set(signatures)))
-        }
-        refined = [ranks[signature] for signature in signatures]
-        if refined == colors:
-            return colors
-        colors = refined
-
-
 class _BudgetExceeded(Exception):
     pass
 
 
-def _leaf_encoding(
-    graph: Graph, colors: List[int]
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-    """(perm, canonical edge list) for a discrete coloring.
+class _Partition:
+    """An ordered partition of the vertices, in the form nauty keeps.
 
-    ``perm[p]`` is the vertex at canonical position ``p`` (= the vertex
-    with color ``p``: discrete refined colors are dense ranks).
+    ``lab`` lists the vertices cell by cell; a cell is named by its
+    start index in ``lab``, ``cell[v]`` is the start of ``v``'s cell
+    and ``end[s]`` the end of the cell starting at ``s``.  A split
+    keeps the first fragment at the old start, so a discrete partition
+    numbers every vertex by its canonical position (``cell[v]``), and
+    ``lab`` is the witness permutation.
     """
-    perm = sorted(range(graph.num_vertices), key=colors.__getitem__)
-    position = [0] * graph.num_vertices
-    for p, v in enumerate(perm):
-        position[v] = p
-    edges = sorted(
-        (min(position[u], position[v]), max(position[u], position[v]))
-        for u, v in graph.edges()
+
+    __slots__ = ("lab", "cell", "end", "cells")
+
+    def __init__(self, lab: List[int], cell: List[int], end: List[int],
+                 cells: int) -> None:
+        self.lab = lab
+        self.cell = cell
+        self.end = end
+        self.cells = cells
+
+    @classmethod
+    def equitable(
+        cls, graph: Graph, rows: List[Tuple[int, ...]]
+    ) -> "_Partition":
+        """The coarsest equitable refinement of one cell per label, in
+        label order (its cells are the 1-WL color classes)."""
+        n = graph.num_vertices
+        buckets: Dict[object, List[int]] = {}
+        for v, label in enumerate(graph.labels):
+            buckets.setdefault(label, []).append(v)
+        lab: List[int] = []
+        cell = [0] * n
+        end = [0] * n
+        for label in sorted(buckets, key=_label_sort_key):
+            start = len(lab)
+            lab += buckets[label]
+            end[start] = len(lab)
+            for v in buckets[label]:
+                cell[v] = start
+        part = cls(lab, cell, end, len(buckets))
+        part.refine(rows, sorted(set(cell)))
+        return part
+
+    def individualized(self, start: int, v: int) -> "_Partition":
+        """A copy with ``v`` split off the front of its cell ``start``."""
+        lab = self.lab[:]
+        cell = self.cell[:]
+        end = self.end[:]
+        i = lab.index(v, start)
+        lab[start], lab[i] = v, lab[start]
+        rest = start + 1
+        end[rest] = end[start]
+        end[start] = rest
+        for w in lab[rest:end[rest]]:
+            cell[w] = rest
+        return _Partition(lab, cell, end, self.cells + 1)
+
+    def refine(self, rows: List[Tuple[int, ...]], active: List[int]) -> None:
+        """Split cells by neighbour counts until the partition is
+        equitable (every vertex of a cell has as many neighbours in
+        each cell as every other).
+
+        ``active`` lists the cells to split against (the splitters);
+        the partition must already be equitable against every cell not
+        in it.  Each splitter counts, for every vertex, its
+        neighbours inside the splitter, and every cell it touches is
+        split into fragments of equal count, lowest count first.  A
+        split splitter's fragments all become splitters; otherwise all
+        but the first largest do, since counts into that one follow
+        from the rest (Hopcroft's rule, as in nauty).  Every choice
+        reads only cell starts and counts, so the result is an
+        isomorphism invariant of the graph and the input partition.
+        Stops as soon as the partition is discrete.
+        """
+        lab, cell, end = self.lab, self.cell, self.end
+        n = len(lab)
+        queued = set(active)
+        for s in active:  # grows while it is walked
+            if self.cells == n:
+                return
+            queued.discard(s)
+            counts = [0] * n
+            for w in lab[s:end[s]]:
+                for x in rows[w]:
+                    counts[x] += 1
+            c = 0
+            while c < n:
+                e = end[c]
+                if e - c == 1:
+                    c = e
+                    continue
+                members = lab[c:e]
+                first = counts[members[0]]
+                for v in members:
+                    if counts[v] != first:
+                        break
+                else:
+                    c = e
+                    continue
+                groups: Dict[int, List[int]] = {}
+                for v in members:
+                    groups.setdefault(counts[v], []).append(v)
+                fragments = []
+                at = c
+                for k in sorted(groups):
+                    group = groups[k]
+                    lab[at:at + len(group)] = group
+                    end[at] = at + len(group)
+                    for v in group:
+                        cell[v] = at
+                    fragments.append(at)
+                    at += len(group)
+                self.cells += len(fragments) - 1
+                if c in queued:
+                    fresh = fragments[1:]
+                else:
+                    largest = max(fragments, key=lambda f: end[f] - f)
+                    fresh = [f for f in fragments if f != largest]
+                active += fresh
+                queued.update(fresh)
+                c = e
+
+    def target(self) -> Optional[int]:
+        """The first smallest non-singleton cell (``None``: discrete)."""
+        best = None
+        s, n = 0, len(self.lab)
+        end = self.end
+        while s < n:
+            e = end[s]
+            if e - s > 1 and (best is None or e - s < end[best] - best):
+                best = s
+            s = e
+        return best
+
+
+def refine_colors(graph: Graph) -> List[int]:
+    """:meth:`_Partition.equitable` as dense colors in cell order."""
+    part = _Partition.equitable(
+        graph, [graph.neighbors(v) for v in graph.vertices()]
     )
-    return tuple(perm), tuple(edges)
+    ranks = {s: r for r, s in enumerate(sorted(set(part.cell)))}
+    return [ranks[s] for s in part.cell]
 
 
 def _canonical_search(
     graph: Graph, budget: int
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+) -> Tuple[Tuple[int, ...], int]:
     """Exhaustive individualization-refinement; smallest encoding wins.
 
-    Raises :class:`_BudgetExceeded` past ``budget`` visited nodes.
+    A leaf's encoding is one int with bit ``a * n + b`` set for every
+    edge between canonical positions ``a < b``.  Returns the winning
+    leaf's ``(perm, code)``; raises :class:`_BudgetExceeded` past
+    ``budget`` visited nodes.
     """
-    best: Optional[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]] = None
+    n = graph.num_vertices
+    rows = [graph.neighbors(v) for v in range(n)]
+    edges = [(u, w) for u in range(n) for w in rows[u] if u < w]
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
     nodes = 0
 
-    def descend(colors: List[int]) -> None:
+    def descend(part: _Partition) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        cells: Dict[int, List[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target: Optional[List[int]] = None
-        for c in sorted(cells):
-            cell = cells[c]
-            if len(cell) > 1 and (target is None or len(cell) < len(target)):
-                target = cell
-        if target is None:  # discrete: a leaf
-            perm, edges = _leaf_encoding(graph, colors)
-            if best is None or edges < best[0]:
-                best = (edges, perm)
+        start = part.target()
+        if start is None:  # discrete: a leaf
+            position = part.cell
+            code = 0
+            for u, w in edges:
+                a, b = position[u], position[w]
+                code |= 1 << (a * n + b if a < b else b * n + a)
+            if best is None or code < best[0]:
+                best = (code, tuple(part.lab))
             return
-        for v in target:
-            individualized = [2 * c for c in colors]
-            individualized[v] += 1
-            descend(refine_colors(graph, individualized))
+        for v in part.lab[start:part.end[start]]:
+            child = part.individualized(start, v)
+            child.refine(rows, [start])
+            descend(child)
 
-    descend(refine_colors(graph))
+    descend(_Partition.equitable(graph, rows))
     assert best is not None
     return best[1], best[0]
 
@@ -196,7 +294,7 @@ def canonical_form(
     """
     n = graph.num_vertices
     try:
-        perm, edges = _canonical_search(graph, leaf_budget)
+        perm, code = _canonical_search(graph, leaf_budget)
     except _BudgetExceeded:
         identity = tuple(range(n))
         key = (
@@ -206,8 +304,8 @@ def canonical_form(
             tuple(sorted(graph.edges())),
         )
         return CanonicalForm(key, identity, False)
-    labels = tuple(graph.label(v) for v in perm)
-    return CanonicalForm(("canon", n, labels, edges), perm, True)
+    labels = tuple([graph.labels[v] for v in perm])
+    return CanonicalForm(("canon", n, labels, code), perm, True)
 
 
 # ----------------------------------------------------------------------
@@ -255,15 +353,24 @@ class QueryCache:
     runs then report ``num_embeddings`` as representatives × orbit size,
     which a sliced cache hit cannot reproduce, so only exact-complete
     hits are served.
+
+    ``epoch`` is the data-graph epoch the entries are valid for
+    (``None``: not tracked).  Only :meth:`invalidate_labels` and
+    :meth:`reset` move it, and :meth:`store` refuses a result computed
+    at any other epoch, under the same lock, so a search that started
+    before an update can never put its answer into the cache after the
+    update's invalidation.
     """
 
     def __init__(
         self,
         max_entries: int = 256,
         cap_serving: bool = True,
+        epoch: Optional[int] = None,
     ) -> None:
         self.max_entries = max_entries
         self.cap_serving = cap_serving
+        self.epoch = epoch
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         # CounterGroup: dict-like, thread-safe, attachable to a metrics
@@ -295,15 +402,18 @@ class QueryCache:
         """
         form = canonical_form(query)
         with self._lock:
-            if not form.exact:
-                self.counters["inexact_keys"] += 1
             served = self._serve(self._entries.get(form.key), form, limits)
-            if served is None:
-                self.counters["misses"] += 1
-                return None, form
-            self._entries.move_to_end(form.key)
-            self.counters["hits"] += 1
+            self._count(form, served is not None)
+            if served is not None:
+                self._entries.move_to_end(form.key)
             return served, form
+
+    def count_miss(self, form: CanonicalForm) -> None:
+        """Count a lookup of ``form`` made before this cache existed
+        (for a new catalog entry, the cache is created by the first
+        miss's store): it is a miss like any other."""
+        with self._lock:
+            self._count(form, False)
 
     def peek(self, query: Graph, limits: SearchLimits) -> Dict[str, object]:
         """EXPLAIN's view of the serve decision — observe, never serve.
@@ -341,18 +451,26 @@ class QueryCache:
         form: CanonicalForm,
         limits: SearchLimits,
         result: MatchResult,
+        epoch: Optional[int] = None,
     ) -> bool:
         """Offer a fresh engine result for caching.
 
         Only deterministic, reproducible outcomes are kept (see module
         docstring): ``COMPLETE`` runs always; ``EMBEDDING_LIMIT`` runs
         as truncated-at-cap entries when they materialized exactly their
-        ``num_embeddings``; ``TIMEOUT`` runs never.  Returns whether the
-        result was stored.
+        ``num_embeddings``; ``TIMEOUT`` runs never.  ``epoch`` is the
+        data-graph epoch the engine ran at: a result from an epoch other
+        than :attr:`epoch` is refused (an older one is stale; a newer
+        one is ahead of an invalidation this cache has not seen yet).
+        A refusal counts as ``uncacheable``.  Returns whether the result
+        was stored.
         """
         entry = self._make_entry(form, limits, result)
         with self._lock:
-            if entry is None:
+            if entry is None or (
+                epoch is not None and self.epoch is not None
+                and epoch != self.epoch
+            ):
                 self.counters["uncacheable"] += 1
                 return False
             existing = self._entries.get(form.key)
@@ -370,7 +488,9 @@ class QueryCache:
                 self.counters["evictions"] += 1
             return True
 
-    def invalidate_labels(self, touched_labels) -> Tuple[int, int]:
+    def invalidate_labels(
+        self, touched_labels, epoch: Optional[int] = None
+    ) -> Tuple[int, int]:
         """Selective invalidation after a data-graph delta.
 
         Evicts exactly the entries whose query label set intersects
@@ -379,16 +499,24 @@ class QueryCache:
         changed data edge or an added vertex, whose (touched) label
         some query vertex would have to carry.  Both canonical and
         exact-encoding cache keys store the query's label tuple at a
-        fixed position, so the test reads no graphs.  Returns
-        ``(kept, evicted)``.
+        fixed position, so the test reads no graphs.  ``epoch`` is the
+        delta's new epoch, which the entries are valid for afterwards;
+        when the cache was not at the epoch just before it, some delta
+        went unseen and every entry is evicted.  Returns ``(kept,
+        evicted)``.
         """
         touched = frozenset(touched_labels)
         kept = evicted = 0
         with self._lock:
             self.counters["delta_invalidations"] += 1
+            unseen = epoch is not None and self.epoch is not None \
+                and epoch != self.epoch + 1
+            if epoch is not None:
+                self.epoch = epoch
             for key in list(self._entries):
-                # key == ("canon" | "exact", n, labels, edges)
-                if touched.intersection(key[2]):
+                # key == ("canon", n, labels, edge code) or
+                #        ("exact", n, labels, edges)
+                if unseen or touched.intersection(key[2]):
                     del self._entries[key]
                     evicted += 1
                 else:
@@ -396,6 +524,15 @@ class QueryCache:
             self.counters["delta_kept"] += kept
             self.counters["delta_evicted"] += evicted
         return kept, evicted
+
+    def reset(self, epoch: int) -> None:
+        """Make the cache valid for ``epoch``: when it is not already,
+        every entry is dropped (a reload or an overwrite changed the
+        graph by more than a delta the cache saw)."""
+        with self._lock:
+            if epoch != self.epoch:
+                self._entries.clear()
+                self.epoch = epoch
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -408,6 +545,11 @@ class QueryCache:
             return len(self._entries)
 
     # -- internals -----------------------------------------------------
+
+    def _count(self, form: CanonicalForm, hit: bool) -> None:
+        if not form.exact:
+            self.counters["inexact_keys"] += 1
+        self.counters["hits" if hit else "misses"] += 1
 
     def _make_entry(
         self, form: CanonicalForm, limits: SearchLimits, result: MatchResult

@@ -108,9 +108,12 @@ or, where optional, null; anything else, ``Infinity`` and ``NaN``
 included, gets an ``{"ok": false, "error": "'<field>' must be …"}``
 reply.
 
-Concurrency model: the event loop only parses and streams; matching is
-CPU-bound and runs on a thread-pool executor bounded by
-``max_inflight`` (admission control).  Queries beyond the capacity
+Concurrency model: the event loop parses, answers query-cache hits
+(canonicalize, then serve a stored frame: no matching slot, no
+executor hop, ``queue_seconds`` 0) and streams; matching is CPU-bound
+and runs on a thread-pool executor bounded by ``max_inflight``
+(admission control).  A hit is still admitted and counted like any
+query.  Queries beyond the capacity
 ``max_inflight + max_pending`` are *rejected immediately* with an
 ``overloaded`` error rather than queued without bound.  Requests carry
 a ``"priority"`` of ``"low"``/``"normal"`` (default)/``"high"``; under
@@ -173,7 +176,7 @@ from repro.service.lifecycle import (
     LifecycleManager,
     complete_matches,
 )
-from repro.service.qcache import QueryCache
+from repro.service.qcache import CanonicalForm, QueryCache, canonical_form
 from repro.service.tenancy import (
     PRIORITY_RANKS,
     FairSlots,
@@ -331,11 +334,9 @@ class MatchingServer:
         self.faults = faults
         self.host: Optional[str] = None
         self.port: Optional[int] = None
+        # One cache per catalog entry, each recording the epoch its
+        # entries are valid for (QueryCache.epoch).
         self._caches: Dict[str, QueryCache] = {}
-        # Epoch each cache's entries were computed against — lets a
-        # reload recognize (and drop) a cache left stale by a crash
-        # between the catalog swap and the cache-invalidation step.
-        self._cache_epochs: Dict[str, int] = {}
         self._counters_lock = threading.Lock()
         # A CounterGroup so the metrics registry below exposes the very
         # same storage the ``stats`` op snapshots (repro.obs.metrics:
@@ -770,9 +771,7 @@ class MatchingServer:
             return
         # The entry may have replaced a different graph under the same
         # name: results cached against the old graph are now wrong.
-        with self._counters_lock:
-            self._caches.pop(name, None)
-            self._cache_epochs.pop(name, None)
+        self._cache_for(name, info["epoch"]).reset(info["epoch"])
         await self._send(writer, {"ok": True, "entry": info})
 
     # -- dynamic ops (DESIGN.md §9) ------------------------------------
@@ -938,15 +937,11 @@ class MatchingServer:
                 await self._refuse(writer, str(exc))
                 return
 
-            with self._counters_lock:
-                cache = self._caches.get(name)
-                if cache is not None:
-                    # Surviving entries are revalidated against the new
-                    # epoch below, so the cache tracks it.
-                    self._cache_epochs[name] = info.get("epoch")
-            kept = evicted = 0
-            if cache is not None:
-                kept, evicted = cache.invalidate_labels(summary.touched_labels)
+            # Made if the entry has none, so that a search still running
+            # on the old epoch finds the new one and cannot store.
+            kept, evicted = self._cache_for(
+                name, info["epoch"]
+            ).invalidate_labels(summary.touched_labels, info["epoch"])
 
             def diff(engine, sub: _Subscription):
                 change = embedding_diff(
@@ -1173,9 +1168,10 @@ class MatchingServer:
         return self.tenants.admit(tstate)
 
     async def _op_query(self, request, writer, conn_subs) -> None:
-        """Check fields, admit (:meth:`_admit`), parse, take a fair
-        matching slot, execute, reply.  Every path leaves through
-        :meth:`_query_exit`."""
+        """Check fields, admit (:meth:`_admit`), parse, look the query
+        up in its entry's cache, and reply to a hit at once; a miss
+        takes a fair matching slot and executes.  Every path leaves
+        through :meth:`_query_exit`."""
         self._bump("queries")
         fields = _Fields(request)
         trace = fields.trace
@@ -1233,12 +1229,33 @@ class MatchingServer:
             started = time.perf_counter()
             queue_t0 = time.monotonic()
             try:
-                (result, cache_state, prov), queue_seconds = \
-                    await self._in_slot(
-                        tstate, priority, self._execute, name, query, limits,
-                        workers, use_cache, explain, trace, tenant,
-                        request_span,
-                    )
+                # A hit is answered here, on the event loop: it is CPU
+                # work on stored bytes, so it takes no matching slot.
+                # A miss carries its canonical form to the executor.
+                result = form = None
+                counted = True
+                if use_cache and explain is None:
+                    cache = self._caches.get(name)
+                    if cache is None:
+                        # No cache to count the miss on yet: the entry's
+                        # cache is made once the engine resolves it.
+                        form, counted = canonical_form(query), False
+                    else:
+                        result, form = cache.lookup(query, limits)
+                if result is not None:
+                    cache_state, queue_seconds = "hit", 0.0
+                    # A hit capped at the cached entry's known count is
+                    # a *truncated* hit: correct, but a prefix.
+                    capped = result.status is TerminationStatus.EMBEDDING_LIMIT
+                    prov = {"cache_detail": "truncated-hit" if capped
+                            else "hit"}
+                else:
+                    (result, cache_state, prov), queue_seconds = \
+                        await self._in_slot(
+                            tstate, priority, self._execute, name, query,
+                            limits, workers, use_cache, explain, trace,
+                            tenant, request_span, form, counted,
+                        )
             except Exception as exc:  # noqa: BLE001 - report, keep serving
                 # A catalog error (an unknown entry, say) is the client's
                 # to fix; anything else is ours.
@@ -1263,23 +1280,31 @@ class MatchingServer:
             }
             if "explain" in prov:
                 header["explain"] = prov["explain"]
+            # The request's one record is built only when a sink will
+            # write it; the counters and histograms below see every query.
+            # Its timings are the header's where the two share one, and
+            # otherwise unrounded: the record is on the hot path.
+            record = {}
+            if logged:
+                record = {
+                    "priority": priority, "tenant": tenant, "data": name,
+                    "epoch": prov.get("epoch"),
+                    "cache": prov.get("cache_detail", cache_state),
+                    "engine_source": prov.get("engine_source"),
+                    "workers": prov.get("workers"),
+                    "num_embeddings": header["num_embeddings"],
+                    "status": header["status"],
+                    "queue_seconds": header["queue_seconds"],
+                    "build_seconds": result.preprocessing_seconds,
+                    "search_seconds": result.elapsed_seconds,
+                    "server_seconds": header["server_seconds"],
+                    "span": request_span, "parent": client_span,
+                    "t0": request_t0, "queue_t0": queue_t0,
+                }
+                if explain:
+                    record["explain"] = explain
             stream_seconds = await self._query_exit(
-                writer, trace, "served", header, tstate, result, **who,
-                data=name,
-                epoch=prov.get("epoch"),
-                cache=prov.get("cache_detail", cache_state),
-                engine_source=prov.get("engine_source"),
-                workers=prov.get("workers"),
-                num_embeddings=result.num_embeddings,
-                status=result.status.value,
-                queue_seconds=round(queue_seconds, 6),
-                build_seconds=round(result.preprocessing_seconds, 6),
-                search_seconds=round(result.elapsed_seconds, 6),
-                server_seconds=round(server_seconds, 6),
-                **({"explain": explain} if explain else {}),
-                **({"span": request_span, "parent": client_span,
-                    "t0": round(request_t0, 6),
-                    "queue_t0": round(queue_t0, 6)} if logged else {}),
+                writer, trace, "served", header, tstate, result, **record
             )
             if self.obs.enabled:
                 hist = self._phase_hist
@@ -1331,10 +1356,10 @@ class MatchingServer:
         ``outcome`` (``served``/``shed``/``error``) on the server, and
         a served or shed one on ``tstate``, and writes the ``query`` log
         line, whose fields are ``log``.  A served line is the request's
-        one record and gains ``stream_seconds`` here; given the request
-        span (``span``, ``parent``, ``t0``) and ``queue_t0`` by a caller
-        with a sink, it also gains ``stream_t0`` and the request's
-        ``dur``, and
+        one record, which a caller passes only when there is a sink:
+        given the request span (``span``, ``parent``, ``t0``) and
+        ``queue_t0``, it gains ``stream_seconds``, ``stream_t0`` and the
+        request's ``dur`` here, and
         :func:`repro.obs.spans.served_spans` derives the server's phase
         spans from it.  A reply that cannot be written counts as an
         error and re-raises.  Returns the seconds spent framing and
@@ -1359,17 +1384,18 @@ class MatchingServer:
             if outcome == "served":
                 self._bump("served")
                 tstate.counters.inc("served")
-                log["stream_seconds"] = round(seconds, 6)
-                if "t0" in log:
-                    log["stream_t0"] = round(started, 6)
-                    log["dur"] = round(started + seconds - log["t0"], 6)
+                if "t0" in log:  # the record of a caller with a sink
+                    log["stream_seconds"] = seconds
+                    log["stream_t0"] = started
+                    log["dur"] = started + seconds - log["t0"]
             elif outcome == "shed":
                 self._bump("rejected")
                 self._bump(f"shed_{log['priority']}")
                 tstate.counters.inc(f"shed_{log['reason']}")
             else:
                 self._bump("errors")
-            self.obs.emit(QUERY_EVENT, trace=trace, outcome=outcome, **log)
+            log["trace"], log["outcome"] = trace, outcome
+            self.obs.write(QUERY_EVENT, log)
         return seconds
 
     def _parse_query(
@@ -1408,13 +1434,16 @@ class MatchingServer:
             raise ValueError("'explain' must be null, 'plan', or 'analyze'")
         return name, query, limits, workers, use_cache, explain
 
-    def _cache_for(self, name: str) -> QueryCache:
+    def _cache_for(self, name: str, epoch: int) -> QueryCache:
+        """``name``'s cache, made at ``epoch`` if it has none.  Call it
+        only once ``name`` is known to be a catalog entry."""
         with self._counters_lock:
             cache = self._caches.get(name)
             if cache is None:
                 cache = QueryCache(
                     max_entries=self.cache_entries,
                     cap_serving=not self.catalog.config.break_symmetry,
+                    epoch=epoch,
                 )
                 self._caches[name] = cache
                 # Live attachment: this cache's counters become the
@@ -1436,17 +1465,26 @@ class MatchingServer:
         trace: Optional[str] = None,
         tenant: Optional[str] = None,
         parent_span: Optional[str] = None,
+        form: Optional[CanonicalForm] = None,
+        counted: bool = True,
     ) -> Tuple[MatchResult, str, Dict]:
         """Blocking query execution (runs on the executor threads).
 
         Returns ``(result, cache_state, provenance)`` where provenance
-        carries the request-log detail: cache hit/truncated-hit, engine
-        source (resident/load/repair) + epoch, effective workers, and
-        the EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
+        carries the request-log detail: engine source
+        (resident/load/repair) + epoch, effective workers, and the
+        EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
         and structured log are bound thread-locally for the duration,
         so the procpool (and its fault hooks) log under this request's
         trace across the process boundary; ``parent_span`` (the request
         span) parents the engine's build/search spans the same way.
+
+        ``form`` is the query's canonical form when the request missed
+        the cache (a hit never gets here): the result is stored under it
+        at the epoch the engine ran at, in the entry's cache, which is
+        made here if the entry has none yet — only once ``engine_ex``
+        has proved the entry exists.  ``counted`` is false when the
+        lookup found no cache to count its miss on.
 
         EXPLAIN (``"plan"``) builds and reports, never searches; its
         qcache slot is :meth:`~repro.service.qcache.QueryCache.peek`'s
@@ -1458,20 +1496,6 @@ class MatchingServer:
         log = self.obs.log if self.obs.enabled else None
         fields = {"tenant": tenant} if tenant is not None else None
         with trace_context(trace, log, fields), span_scope(parent_span):
-            cache = self._cache_for(name)
-            form = None
-            if use_cache and explain is None:
-                cached, form = cache.lookup(query, limits)
-                if cached is not None:
-                    # A hit served capped at the cached entry's known
-                    # embedding count is a *truncated* hit: correct, but
-                    # the client should know it saw a prefix.
-                    prov["cache_detail"] = (
-                        "truncated-hit"
-                        if cached.status is TerminationStatus.EMBEDDING_LIMIT
-                        else "hit"
-                    )
-                    return cached, "hit", prov
             engine, source, epoch = self.catalog.engine_ex(name)
             prov["engine_source"] = source
             prov["epoch"] = epoch
@@ -1481,7 +1505,7 @@ class MatchingServer:
             if explain == "plan":
                 report, _ = engine.explain(query, mode="plan")
                 report["qcache"] = (
-                    cache.peek(query, limits)
+                    self._cache_for(name, epoch).peek(query, limits)
                     if use_cache
                     else {"decision": "bypass", "reason": "cache_disabled"}
                 )
@@ -1505,9 +1529,10 @@ class MatchingServer:
                     # Packed once: the reply and the cache entry share
                     # this frame.
                     result.embeddings = FrameRows.pack(result.embeddings)
-                    cache.store(form, limits, result)
-                    with self._counters_lock:
-                        self._cache_epochs[name] = epoch
+                    cache = self._cache_for(name, epoch)
+                    if not counted:
+                        cache.count_miss(form)
+                    cache.store(form, limits, result, epoch)
                     return result, "miss", prov
             if explain is not None:
                 prov["explain"] = report

@@ -138,6 +138,43 @@ class TestQueryCacheInvalidation:
         kept, evicted = cache.invalidate_labels(frozenset({"Z"}))
         assert (kept, evicted) == (1, 0)
 
+    def test_store_checks_the_epoch(self):
+        data, ab_query, cd_query = bipartite_world()
+        engine = GuPEngine(data)
+        cache = QueryCache(epoch=3)
+        limits = SearchLimits()
+        _, form = cache.lookup(ab_query, limits)
+        result = engine.match(ab_query, limits=limits)
+        # Older: stale.  Newer: ahead of an invalidation not yet seen.
+        assert not cache.store(form, limits, result, epoch=2)
+        assert not cache.store(form, limits, result, epoch=4)
+        assert cache.counters["uncacheable"] == 2
+        assert len(cache) == 0
+        assert cache.store(form, limits, result, epoch=3)
+        assert cache.lookup(ab_query, limits)[0] is not None
+
+    def test_invalidation_moves_the_epoch(self):
+        data, ab_query, cd_query = bipartite_world()
+        engine = GuPEngine(data)
+        cache = QueryCache(epoch=1)
+        limits = SearchLimits()
+        for query in (ab_query, cd_query):
+            _, form = cache.lookup(query, limits)
+            cache.store(form, limits, engine.match(query, limits=limits), 1)
+        assert cache.invalidate_labels(frozenset({"Z"}), 2) == (2, 0)
+        assert cache.epoch == 2
+        # Epoch 3's delta went unseen: no entry can be vouched for.
+        assert cache.invalidate_labels(frozenset({"Z"}), 4) == (0, 2)
+        assert cache.epoch == 4
+        _, form = cache.lookup(ab_query, limits)
+        assert cache.store(
+            form, limits, engine.match(ab_query, limits=limits), 4
+        )
+        cache.reset(4)  # already valid for epoch 4: kept
+        assert len(cache) == 1
+        cache.reset(5)
+        assert (len(cache), cache.epoch) == (0, 5)
+
 
 @pytest.fixture()
 def dynamic_service(tmp_path):

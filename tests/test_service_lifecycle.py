@@ -404,6 +404,29 @@ class TestReloadFaultSweep:
                     subscriber.next_event(timeout=0.3)
 
 
+    @pytest.mark.parametrize("point", lifecycle_points("reload"))
+    def test_cached_answer_never_outlives_a_crashed_reload(
+        self, tmp_path, point
+    ):
+        """A warm cache entry of the old epoch: wherever the first
+        reload crashes, after the retried one the query is answered
+        from the new epoch (at ``swap`` the retry reports "kept", and
+        only the cache's own epoch shows that it trails)."""
+        plan = FaultPlan([FaultRule(point, "crash")])
+        thread, root = serve_world(tmp_path, faults=plan)
+        with thread:
+            with ServiceClient(*thread.address) as client:
+                assert set(client.query(ab_query(), "g").embeddings) \
+                    == AB_V1
+                overwrite_externally(root)
+                with pytest.raises(ServiceError, match="injected crash"):
+                    client.reload()
+                client.reload()
+                reply = client.query(ab_query(), "g")
+        assert set(reply.embeddings) == AB_V2
+        assert reply.cache == "miss"
+
+
 class TestDrainFaultSweep:
     @pytest.mark.parametrize("point", lifecycle_points("drain"))
     def test_crash_at_each_point_still_stops_cleanly(self, tmp_path, point):

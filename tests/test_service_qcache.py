@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import GuPEngine
-from repro.graph.builder import GraphBuilder, complete_graph, cycle_graph
+from repro.graph.builder import (
+    GraphBuilder,
+    complete_graph,
+    cycle_graph,
+    graph_from_adjacency,
+)
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, TerminationStatus
@@ -106,6 +111,123 @@ class TestCanonicalForm:
         one = GraphBuilder()
         one.add_vertices(["X"])
         assert canonical_form(one.build()).exact
+
+
+@st.composite
+def labeled_graphs(draw, vertices=None):
+    """Random graphs on at most 10 vertices with 1-3 labels."""
+    n = draw(st.integers(0, 10)) if vertices is None else vertices
+    alphabet = "ABC"[:draw(st.integers(1, 3))]
+    labels = draw(st.lists(st.sampled_from(alphabet), min_size=n,
+                           max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graph_from_adjacency(
+        labels, [pair for pair, kept in zip(pairs, keep) if kept]
+    )
+
+
+@st.composite
+def circulant_graphs(draw, vertices=None):
+    """Single-label circulant graphs: regular and vertex-transitive, so
+    refinement alone leaves one cell and individualization decides."""
+    n = draw(st.integers(3, 10)) if vertices is None else vertices
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    edges = {
+        (min(i, (i + j) % n), max(i, (i + j) % n))
+        for i in range(n) for j in jumps
+    }
+    return graph_from_adjacency(["A"] * n, sorted(edges))
+
+
+query_graphs = st.one_of(labeled_graphs(), circulant_graphs())
+
+
+def isomorphic(g1, g2):
+    """Equal sizes and an embedding of ``g1`` in ``g2`` (found by the
+    repository's own matcher): with equal edge counts, an injective
+    edge-preserving map is an isomorphism."""
+    return (
+        g1.num_vertices == g2.num_vertices
+        and g1.num_edges == g2.num_edges
+        and GuPEngine(g2).match(
+            g1, limits=SearchLimits(max_embeddings=1)
+        ).num_embeddings > 0
+    )
+
+
+class TestCertificateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=query_graphs, rnd=st.randoms(use_true_random=False))
+    def test_relabeling_keeps_the_key_and_translates_hits(self, graph, rnd):
+        perm = list(range(graph.num_vertices))
+        rnd.shuffle(perm)
+        relabeled = graph.relabeled(perm)
+        f1, f2 = canonical_form(graph), canonical_form(relabeled)
+        # The search tree's size is an invariant, so is its budget.
+        assert f1.exact == f2.exact
+        if not f1.exact:
+            return
+        assert f1.key == f2.key
+        # The query's own graph as the data graph: its embeddings are
+        # its automorphisms, a symmetric case for the translation.  The
+        # larger cap leaves most runs complete.
+        engine = GuPEngine(graph)
+        cache = QueryCache()
+        for cap in (500, 5):
+            limits = SearchLimits(max_embeddings=cap)
+            _, form = cache.lookup(graph, limits)
+            cache.store(form, limits, engine.match(graph, limits=limits))
+            served, _ = cache.lookup(relabeled, limits)
+            direct = engine.match(relabeled, limits=limits)
+            assert served is not None
+            assert served.num_embeddings == direct.num_embeddings
+            rows = list(served.embeddings)
+            assert len(set(rows)) == len(rows) == direct.num_embeddings
+            for row in rows:
+                assert is_embedding(relabeled, graph, row)
+            if direct.status is TerminationStatus.COMPLETE:
+                assert set(rows) == set(direct.embeddings)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equal_keys_iff_isomorphic(self, data):
+        g1 = data.draw(query_graphs)
+        n = g1.num_vertices
+        how = data.draw(st.sampled_from(
+            ["relabel", "rewire", "circulant", "labeled"]
+        ))
+        if how == "relabel":
+            perm = data.draw(st.permutations(range(n)))
+            g2 = g1.relabeled(perm)
+        elif how == "rewire" and 0 < g1.num_edges < n * (n - 1) // 2:
+            # One edge moved: same sizes and labels, rarely isomorphic.
+            edges = sorted(g1.edges())
+            gone = data.draw(st.sampled_from(edges))
+            absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if not g1.has_edge(u, v)]
+            added = data.draw(st.sampled_from(absent))
+            g2 = graph_from_adjacency(
+                g1.labels, [e for e in edges if e != gone] + [added]
+            )
+        elif how == "circulant" and n >= 3:
+            g2 = data.draw(circulant_graphs(vertices=n))
+        else:
+            g2 = data.draw(labeled_graphs(vertices=n))
+        f1, f2 = canonical_form(g1), canonical_form(g2)
+        if f1.exact and f2.exact:
+            assert (f1.key == f2.key) == isomorphic(g1, g2)
+        elif f1.key == f2.key:  # the fallback key: identical graphs only
+            assert g1 == g2
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=query_graphs)
+    def test_leaf_budget_fallback_is_inexact(self, graph):
+        form = canonical_form(graph, leaf_budget=0)
+        assert not form.exact
+        assert form.perm == tuple(range(graph.num_vertices))
+        assert canonical_form(graph, leaf_budget=0).key == form.key
 
 
 @pytest.fixture(scope="module")

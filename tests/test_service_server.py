@@ -28,10 +28,17 @@ from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.obs import Observability, StructuredLog
 from repro.service.catalog import GraphCatalog
-from repro.service.client import ServiceClient, ServiceError
+from repro.obs import parse_exposition
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    ServiceOverloaded,
+)
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service import server as server_module
+from repro.service.lifecycle import DRAINING, SERVING
 from repro.service.server import MatchingServer, ServerThread
+from repro.service.tenancy import TenantSpec, TenantTable
 from repro.service.wire import decode_embeddings
 from repro.workload.datasets import load_dataset
 from repro.workload.querygen import QuerySetSpec, generate_query_set
@@ -558,6 +565,257 @@ class TestQueryOutcomes:
         [record] = server.obs.log.read_records()
         assert record["outcome"] == "error"
         assert record["error"].startswith("reply write failed")
+
+
+class _BlockedMatch:
+    """Patches ``GuPEngine.match`` so that a search of a query with
+    ``vertices`` vertices waits for :meth:`release`; ``entered`` counts
+    the searches that reached the patch."""
+
+    def __init__(self, monkeypatch, vertices):
+        self.entered = threading.Semaphore(0)
+        self._release = threading.Event()
+        original = GuPEngine.match
+
+        def match(engine, query, *args, **kwargs):
+            if query.num_vertices == vertices:
+                self.entered.release()
+                assert self._release.wait(timeout=60)
+            return original(engine, query, *args, **kwargs)
+
+        monkeypatch.setattr(GuPEngine, "match", match)
+
+    def wait_entered(self):
+        assert self.entered.acquire(timeout=60)
+
+    def release(self):
+        self._release.set()
+
+
+def _in_thread(call):
+    """Run ``call`` on a thread; returns a function that joins it and
+    returns its value (or raises its exception)."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = call()
+        except BaseException as exc:  # noqa: BLE001 - re-raised on join
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+
+    return join
+
+
+class TestCacheEpochs:
+    """A cache holds results of one data-graph epoch, and exists only
+    for catalog entries that exist."""
+
+    DATA = "t 3 2\nv 0 7\nv 1 8\nv 2 8\ne 0 1\ne 0 2\n"
+    PROBE = "t 2 1\nv 0 7\nv 1 8\ne 0 1\n"
+    OTHER = "t 1 0\nv 0 8\n"
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_search_from_before_an_update_is_not_stored(
+        self, tmp_path, monkeypatch, warm
+    ):
+        """A miss that searched epoch 1 finishes after an update to
+        epoch 2 was acknowledged: its reply is right for epoch 1, but
+        its result must not become a hit at epoch 2."""
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", loads_graph(self.DATA))
+        probe = loads_graph(self.PROBE)
+        with ServerThread(GraphCatalog(root), max_inflight=2) as thread:
+            with ServiceClient(*thread.address) as client:
+                if warm:  # the entry's cache exists before the race
+                    client.query(loads_graph(self.OTHER), "g")
+                blocked = _BlockedMatch(monkeypatch, vertices=2)
+                first = _in_thread(lambda: ServiceClient(
+                    *thread.address).query(probe, "g"))
+                blocked.wait_entered()
+                ack = client.update("g", {"remove_edges": [[0, 2]]})
+                assert ack.entry["epoch"] == 2
+                blocked.release()
+                stale = first()
+                assert (stale.cache, stale.num_embeddings) == ("miss", 2)
+                again = client.query(probe, "g")
+                current = GuPEngine(
+                    GraphCatalog(root).engine("g").data
+                ).match(probe)
+                stats = client.stats()["qcache"]["per_data"]["g"]
+        assert current.num_embeddings == 1
+        assert again.num_embeddings == current.num_embeddings
+        assert sorted(again.embeddings) == sorted(current.embeddings)
+        assert again.cache == "miss"
+        assert stats["uncacheable"] == 1
+
+    def test_unknown_entries_make_no_cache(self, tmp_path):
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", loads_graph(self.DATA))
+        probe = loads_graph(self.PROBE)
+        unknown = [f"nope{i}" for i in range(5)]
+        with ServerThread(GraphCatalog(root)) as thread:
+            with ServiceClient(*thread.address) as client:
+                for name in unknown:
+                    with pytest.raises(ServiceError, match="unknown"):
+                        client.query(probe, name)
+                assert client.query(probe, "g").cache == "miss"
+                assert client.query(probe, "g").cache == "hit"
+                per_data = client.stats()["qcache"]["per_data"]
+                exposition = client.metrics()
+        assert set(per_data) == {"g"}
+        # The first query's miss is counted although its lookup found
+        # no cache yet.
+        assert (per_data["g"]["hits"], per_data["g"]["misses"]) == (1, 1)
+        for name in unknown:
+            assert f'"{name}"' not in exposition
+
+
+class TestInlineHits:
+    """A cache hit is answered on the event loop: admitted and counted
+    like any query, but it takes no matching slot."""
+
+    DATA = TestCacheEpochs.DATA
+    PROBE = TestCacheEpochs.PROBE
+    MISS = "t 3 2\nv 0 8\nv 1 7\nv 2 8\ne 0 1\ne 1 2\n"
+
+    def serve(self, tmp_path, **kwargs):
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", loads_graph(self.DATA))
+        return ServerThread(GraphCatalog(root), **kwargs)
+
+    def test_hit_answered_while_every_slot_is_held(
+        self, tmp_path, monkeypatch
+    ):
+        probe, miss = loads_graph(self.PROBE), loads_graph(self.MISS)
+        with self.serve(tmp_path, max_inflight=1) as thread:
+            with ServiceClient(*thread.address) as client:
+                assert client.query(probe, "g").cache == "miss"
+                blocked = _BlockedMatch(monkeypatch, vertices=3)
+                holder = _in_thread(lambda: ServiceClient(
+                    *thread.address).query(miss, "g"))
+                blocked.wait_entered()  # the one matching slot is held
+                try:
+                    hit = client.query(probe, "g")
+                    health = client.healthz()
+                finally:
+                    blocked.release()
+                assert holder().cache == "miss"
+        assert hit.cache == "hit"
+        assert hit.num_embeddings == 2
+        assert hit.queue_seconds == 0
+        assert health["active"] == 1  # the blocked miss; the hit has left
+
+    def test_hit_reply_fields(self, tmp_path):
+        probe = loads_graph(self.PROBE)
+        with self.serve(tmp_path) as thread:
+            with ServiceClient(*thread.address) as client:
+                client.query(probe, "g")
+                hit = client.query(probe, "g", limit=1)
+        assert (hit.cache, hit.status) == ("hit", "embedding_limit")
+        assert hit.queue_seconds == 0
+        assert hit.server_seconds > 0
+
+    @pytest.mark.parametrize("reason", ["draining", "capacity", "rate"])
+    def test_hit_is_shed_like_a_miss(self, tmp_path, reason):
+        """Each shed reason rejects a would-be hit exactly as it
+        rejects a would-be miss: same reason, same counters, and no
+        cache lookup."""
+        kwargs = {}
+        if reason == "capacity":
+            kwargs["faults"] = FaultPlan([FaultRule(
+                "server.admission", "overload", after=1, times=2,
+            )])
+        if reason == "rate":
+            kwargs["tenants"] = TenantTable(
+                [TenantSpec("t", rate=0.001, burst=1.0)]
+            )
+        probe, miss = loads_graph(self.PROBE), loads_graph(self.MISS)
+        with self.serve(tmp_path, **kwargs) as thread:
+            with ServiceClient(*thread.address, tenant="t") as client:
+                assert client.query(probe, "g").cache == "miss"
+                before = client.stats()
+                if reason == "draining":
+                    thread.server.lifecycle.state = DRAINING
+                shed = []
+                try:
+                    for query in (probe, miss):  # a hit, then a miss
+                        with pytest.raises(ServiceOverloaded) as info:
+                            client.query(query, "g")
+                        shed.append(info.value.reason)
+                finally:
+                    thread.server.lifecycle.state = SERVING
+                after = client.stats()
+        assert shed == [reason, reason]
+
+        def grew(section, key):
+            return after[section][key] - before[section][key]
+
+        for key in ("queries", "rejected", "shed_normal"):
+            assert grew("server", key) == 2, key
+        for key in ("served", "errors"):
+            assert grew("server", key) == 0, key
+        tenant = {k: after["tenants"]["t"][k] - before["tenants"]["t"][k]
+                  for k in ("queries", "admitted", "served",
+                            f"shed_{reason}")}
+        assert tenant == {"queries": 2, "admitted": 0, "served": 0,
+                          f"shed_{reason}": 2}
+        assert after["qcache"] == before["qcache"]
+
+    def test_counters_reconcile_after_a_mix(self, tmp_path):
+        probe, miss = loads_graph(self.PROBE), loads_graph(self.MISS)
+        plan = FaultPlan([FaultRule(
+            "server.admission", "overload", after=2, times=1,
+        )])
+        with self.serve(tmp_path, faults=plan) as thread:
+            with ServiceClient(*thread.address, tenant="t") as client:
+                outcomes = []
+                for query, name in [
+                    (probe, "g"),     # miss
+                    (probe, "g"),     # hit
+                    (probe, "g"),     # shed by the forced overload
+                    (miss, "g"),      # miss
+                    (miss, "g"),      # hit
+                    (probe, "nope"),  # error: unknown entry
+                    (probe, "g"),     # hit
+                ]:
+                    try:
+                        outcomes.append(client.query(query, name).cache)
+                    except ServiceOverloaded:
+                        outcomes.append("shed")
+                    except ServiceError:
+                        outcomes.append("error")
+                stats = client.stats()
+                exposition = parse_exposition(client.metrics())
+        assert outcomes == ["miss", "hit", "shed", "miss", "hit", "error",
+                            "hit"]
+        server, tenant = stats["server"], stats["tenants"]["t"]
+        assert (server["queries"], server["served"], server["rejected"],
+                server["errors"]) == (7, 5, 1, 1)
+        assert server["active"] == 0
+        for key in ("queries", "served", "rejected", "errors"):
+            assert exposition[(f"repro_server_{key}_total", ())] \
+                == server[key], key
+        assert (tenant["queries"], tenant["admitted"], tenant["served"],
+                tenant["shed_capacity"], tenant["inflight"]) \
+            == (7, 6, 5, 1, 0)
+        for key in ("queries", "admitted", "served", "shed_capacity"):
+            assert exposition[(f"repro_tenant_{key}_total",
+                               (("tenant", "t"),))] == tenant[key], key
+        qcache = stats["qcache"]["per_data"]["g"]
+        assert (qcache["hits"], qcache["misses"]) == (3, 2)
+        for key in ("hits", "misses"):
+            assert exposition[(f"repro_qcache_{key}_total",
+                               (("data", "g"),))] == qcache[key], key
 
 
 class TestShutdownWithIdleClient:
