@@ -19,10 +19,10 @@ slot:
   every branch; the smallest edge encoding over all discrete leaves is
   the canonical form.  This is exact — two graphs get the same key
   *iff* they are isomorphic — and cheap for the small query graphs of
-  this workload (≤ a few dozen vertices).  A node budget bounds the
-  worst case (highly symmetric same-label graphs); on overrun the key
-  degrades to the exact graph encoding (identical numbering only),
-  which is still sound, merely less shared.
+  this workload (≤ a few dozen vertices).  A budget of search steps
+  bounds the worst case (highly symmetric same-label graphs); on
+  overrun the key degrades to the exact graph encoding (identical
+  numbering only), which is still sound, merely less shared.
 
 Cache-cap semantics (:class:`QueryCache`): the engine's
 ``max_embeddings`` truncation is *prefix-exact* — a capped run returns
@@ -61,11 +61,12 @@ from repro.matching.result import MatchResult, SearchStats, TerminationStatus
 from repro.obs.metrics import CounterGroup
 from repro.service.wire import FrameRows
 
-DEFAULT_LEAF_BUDGET = 4096
-"""Individualization-refinement node budget before falling back to the
-exact-encoding key.  Generous for real query sets: an 8-vertex query
-explores a handful of nodes; only pathological same-label cliques blow
-up, and those fall back soundly."""
+DEFAULT_BUDGET = 100_000
+"""Work budget of the canonical search, in :class:`_Work` steps, before
+the key falls back to the exact encoding (about 10 ms of search).  An
+8-vertex query spends about a hundred steps and a 32-vertex one a few
+thousand; only symmetric same-label graphs exhaust it, and those fall
+back soundly."""
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +81,40 @@ def _label_sort_key(label: object) -> Tuple[str, str]:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+class _Deferred(Exception):
+    pass
+
+
+class _Work:
+    """The canonical search's step count, checked as it grows.
+
+    A step is one neighbour counted against a splitter, one vertex of
+    the partition scanned for splits after it, one vertex copied into
+    a search node, or one edge encoded at a leaf: each costs a few
+    interpreted operations, so steps bound time where a node count
+    does not (a node of a large symmetric graph costs many steps).
+    Every count is an isomorphism invariant and the search is
+    exhaustive, so whether a graph exhausts a budget is too.  Past
+    ``budget`` the search falls back (:class:`_BudgetExceeded`); past
+    ``defer_past`` it gives up unfinished (:class:`_Deferred`).
+    """
+
+    __slots__ = ("done", "budget", "defer_past")
+
+    def __init__(self, budget: int,
+                 defer_past: Optional[int] = None) -> None:
+        self.done = 0
+        self.budget = budget
+        self.defer_past = defer_past
+
+    def spend(self, steps: int) -> None:
+        self.done += steps
+        if self.defer_past is not None and self.done > self.defer_past:
+            raise _Deferred
+        if self.done > self.budget:
+            raise _BudgetExceeded
 
 
 class _Partition:
@@ -104,7 +139,7 @@ class _Partition:
 
     @classmethod
     def equitable(
-        cls, graph: Graph, rows: List[Tuple[int, ...]]
+        cls, graph: Graph, rows: List[Tuple[int, ...]], work: _Work
     ) -> "_Partition":
         """The coarsest equitable refinement of one cell per label, in
         label order (its cells are the 1-WL color classes)."""
@@ -122,7 +157,7 @@ class _Partition:
             for v in buckets[label]:
                 cell[v] = start
         part = cls(lab, cell, end, len(buckets))
-        part.refine(rows, sorted(set(cell)))
+        part.refine(rows, sorted(set(cell)), work)
         return part
 
     def individualized(self, start: int, v: int) -> "_Partition":
@@ -139,7 +174,8 @@ class _Partition:
             cell[w] = rest
         return _Partition(lab, cell, end, self.cells + 1)
 
-    def refine(self, rows: List[Tuple[int, ...]], active: List[int]) -> None:
+    def refine(self, rows: List[Tuple[int, ...]], active: List[int],
+               work: _Work) -> None:
         """Split cells by neighbour counts until the partition is
         equitable (every vertex of a cell has as many neighbours in
         each cell as every other).
@@ -154,7 +190,9 @@ class _Partition:
         from the rest (Hopcroft's rule, as in nauty).  Every choice
         reads only cell starts and counts, so the result is an
         isomorphism invariant of the graph and the input partition.
-        Stops as soon as the partition is discrete.
+        Stops as soon as the partition is discrete.  A splitter spends
+        ``n`` steps on ``work`` for the scan of the cells, plus one
+        per neighbour counted.
         """
         lab, cell, end = self.lab, self.cell, self.end
         n = len(lab)
@@ -164,9 +202,13 @@ class _Partition:
                 return
             queued.discard(s)
             counts = [0] * n
+            steps = n
             for w in lab[s:end[s]]:
-                for x in rows[w]:
+                row = rows[w]
+                steps += len(row)
+                for x in row:
                     counts[x] += 1
+            work.spend(steps)
             c = 0
             while c < n:
                 e = end[c]
@@ -217,54 +259,45 @@ class _Partition:
         return best
 
 
-def refine_colors(graph: Graph) -> List[int]:
-    """:meth:`_Partition.equitable` as dense colors in cell order."""
-    part = _Partition.equitable(
-        graph, [graph.neighbors(v) for v in graph.vertices()]
-    )
-    ranks = {s: r for r, s in enumerate(sorted(set(part.cell)))}
-    return [ranks[s] for s in part.cell]
-
-
 def _canonical_search(
-    graph: Graph, budget: int
-) -> Tuple[Tuple[int, ...], int]:
+    graph: Graph, work: _Work
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Exhaustive individualization-refinement; smallest encoding wins.
 
-    A leaf's encoding is one int with bit ``a * n + b`` set for every
-    edge between canonical positions ``a < b``.  Returns the winning
-    leaf's ``(perm, code)``; raises :class:`_BudgetExceeded` past
-    ``budget`` visited nodes.
+    A leaf's encoding is the sorted list of ``a * n + b`` over the
+    edges between canonical positions ``a < b``; every leaf has as
+    many edges, so list order compares edge sets.  Returns the winning
+    leaf's ``(perm, code)``; raises :class:`_BudgetExceeded` or
+    :class:`_Deferred` when ``work`` says so.
     """
     n = graph.num_vertices
     rows = [graph.neighbors(v) for v in range(n)]
     edges = [(u, w) for u in range(n) for w in rows[u] if u < w]
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    nodes = 0
+    best: Optional[Tuple[List[int], Tuple[int, ...]]] = None
 
     def descend(part: _Partition) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExceeded
+        nonlocal best
         start = part.target()
         if start is None:  # discrete: a leaf
+            work.spend(len(edges) + 1)
             position = part.cell
-            code = 0
+            code = []
             for u, w in edges:
                 a, b = position[u], position[w]
-                code |= 1 << (a * n + b if a < b else b * n + a)
+                code.append(a * n + b if a < b else b * n + a)
+            code.sort()
             if best is None or code < best[0]:
                 best = (code, tuple(part.lab))
             return
         for v in part.lab[start:part.end[start]]:
+            work.spend(n)
             child = part.individualized(start, v)
-            child.refine(rows, [start])
+            child.refine(rows, [start], work)
             descend(child)
 
-    descend(_Partition.equitable(graph, rows))
+    descend(_Partition.equitable(graph, rows, work))
     assert best is not None
-    return best[1], best[0]
+    return best[1], tuple(best[0])
 
 
 @dataclass(frozen=True)
@@ -284,17 +317,24 @@ class CanonicalForm:
 
 
 def canonical_form(
-    graph: Graph, leaf_budget: int = DEFAULT_LEAF_BUDGET
-) -> CanonicalForm:
+    graph: Graph,
+    budget: int = DEFAULT_BUDGET,
+    defer_past: Optional[int] = None,
+) -> Optional[CanonicalForm]:
     """Canonical form of ``graph`` (see module docstring).
 
     Falls back to the exact-encoding key (identical numbering only, with
-    the identity witness) when the canonical search exceeds
-    ``leaf_budget`` nodes.
+    the identity witness) when the canonical search spends more than
+    ``budget`` steps (:class:`_Work`).  With ``defer_past``, returns
+    ``None`` once the search has spent more than that many steps
+    without finishing or falling back: a caller that must not wait
+    canonicalizes elsewhere, where the answer is the same.
     """
     n = graph.num_vertices
     try:
-        perm, code = _canonical_search(graph, leaf_budget)
+        perm, code = _canonical_search(graph, _Work(budget, defer_past))
+    except _Deferred:
+        return None
     except _BudgetExceeded:
         identity = tuple(range(n))
         key = (
@@ -392,28 +432,32 @@ class QueryCache:
     # -- public API ----------------------------------------------------
 
     def lookup(
-        self, query: Graph, limits: SearchLimits
-    ) -> Tuple[Optional[MatchResult], CanonicalForm]:
+        self, query: Graph, limits: SearchLimits,
+        defer_past: Optional[int] = None,
+    ) -> Tuple[Optional[MatchResult], Optional[CanonicalForm]]:
         """Serve ``query`` from cache if possible.
 
         Returns ``(result, form)``; ``result`` is ``None`` on a miss and
         ``form`` should be passed back to :meth:`store` after the engine
-        runs, so canonicalization happens once per request.
+        runs, so canonicalization happens once per request.  With
+        ``defer_past``, canonicalization stops past that many steps
+        (:func:`canonical_form`) and ``(None, None)`` is returned,
+        counted as nothing: the caller looks up again where it may
+        wait.
         """
-        form = canonical_form(query)
+        form = canonical_form(query, defer_past=defer_past)
+        if form is None:
+            return None, None
         with self._lock:
+            if not form.exact:
+                self.counters["inexact_keys"] += 1
             served = self._serve(self._entries.get(form.key), form, limits)
-            self._count(form, served is not None)
-            if served is not None:
-                self._entries.move_to_end(form.key)
+            if served is None:
+                self.counters["misses"] += 1
+                return None, form
+            self._entries.move_to_end(form.key)
+            self.counters["hits"] += 1
             return served, form
-
-    def count_miss(self, form: CanonicalForm) -> None:
-        """Count a lookup of ``form`` made before this cache existed
-        (for a new catalog entry, the cache is created by the first
-        miss's store): it is a miss like any other."""
-        with self._lock:
-            self._count(form, False)
 
     def peek(self, query: Graph, limits: SearchLimits) -> Dict[str, object]:
         """EXPLAIN's view of the serve decision — observe, never serve.
@@ -514,8 +558,7 @@ class QueryCache:
             if epoch is not None:
                 self.epoch = epoch
             for key in list(self._entries):
-                # key == ("canon", n, labels, edge code) or
-                #        ("exact", n, labels, edges)
+                # key == ("canon" | "exact", n, labels, edges)
                 if unseen or touched.intersection(key[2]):
                     del self._entries[key]
                     evicted += 1
@@ -545,11 +588,6 @@ class QueryCache:
             return len(self._entries)
 
     # -- internals -----------------------------------------------------
-
-    def _count(self, form: CanonicalForm, hit: bool) -> None:
-        if not form.exact:
-            self.counters["inexact_keys"] += 1
-        self.counters["hits" if hit else "misses"] += 1
 
     def _make_entry(
         self, form: CanonicalForm, limits: SearchLimits, result: MatchResult

@@ -113,7 +113,9 @@ Concurrency model: the event loop parses, answers query-cache hits
 executor hop, ``queue_seconds`` 0) and streams; matching is CPU-bound
 and runs on a thread-pool executor bounded by ``max_inflight``
 (admission control).  A hit is still admitted and counted like any
-query.  Queries beyond the capacity
+query.  A query whose canonicalization would pass
+``INLINE_CANON_STEPS`` is looked up on the executor instead, so one
+costly query cannot stall the loop.  Queries beyond the capacity
 ``max_inflight + max_pending`` are *rejected immediately* with an
 ``overloaded`` error rather than queued without bound.  Requests carry
 a ``"priority"`` of ``"low"``/``"normal"`` (default)/``"high"``; under
@@ -176,7 +178,7 @@ from repro.service.lifecycle import (
     LifecycleManager,
     complete_matches,
 )
-from repro.service.qcache import CanonicalForm, QueryCache, canonical_form
+from repro.service.qcache import CanonicalForm, QueryCache
 from repro.service.tenancy import (
     PRIORITY_RANKS,
     FairSlots,
@@ -199,6 +201,12 @@ PRIORITIES = ("high", "normal", "low")
 
 # Upper bound on a query's procpool ``workers`` option.
 MAX_REQUEST_WORKERS = 8
+
+# Canonical-search steps a cache lookup may spend on the event loop
+# (about 1-2 ms): the 32-vertex queries of the paper's workloads spend
+# at most a few thousand.  A query that needs more is looked up on the
+# executor, inside a matching slot, so it cannot stall the loop.
+INLINE_CANON_STEPS = 10_000
 
 # The error text of a shed query, by rejection reason.
 _SHED_ERRORS = {
@@ -1232,29 +1240,25 @@ class MatchingServer:
                 # A hit is answered here, on the event loop: it is CPU
                 # work on stored bytes, so it takes no matching slot.
                 # A miss carries its canonical form to the executor.
+                # The form is None when the lookup did not run here
+                # (the entry has no cache yet, or the query is too
+                # costly to canonicalize on the loop): the executor
+                # looks up instead.
                 result = form = None
-                counted = True
                 if use_cache and explain is None:
                     cache = self._caches.get(name)
-                    if cache is None:
-                        # No cache to count the miss on yet: the entry's
-                        # cache is made once the engine resolves it.
-                        form, counted = canonical_form(query), False
-                    else:
-                        result, form = cache.lookup(query, limits)
+                    if cache is not None:
+                        result, form = cache.lookup(
+                            query, limits, defer_past=INLINE_CANON_STEPS
+                        )
                 if result is not None:
-                    cache_state, queue_seconds = "hit", 0.0
-                    # A hit capped at the cached entry's known count is
-                    # a *truncated* hit: correct, but a prefix.
-                    capped = result.status is TerminationStatus.EMBEDDING_LIMIT
-                    prov = {"cache_detail": "truncated-hit" if capped
-                            else "hit"}
+                    cache_state, prov, queue_seconds = "hit", {}, 0.0
                 else:
                     (result, cache_state, prov), queue_seconds = \
                         await self._in_slot(
                             tstate, priority, self._execute, name, query,
                             limits, workers, use_cache, explain, trace,
-                            tenant, request_span, form, counted,
+                            tenant, request_span, form,
                         )
             except Exception as exc:  # noqa: BLE001 - report, keep serving
                 # A catalog error (an unknown entry, say) is the client's
@@ -1286,10 +1290,16 @@ class MatchingServer:
             # otherwise unrounded: the record is on the hot path.
             record = {}
             if logged:
+                # A hit capped at the cached entry's known count is a
+                # *truncated* hit: correct, but a prefix.
+                detail = cache_state
+                if detail == "hit" and \
+                        result.status is TerminationStatus.EMBEDDING_LIMIT:
+                    detail = "truncated-hit"
                 record = {
                     "priority": priority, "tenant": tenant, "data": name,
                     "epoch": prov.get("epoch"),
-                    "cache": prov.get("cache_detail", cache_state),
+                    "cache": detail,
                     "engine_source": prov.get("engine_source"),
                     "workers": prov.get("workers"),
                     "num_embeddings": header["num_embeddings"],
@@ -1394,7 +1404,9 @@ class MatchingServer:
                 tstate.counters.inc(f"shed_{log['reason']}")
             else:
                 self._bump("errors")
-            log["trace"], log["outcome"] = trace, outcome
+            if trace:
+                log["trace"] = trace
+            log["outcome"] = outcome
             self.obs.write(QUERY_EVENT, log)
         return seconds
 
@@ -1466,7 +1478,6 @@ class MatchingServer:
         tenant: Optional[str] = None,
         parent_span: Optional[str] = None,
         form: Optional[CanonicalForm] = None,
-        counted: bool = True,
     ) -> Tuple[MatchResult, str, Dict]:
         """Blocking query execution (runs on the executor threads).
 
@@ -1479,12 +1490,14 @@ class MatchingServer:
         trace across the process boundary; ``parent_span`` (the request
         span) parents the engine's build/search spans the same way.
 
-        ``form`` is the query's canonical form when the request missed
-        the cache (a hit never gets here): the result is stored under it
-        at the epoch the engine ran at, in the entry's cache, which is
-        made here if the entry has none yet — only once ``engine_ex``
-        has proved the entry exists.  ``counted`` is false when the
-        lookup found no cache to count its miss on.
+        The entry's cache is fetched once ``engine_ex`` has proved the
+        entry exists (it is made then if there is none) and before the
+        search, whose result is stored there at the epoch the engine
+        ran at.  A reload or update meanwhile either moves that cache's
+        epoch, so the store is refused, or drops the cache, so the
+        store lands in an object no later query reads.  ``form`` is
+        the query's canonical form when the event loop looked it up
+        and missed; without it the lookup happens here, and may hit.
 
         EXPLAIN (``"plan"``) builds and reports, never searches; its
         qcache slot is :meth:`~repro.service.qcache.QueryCache.peek`'s
@@ -1499,14 +1512,19 @@ class MatchingServer:
             engine, source, epoch = self.catalog.engine_ex(name)
             prov["engine_source"] = source
             prov["epoch"] = epoch
+            cache = self._cache_for(name, epoch) if use_cache else None
+            if cache is not None and explain is None and form is None:
+                cached, form = cache.lookup(query, limits)
+                if cached is not None:
+                    return cached, "hit", prov
             prov["workers"] = 0 if explain == "plan" else workers
             if explain != "plan" and workers > 1:
                 self._bump("procpool_dispatches")
             if explain == "plan":
                 report, _ = engine.explain(query, mode="plan")
                 report["qcache"] = (
-                    self._cache_for(name, epoch).peek(query, limits)
-                    if use_cache
+                    cache.peek(query, limits)
+                    if cache is not None
                     else {"decision": "bypass", "reason": "cache_disabled"}
                 )
                 result = MatchResult(
@@ -1529,9 +1547,6 @@ class MatchingServer:
                     # Packed once: the reply and the cache entry share
                     # this frame.
                     result.embeddings = FrameRows.pack(result.embeddings)
-                    cache = self._cache_for(name, epoch)
-                    if not counted:
-                        cache.count_miss(form)
                     cache.store(form, limits, result, epoch)
                     return result, "miss", prov
             if explain is not None:

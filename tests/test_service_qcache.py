@@ -29,7 +29,15 @@ from repro.graph.generators import powerlaw_cluster_graph
 from repro.matching.limits import SearchLimits
 from repro.matching.result import MatchResult, TerminationStatus
 from repro.matching.verify import is_embedding
-from repro.service.qcache import QueryCache, canonical_form, refine_colors
+from repro.service.qcache import (
+    DEFAULT_BUDGET,
+    QueryCache,
+    _canonical_search,
+    _Deferred,
+    _Partition,
+    _Work,
+    canonical_form,
+)
 from repro.service.wire import encode_embeddings
 from repro.workload.querygen import generate_query
 
@@ -76,8 +84,10 @@ class TestCanonicalForm:
         b.add_vertices(["A"] * 6)
         b.add_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         two_triangles = b.build()
-        assert len(set(refine_colors(c6))) == 1
-        assert len(set(refine_colors(two_triangles))) == 1
+        for graph in (c6, two_triangles):
+            rows = [graph.neighbors(v) for v in graph.vertices()]
+            work = _Work(DEFAULT_BUDGET)
+            assert _Partition.equitable(graph, rows, work).cells == 1
         assert canonical_form(c6).key != canonical_form(two_triangles).key
 
     def test_labels_distinguish(self):
@@ -94,16 +104,16 @@ class TestCanonicalForm:
         assert canonical_form(path.build()).key != canonical_form(cycle).key
 
     def test_budget_fallback_is_sound(self):
-        """Past the node budget the key degrades to the exact encoding:
+        """Past the step budget the key degrades to the exact encoding:
         identical graphs still share it, rotations may not — never a
         false positive."""
         ring = cycle_graph(["A"] * 8)
-        form = canonical_form(ring, leaf_budget=1)
+        form = canonical_form(ring, budget=1)
         assert not form.exact
         assert form.perm == tuple(range(8))
-        assert canonical_form(ring, leaf_budget=1).key == form.key
+        assert canonical_form(ring, budget=1).key == form.key
         k7 = complete_graph(["A"] * 7)
-        assert not canonical_form(k7, leaf_budget=10).exact
+        assert not canonical_form(k7, budget=10).exact
 
     def test_empty_and_singleton(self):
         empty = GraphBuilder().build()
@@ -223,11 +233,45 @@ class TestCertificateProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(graph=query_graphs)
-    def test_leaf_budget_fallback_is_inexact(self, graph):
-        form = canonical_form(graph, leaf_budget=0)
+    def test_budget_fallback_is_inexact(self, graph):
+        form = canonical_form(graph, budget=0)
         assert not form.exact
         assert form.perm == tuple(range(graph.num_vertices))
-        assert canonical_form(graph, leaf_budget=0).key == form.key
+        assert canonical_form(graph, budget=0).key == form.key
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=query_graphs, defer_past=st.integers(0, 300))
+    def test_deferral_never_changes_the_form(self, graph, defer_past):
+        form = canonical_form(graph, defer_past=defer_past)
+        assert form is None or form == canonical_form(graph)
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("graph", [
+        cycle_graph(["A"] * 500),
+        complete_graph(["A"] * 40),
+    ], ids=["C500", "K40"])
+    def test_deferral_bounds_the_steps(self, graph):
+        """A deferred search stops within one splitter's, node's or
+        leaf's steps of ``defer_past``, however costly the whole search
+        is; the full search falls back past its budget."""
+        n, m = graph.num_vertices, graph.num_edges
+        work = _Work(DEFAULT_BUDGET, defer_past=1000)
+        with pytest.raises(_Deferred):
+            _canonical_search(graph, work)
+        assert 1000 < work.done <= 1000 + 2 * (n + m)
+        assert canonical_form(graph, defer_past=1000) is None
+        assert not canonical_form(graph).exact
+
+    def test_steps_are_an_isomorphism_invariant(self):
+        data = powerlaw_cluster_graph(60, 3, 0.3, num_labels=2, seed=3)
+        query = generate_query(data, 16, "sparse", seed=4)
+        spent = set()
+        for seed in range(4):
+            work = _Work(DEFAULT_BUDGET)
+            _canonical_search(shuffled(query, seed)[0], work)
+            spent.add(work.done)
+        assert len(spent) == 1
 
 
 @pytest.fixture(scope="module")

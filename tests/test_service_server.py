@@ -24,6 +24,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.engine import GuPEngine
+from repro.graph.builder import cycle_graph, graph_from_adjacency
 from repro.graph.io import loads_graph, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.obs import Observability, StructuredLog
@@ -35,6 +36,7 @@ from repro.service.client import (
     ServiceOverloaded,
 )
 from repro.service.faults import FaultPlan, FaultRule
+from repro.service import qcache as qcache_module
 from repro.service import server as server_module
 from repro.service.lifecycle import DRAINING, SERVING
 from repro.service.server import MatchingServer, ServerThread
@@ -658,6 +660,33 @@ class TestCacheEpochs:
         assert again.cache == "miss"
         assert stats["uncacheable"] == 1
 
+    def test_miss_running_across_a_removing_reload_leaves_no_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """A miss that started before a reload removed its entry
+        finishes with its answer, but leaves no cache behind to answer
+        the removed entry's later queries."""
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", loads_graph(self.DATA))
+        probe = loads_graph(self.PROBE)
+        with ServerThread(GraphCatalog(root), max_inflight=2) as thread:
+            with ServiceClient(*thread.address) as client:
+                client.query(loads_graph(self.OTHER), "g")  # warm cache
+                blocked = _BlockedMatch(monkeypatch, vertices=2)
+                first = _in_thread(lambda: ServiceClient(
+                    *thread.address).query(probe, "g"))
+                blocked.wait_entered()
+                GraphCatalog(root).remove("g")
+                report = client.reload()["report"]
+                blocked.release()
+                answered = first()
+                with pytest.raises(ServiceError, match="unknown"):
+                    client.query(probe, "g")
+                caches = set(thread.server._caches)
+        assert report["g"]["action"] == "removed"
+        assert (answered.cache, answered.num_embeddings) == ("miss", 2)
+        assert caches == set()
+
     def test_unknown_entries_make_no_cache(self, tmp_path):
         root = tmp_path / "catalog"
         GraphCatalog(root).add("g", loads_graph(self.DATA))
@@ -678,6 +707,63 @@ class TestCacheEpochs:
         assert (per_data["g"]["hits"], per_data["g"]["misses"]) == (1, 1)
         for name in unknown:
             assert f'"{name}"' not in exposition
+
+
+def _on_event_loop():
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+class TestCostlyCanonicalization:
+    """A query too costly to canonicalize on the event loop is looked
+    up on the executor, in a matching slot, while the loop serves."""
+
+    def test_costly_query_does_not_stall_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        ring = cycle_graph(["A"] * 300)
+        edge = graph_from_adjacency(["A", "A"], [(0, 1)])
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("ring", ring)
+        calls = []
+        entered, release = threading.Event(), threading.Event()
+        original = qcache_module.canonical_form
+
+        def canonical_form(graph, *args, **kwargs):
+            form = original(graph, *args, **kwargs)
+            on_loop = _on_event_loop()
+            calls.append((graph.num_vertices, on_loop, form is None))
+            if graph.num_vertices == 300 and not on_loop:
+                # Held until the loop has served other requests.
+                entered.set()
+                assert release.wait(timeout=60)
+            return form
+
+        monkeypatch.setattr(qcache_module, "canonical_form", canonical_form)
+        with ServerThread(GraphCatalog(root), max_inflight=2) as thread:
+            with ServiceClient(*thread.address) as client:
+                client.query(edge, "ring")  # a miss: makes the cache
+                big = _in_thread(lambda: ServiceClient(
+                    *thread.address).query(ring, "ring", limit=1))
+                assert entered.wait(timeout=30)
+                try:
+                    health = client.healthz()
+                    hit = client.query(edge, "ring")
+                finally:
+                    release.set()
+                first = big()
+                again = client.query(ring, "ring", limit=1)
+        assert health["active"] == 1  # the costly query, still in flight
+        assert hit.cache == "hit" and hit.num_embeddings == 600
+        assert (first.cache, first.num_embeddings) == ("miss", 1)
+        assert (again.cache, again.num_embeddings) == ("hit", 1)
+        # Each costly lookup gave up on the loop and finished off it.
+        assert [c for c in calls if c[0] == 300] == [
+            (300, True, True), (300, False, False)
+        ] * 2
 
 
 class TestInlineHits:
