@@ -1197,7 +1197,7 @@ class MatchingServer:
             tstate = self.tenants.resolve(fields.tenant())
         except ValueError as exc:
             await self._query_exit(
-                writer, trace, "error", str(exc), error=str(exc)
+                writer, trace, "error", str(exc), log={"error": str(exc)}
             )
             return
         tenant = tstate.spec.name
@@ -1218,8 +1218,9 @@ class MatchingServer:
             if shed.retry_after is not None:
                 reply["retry_after"] = round(shed.retry_after, 6)
             await self._query_exit(
-                writer, trace, "shed", reply, tstate, **who, reason=reason,
-                data=request.get("data"), active=self._active,
+                writer, trace, "shed", reply, tstate,
+                log={**who, "reason": reason, "data": request.get("data"),
+                     "active": self._active},
             )
             return
         tstate.counters.inc("admitted")
@@ -1231,7 +1232,8 @@ class MatchingServer:
                     self._parse_query(fields, tstate.spec.max_workers)
             except ValueError as exc:
                 await self._query_exit(
-                    writer, trace, "error", str(exc), **who, error=str(exc)
+                    writer, trace, "error", str(exc),
+                    log={**who, "error": str(exc)},
                 )
                 return
             started = time.perf_counter()
@@ -1267,7 +1269,8 @@ class MatchingServer:
                 await self._query_exit(
                     writer, trace, "error",
                     str(exc) if known else f"internal error: {exc!r}",
-                    **who, data=name, error=str(exc) if known else repr(exc),
+                    log={**who, "data": name,
+                         "error": str(exc) if known else repr(exc)},
                 )
                 return
             server_seconds = time.perf_counter() - started
@@ -1314,7 +1317,7 @@ class MatchingServer:
                 if explain:
                     record["explain"] = explain
             stream_seconds = await self._query_exit(
-                writer, trace, "served", header, tstate, result, **record
+                writer, trace, "served", header, tstate, result, log=record
             )
             if self.obs.enabled:
                 hist = self._phase_hist
@@ -1357,7 +1360,8 @@ class MatchingServer:
         reply,
         tstate: Optional[TenantState] = None,
         result: Optional[MatchResult] = None,
-        **log,
+        *,
+        log: Dict,
     ) -> float:
         """The one exit of every counted query.
 
@@ -1365,7 +1369,8 @@ class MatchingServer:
         ``result``'s embeddings framed behind it; then counts
         ``outcome`` (``served``/``shed``/``error``) on the server, and
         a served or shed one on ``tstate``, and writes the ``query`` log
-        line, whose fields are ``log``.  A served line is the request's
+        line, whose fields are ``log``: that dict is completed in place
+        and written as it is, never copied.  A served line is the request's
         one record, which a caller passes only when there is a sink:
         given the request span (``span``, ``parent``, ``t0``) and
         ``queue_t0``, it gains ``stream_seconds``, ``stream_t0`` and the

@@ -559,7 +559,7 @@ class TestQueryOutcomes:
         with pytest.raises(ConnectionResetError):
             asyncio.run(server._query_exit(
                 GoneWriter(), "t1", "served", {"ok": True, "trace": "t1"},
-                tstate, data="g",
+                tstate, log={"data": "g"},
             ))
         assert server.counters["served"] == 0
         assert server.counters["errors"] == 1
