@@ -10,8 +10,8 @@ numbering, as a real workload would re-issue it):
   catalog entry from disk (building its artifacts once), runs every
   query on the engine, and populates the query cache;
 * **warm** — the same workload again: engines resident, every query a
-  canonicalization cache hit (the catalog performs zero ``add`` builds
-  and zero sidecar repairs, asserted from ``stats``);
+  canonicalization cache hit (the catalog performs zero ``add`` builds,
+  asserted from ``stats``);
 * **procpool** — the cache-bypassing heavy path (``workers=2``),
   root-partitioned over the process pool.
 
@@ -130,7 +130,6 @@ def run(count: int, repeats: int, workers: int):
                 stats = client.stats()
 
     assert stats["catalog"]["artifact_builds"] == 0
-    assert stats["catalog"]["sidecar_repairs"] == 0
     assert warm_kinds.get("hit", 0) == len(workload), warm_kinds
 
     qcache = stats["qcache"]
@@ -196,9 +195,8 @@ def main(argv=None) -> int:
         f"(workers={report['workload']['procpool_workers']}, cache off)",
         f"  warm speedup {report['warm_speedup']}x, "
         f"qcache hit rate {report['qcache_hit_rate']:.1%}",
-        f"  artifact builds/sidecar repairs during serving: "
-        f"{report['server_stats']['catalog']['artifact_builds']}/"
-        f"{report['server_stats']['catalog']['sidecar_repairs']}",
+        f"  artifact builds during serving: "
+        f"{report['server_stats']['catalog']['artifact_builds']}",
     ]
     text = "\n".join(lines)
     print(text)

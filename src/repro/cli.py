@@ -156,7 +156,8 @@ def _add_catalog_parser(subparsers) -> None:
     lst = sp.add_parser("list", help="list registered graphs")
     lst.add_argument("--root", default="catalog", help="catalog directory")
     warm = sp.add_parser(
-        "warm", help="load an entry, repairing its on-disk sidecar if needed"
+        "warm",
+        help="load an entry cold: check its snapshot, replay its log",
     )
     warm.add_argument("names", nargs="+", help="entries to warm")
     warm.add_argument("--root", default="catalog", help="catalog directory")
@@ -595,8 +596,8 @@ def _cmd_catalog(args) -> int:
                 print(f"removed {name}")
         else:  # warm
             for name in args.names:
-                repaired = catalog.warm(name)
-                print(f"{name}: {'repaired' if repaired else 'ok'}")
+                epoch = catalog.engine_ex(name)[2]
+                print(f"{name}: ok (epoch {epoch})")
     except (CatalogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

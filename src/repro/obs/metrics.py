@@ -227,6 +227,12 @@ class Family:
         values = tuple(str(labelvalues[name]) for name in self.labelnames)
         return _Handle(self, self._child(values))
 
+    def remove(self, **labelvalues: str) -> None:
+        """Drop one labeled child, if present (its label value is gone)."""
+        values = tuple(str(labelvalues[name]) for name in self.labelnames)
+        with self._lock:
+            self._children.pop(values, None)
+
     # Unlabeled families act as their own handle.
 
     def inc(self, amount: float = 1) -> None:
@@ -366,6 +372,11 @@ class MetricsRegistry:
         label_pairs = tuple(sorted((labels or {}).items()))
         with self._lock:
             self._groups.append((prefix, group, label_pairs, help_text))
+
+    def detach_group(self, group: Mapping[str, float]) -> None:
+        """Stop exposing ``group`` (the object :meth:`attach_group` got)."""
+        with self._lock:
+            self._groups = [g for g in self._groups if g[1] is not group]
 
     def on_scrape(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` at the start of every :meth:`render` (gauges)."""

@@ -3,67 +3,52 @@ in memory.
 
 Layout (one directory per registered graph under the catalog root)::
 
-    <root>/<name>/graph.graph      snapshot: the graph, ``.graph`` text
-    <root>/<name>/meta.json        snapshot sidecar: versions + checksums
-    <root>/<name>/delta.log        updates since the snapshot, one record
-                                   per line: ``<sha256(body)> <body>``
-    <root>/<name>/journal.json     transient: an in-flight transaction
-    <root>/<name>/*.tmp            transient: staged new file versions
+    <root>/<name>/graph-<epoch>.graph   immutable snapshot, ``.graph`` text
+    <root>/<name>/delta.log             the entry's manifest, one record
+                                        per line: ``<sha256(body)> <body>``
 
-Only what cannot be derived is stored.  The filter artifacts
-(:class:`~repro.filtering.artifacts.DataArtifacts`) are built once per
-cold load, after the log replay.  The sidecar records the catalog
-format version, the SHA-256 of the graph file's bytes, the snapshot
-epoch, and the graph's semantic checksum
-(:func:`repro.graph.io.graph_checksum`).  A sidecar that is missing,
-unparsable, at another format version, or whose SHA-256 does not match
-the graph file is *repaired*: ``meta.json`` alone is rewritten from the
-graph.  The graph file itself is the single source of truth for the
-snapshot; if it does not parse, the entry is unusable and a
-:class:`CatalogError` is raised.
+An entry exists if and only if its ``delta.log`` exists.  The log's
+first line is the **snapshot record**: format version, snapshot epoch,
+the graph file's name and SHA-256, and the graph's semantic checksum
+(:func:`repro.graph.io.graph_checksum`) and sizes.  A graph file that
+does not match its record, or does not parse, is a
+:class:`CatalogError`.  The filter artifacts are not stored: a cold
+load builds them once, after replaying the log.
 
-An ``update`` does not rewrite the snapshot: it appends one fsynced
-record (epoch, delta payload, new graph checksum and sizes) to
-``delta.log``.  Loading replays the log on top of the snapshot graph
-with ``apply_delta``, checking each record's graph checksum, and stops
-at the first record that fails — a torn append, a flipped byte, a
-break in epoch continuity.  Only the writer cuts such a tail, right
-before its own append.  The update that would make the log reach
-:data:`LOG_COMPACT_RECORDS` records commits a full snapshot instead
-(*compaction*), together with an empty log.
+An ``update`` appends one fsynced record (epoch, delta payload, new
+graph checksum and sizes) to the log.  A load replays the records with
+``apply_delta``, checking each record's checksum, and stops at the
+first that fails (a torn append, a flipped byte, a break in epoch
+continuity); only the writer cuts such a tail, right before its own
+append.  The update that would make the log reach
+:data:`LOG_COMPACT_RECORDS` records writes a new snapshot instead
+(*compaction*).
 
-Crash safety (DESIGN.md §10): every snapshot mutation (``add``,
-compaction, ``remove``, and the sidecar repair) is a **journaled
-transaction**.  New file versions are staged as fsynced ``*.tmp``
-files, then a journal records the transaction's target state (epoch +
-per-file SHA-256), then each file is atomically renamed into place,
-then the journal is deleted (the commit point).  Recovery on the next
-load rolls the transaction *forward* when the journal is durable (all
-staged bytes are then durable too, by write ordering) and *discards*
-it otherwise — a kill at **any** point leaves the entry either fully
-at epoch N or fully at epoch N+1, never torn.  A log append is
-acknowledged only after its fsync, so only an unacknowledged record
-can be torn.  The named persistence points (:func:`txn_points`)
-double as fault-injection hooks; the crash-point sweep in
-``tests/test_service_faults.py`` kills at every one of them and proves
-the old-or-new invariant byte for byte.
+Crash safety (DESIGN.md §10): ``add``, overwrite, compaction and
+migration share one snapshot writer (:meth:`GraphCatalog._write_snapshot`)
+whose commit point is one ``os.replace`` of the log; ``remove`` commits
+by unlinking the log.  Reads (``info``, ``engine``, ``names``,
+``reload``) never write, so a reader in another process cannot disturb
+a write in flight.  The named persistence points (:func:`txn_points`)
+double as fault-injection hooks: the sweeps in
+``tests/test_service_faults.py`` kill at every one of them and prove
+the old-or-new invariant byte for byte.  Entries in the older layout
+(``graph.graph``, ``meta.json``, a journal) are rewritten once, when
+:class:`GraphCatalog` opens the root; nothing else knows that layout.
 
-In memory the catalog keeps an LRU of warm :class:`GuPEngine` instances
-(graph + artifacts resident), so a long-running server reuses engines
-across requests instead of re-reading the store.  All counters needed
-by the service ``stats`` endpoint are kept on the catalog:
-``artifact_builds`` (builds on ``add``), ``artifact_loads`` (cold loads
-whose sidecar was valid), ``sidecar_repairs`` (cold loads that rewrote
-the sidecar), ``engine_hits`` / ``engine_misses`` (LRU),
-``engine_evictions``, the transaction recovery counters
-``txn_rollforwards`` / ``txn_rollbacks``, and the delta-log counters
-``log_appends``, ``log_compactions``, ``log_replayed`` (records
-replayed on load), ``log_rejections`` (loads that stopped at an
-invalid tail) and ``log_truncations`` (tails cut by the writer).
+In memory the catalog keeps an LRU of warm :class:`GuPEngine` instances,
+so a long-running server reuses engines across requests.  Its counters
+feed the service ``stats`` op: ``artifact_builds`` (on ``add``),
+``artifact_loads`` (cold loads), ``engine_hits`` / ``engine_misses`` /
+``engine_evictions`` (LRU), and the delta-log counters ``log_appends``,
+``log_compactions``, ``log_replayed`` (records replayed on load),
+``log_rejections`` (loads that stopped at an invalid tail) and
+``log_truncations`` (tails cut by the writer).
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -90,18 +75,19 @@ from repro.graph.io import graph_checksum, load_graph, loads_graph, saves_graph
 from repro.obs.metrics import CounterGroup
 from repro.service.faults import NO_FAULTS, FaultPlan
 
-CATALOG_FORMAT_VERSION = 1
+# 1 was the layout with a ``meta.json`` sidecar and a journal.
+CATALOG_FORMAT_VERSION = 2
 
-GRAPH_FILE = "graph.graph"
-META_FILE = "meta.json"
 LOG_FILE = "delta.log"
-JOURNAL_FILE = "journal.json"
-TMP_SUFFIX = ".tmp"
-_ENTRY_FILES = (GRAPH_FILE, META_FILE, LOG_FILE)
-# Files older entries may still hold: the persisted filter artifacts
-# and the EXPLAIN ANALYZE sidecar.  Loads ignore them and a full
-# snapshot drops them.
-LEGACY_FILES = ("artifacts.bin", "analyze.json")
+# The next log, before it replaces LOG_FILE.  Not ``delta.log.tmp``:
+# the older layout staged files as ``*.tmp``, and a killed migration
+# must not overwrite a staged file it may still roll forward.
+NEXT_LOG_FILE = LOG_FILE + ".new"
+# The older layout, read only by GraphCatalog._migrate.
+LEGACY_GRAPH = "graph.graph"
+LEGACY_META = "meta.json"
+LEGACY_JOURNAL = "journal.json"
+LEGACY_TMP_SUFFIX = ".tmp"
 
 # The update that would make an entry's delta log reach this many
 # records commits a full snapshot instead.  It bounds a cold load's
@@ -119,13 +105,18 @@ class CatalogError(Exception):
     """A catalog operation failed (unknown name, unparseable graph, ...)."""
 
 
+def graph_file_name(epoch: int) -> str:
+    """The snapshot file a log whose snapshot epoch is ``epoch`` names."""
+    return f"graph-{epoch}.graph"
+
+
 def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _file_sha256(path: Path) -> Optional[str]:
+def _read_bytes(path: Path) -> Optional[bytes]:
     try:
-        return _sha256(path.read_bytes())
+        return path.read_bytes()
     except OSError:
         return None
 
@@ -141,24 +132,28 @@ def _write_durable(path: Path, blob: bytes) -> None:
 def _fsync_dir(directory: Path) -> None:
     """Make renames/unlinks in ``directory`` durable (no-op where
     directory fsync is unsupported)."""
-    try:
+    with contextlib.suppress(OSError):
         fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
-def _meta_epoch(meta: Optional[Dict[str, object]]) -> int:
-    """A sidecar's snapshot epoch (1 when missing or malformed)."""
+def _json_object(blob: Optional[bytes]) -> Dict[str, object]:
+    """``blob`` parsed as a JSON object; ``{}`` when it is not one."""
     try:
-        return max(1, int((meta or {}).get("epoch") or 1))
-    except (TypeError, ValueError):
-        return 1
+        value = json.loads(blob) if blob is not None else None
+    except ValueError:
+        value = None
+    return value if isinstance(value, dict) else {}
+
+
+def _delete_unnamed(directory: Path, graph_file: str) -> None:
+    """Delete every file of an entry but its log and ``graph_file``."""
+    for child in directory.iterdir():
+        if child.name not in (LOG_FILE, graph_file):
+            child.unlink(missing_ok=True)
 
 
 def _stat_key(path: Path) -> Optional[Tuple[int, int, int]]:
@@ -172,6 +167,10 @@ def _stat_key(path: Path) -> Optional[Tuple[int, int, int]]:
 _RECORD_KEYS = frozenset(
     ("delta", "epoch", "graph_checksum", "num_edges", "num_vertices")
 )
+_SNAPSHOT_KEYS = frozenset(
+    ("epoch", "format_version", "graph_checksum", "graph_file",
+     "graph_file_sha256", "num_edges", "num_vertices")
+)
 
 
 def _encode_record(record: Dict[str, object]) -> bytes:
@@ -180,6 +179,27 @@ def _encode_record(record: Dict[str, object]) -> bytes:
     body = json.dumps(record, sort_keys=True, separators=(",", ":"))
     raw = body.encode("utf-8")
     return _sha256(raw).encode("ascii") + b" " + raw + b"\n"
+
+
+def _parse_snapshot(blob: bytes) -> Tuple[Optional[Dict[str, object]], int]:
+    """The log's first line as a snapshot record, and the byte offset
+    just past it; ``(None, 0)`` when it is not a valid one."""
+    line, newline, _ = blob.partition(b"\n")
+    sha, _, body = line.partition(b" ")
+    try:
+        framed = newline and sha == _sha256(body).encode("ascii")
+        record = json.loads(body) if framed else None
+    except ValueError:
+        record = None
+    if (
+        isinstance(record, dict)
+        and record.keys() == _SNAPSHOT_KEYS
+        and record["format_version"] == CATALOG_FORMAT_VERSION
+        and type(record["epoch"]) is int
+        and record["graph_file"] == graph_file_name(record["epoch"])
+    ):
+        return record, len(line) + 1
+    return None, 0
 
 
 def _parse_log(
@@ -218,18 +238,17 @@ def _parse_log(
 
 
 class _EntryLog:
-    """One entry's sidecar plus the valid prefix of its delta log.
+    """One entry's parsed delta log: the snapshot record plus the valid
+    prefix of the update records after it, with byte offsets into the
+    file.  ``key`` is the ``os.stat`` identity of the log the parse
+    saw, so a cached instance is reused until the file changes."""
 
-    The *effective* entry state is the last valid record, else the
-    sidecar.  ``key`` is the ``os.stat`` identity of both files the
-    parse saw, so a cached instance is reused until either changes on
-    disk (an append by another process included)."""
+    __slots__ = ("key", "snapshot", "start", "records", "ends", "size")
 
-    __slots__ = ("key", "meta", "records", "ends", "size")
-
-    def __init__(self, key, meta, records, ends, size) -> None:
+    def __init__(self, key, snapshot, start, records, ends, size) -> None:
         self.key = key
-        self.meta: Optional[Dict[str, object]] = meta
+        self.snapshot: Dict[str, object] = snapshot
+        self.start: int = start
         self.records: List[Dict[str, object]] = records
         self.ends: List[int] = ends
         self.size: int = size
@@ -237,20 +256,17 @@ class _EntryLog:
     @property
     def end(self) -> int:
         """Byte offset just past the last valid record."""
-        return self.ends[-1] if self.ends else 0
+        return self.ends[-1] if self.ends else self.start
 
     @property
     def top(self) -> Dict[str, object]:
-        """The effective state: ``epoch``, ``graph_checksum``,
-        ``num_vertices`` and ``num_edges`` of the last valid record,
-        else of the sidecar."""
-        return self.records[-1] if self.records else (self.meta or {})
+        """The effective state: the last valid record, else the
+        snapshot record (both carry epoch, checksum and sizes)."""
+        return self.records[-1] if self.records else self.snapshot
 
     @property
     def epoch(self) -> int:
-        if self.records:
-            return self.records[-1]["epoch"]
-        return _meta_epoch(self.meta)
+        return self.top["epoch"]
 
     def cut(self, count: int) -> None:
         """Keep only the first ``count`` records (replay rejected the
@@ -259,34 +275,34 @@ class _EntryLog:
         del self.ends[count:]
 
 
+_SNAPSHOT_POINTS = tuple(
+    f"catalog.snapshot.{step}"
+    for step in ("begin", "graph", "log", "commit", "clean")
+)
+_TXN_POINTS = {
+    "update": ("catalog.log.begin", "catalog.log.sync"),
+    "add": _SNAPSHOT_POINTS,
+    "compact": _SNAPSHOT_POINTS,
+    "remove": (
+        "catalog.remove.begin", "catalog.remove.log", "catalog.remove.commit"
+    ),
+    "migrate": ("catalog.migrate.begin",) + _SNAPSHOT_POINTS,
+    "migrate_remove": ("catalog.migrate.begin", "catalog.migrate.remove"),
+}
+
+
 def txn_points(op: str) -> Tuple[str, ...]:
     """Every declared persistence point of one catalog operation, in
     execution order.  ``op`` is ``"update"`` (one delta-log append),
-    ``"add"``/``"compact"`` (full snapshot transaction, empty log
-    included), ``"repair"`` (the sidecar only; the log is kept), or
-    ``"remove"``.  The fault-injection sweep enumerates these,
-    so the list *is* the contract: add a hook, and the sweep covers it.
+    ``"add"``/``"compact"`` (the snapshot writer, overwrite included),
+    ``"remove"``, ``"migrate"`` (rewriting an entry of the older layout)
+    or ``"migrate_remove"`` (finishing an older layout's journaled
+    remove).  The fault-injection sweeps enumerate these, so the list
+    *is* the contract: add a hook, and the sweeps cover it.
     """
-    if op == "remove":
-        return (
-            ("catalog.remove.begin", "catalog.remove.journal")
-            + tuple(f"catalog.remove.unlink.{name}" for name in _ENTRY_FILES)
-            + ("catalog.remove.commit",)
-        )
-    if op == "update":
-        return ("catalog.log.begin", "catalog.log.sync")
-    if op in ("add", "compact"):
-        files: Tuple[str, ...] = _ENTRY_FILES
-    elif op == "repair":
-        files = (META_FILE,)
-    else:
+    if op not in _TXN_POINTS:
         raise ValueError(f"unknown catalog operation {op!r}")
-    points = ["catalog.txn.begin"]
-    points += [f"catalog.txn.tmp.{name}" for name in files]
-    points += ["catalog.txn.journal"]
-    points += [f"catalog.txn.rename.{name}" for name in files]
-    points += ["catalog.txn.commit"]
-    return tuple(points)
+    return _TXN_POINTS[op]
 
 
 class GraphCatalog:
@@ -296,6 +312,7 @@ class GraphCatalog:
     (engine *searches* run outside the catalog and share freely).
     ``faults`` is the injection plan threaded through every persistence
     point; production leaves it at :data:`repro.service.faults.NO_FAULTS`.
+    Opening a root migrates its entries of the older layout.
     """
 
     def __init__(
@@ -319,30 +336,22 @@ class GraphCatalog:
         # A CounterGroup (dict-like, thread-safe) so a metrics registry
         # can attach it and render the very same storage the ``stats``
         # op snapshots (repro.obs.metrics).
-        self.counters = CounterGroup({
-            "artifact_builds": 0,
-            "artifact_loads": 0,
-            "sidecar_repairs": 0,
-            "artifact_patches": 0,
-            "engine_hits": 0,
-            "engine_misses": 0,
-            "engine_evictions": 0,
-            "updates": 0,
-            "removes": 0,
-            "reloads": 0,
-            "txn_rollforwards": 0,
-            "txn_rollbacks": 0,
-            "log_appends": 0,
-            "log_compactions": 0,
-            "log_replayed": 0,
-            "log_rejections": 0,
-            "log_truncations": 0,
-        })
+        self.counters = CounterGroup(dict.fromkeys((
+            "artifact_builds", "artifact_loads", "artifact_patches",
+            "engine_hits", "engine_misses", "engine_evictions",
+            "updates", "removes", "reloads",
+            "log_appends", "log_compactions", "log_replayed",
+            "log_rejections", "log_truncations",
+        ), 0))
         # Last known epoch per entry, maintained on every persist/load,
         # so request logs can stamp graph+epoch without a disk read.
         self._epochs: Dict[str, int] = {}
-        # Parsed sidecar + delta-log prefix per entry (see _log).
+        # Parsed delta log per entry (see _log).
         self._logs: Dict[str, _EntryLog] = {}
+        for child in sorted(self.root.iterdir()):
+            legacy = (child / LEGACY_GRAPH, child / LEGACY_JOURNAL)
+            if _NAME_RE.match(child.name) and any(map(Path.exists, legacy)):
+                self._migrate(child)
 
     # -- registration --------------------------------------------------
 
@@ -352,90 +361,72 @@ class GraphCatalog:
         graph: Union[Graph, str, Path],
         overwrite: bool = False,
     ) -> Dict[str, object]:
-        """Register ``graph`` (a :class:`Graph` or a ``.graph`` path).
-
-        Builds the artifacts, persists everything in one journaled
-        transaction (with an empty delta log), and leaves a warm engine
-        resident.  Re-adding a graph identical to the entry's effective
-        state (snapshot plus logged updates) is a no-op; a different
-        graph requires ``overwrite=True`` and **bumps the epoch** —
-        epochs are monotonic per name across adds, updates, and
-        repairs, so caches and subscriptions stamped with an epoch can
-        always detect that an entry changed underneath them.  Returns
-        the entry's info dict.
-        """
+        """Register ``graph`` (a :class:`Graph` or a ``.graph`` path):
+        build its artifacts, commit it as a new snapshot, and leave a
+        warm engine resident.  Re-adding the entry's effective graph is
+        a no-op; a different graph requires ``overwrite=True`` and
+        **bumps the epoch** (epochs are monotonic per name, so caches
+        and subscriptions stamped with one can always detect a change
+        underneath them).  Returns the entry's info dict."""
         directory = self._entry_dir(name)
         if not isinstance(graph, Graph):
             graph = load_graph(graph)
         checksum = graph_checksum(graph)
-        epoch = 1
         with self._lock:
-            self._recover(directory)
-            if (directory / GRAPH_FILE).exists():
-                log = self._log(directory)
-                if not overwrite and log.top.get("graph_checksum") == checksum:
+            if (directory / LOG_FILE).exists() and not overwrite:
+                if self._log(directory).top["graph_checksum"] == checksum:
                     return self.info(name)
-                if not overwrite:
-                    raise CatalogError(
-                        f"catalog entry {name!r} already exists with a "
-                        "different graph (use overwrite)"
-                    )
-                epoch = log.epoch + 1
-                self._resident.pop(name, None)
+                raise CatalogError(
+                    f"catalog entry {name!r} already exists with a "
+                    "different graph (use overwrite)"
+                )
+            self._resident.pop(name, None)
         # Build outside the lock: artifacts construction can take seconds
         # on a large graph and must not stall concurrent engine() calls.
         # (Two racing adds of the same name both build; the later write
         # wins — acceptable for a registration operation.)
-        graph_text = saves_graph(graph)
+        graph_bytes = saves_graph(graph).encode("utf-8")
         artifacts = DataArtifacts(graph)
         with self._lock:
             self.counters["artifact_builds"] += 1
-            directory.mkdir(parents=True, exist_ok=True)
-            self._persist_entry(directory, graph, graph_text, epoch=epoch)
+            # The epoch is read here, at the write: a snapshot must never
+            # reuse an epoch (or the graph file) the committed log has.
+            epoch = 1
+            if (directory / LOG_FILE).exists():
+                epoch = self._log(directory).epoch + 1
+            elif not directory.exists():
+                directory.mkdir(parents=True)
+                _fsync_dir(self.root)
+            self._write_snapshot(directory, graph, graph_bytes, epoch)
+            self._epochs[name] = epoch
             self._install(name, GuPEngine(graph, self.config, artifacts=artifacts))
         return self.info(name)
 
     def names(self) -> List[str]:
-        """Sorted names of all registered graphs.
-
-        Directories whose names this catalog could not have created
-        (failing the name rules) are ignored rather than poisoning
-        listings; so are entries whose pending transaction is a
-        removal (they are already logically gone)."""
-        out = []
-        for child in sorted(self.root.iterdir()) if self.root.exists() else []:
-            if (
-                child.is_dir()
-                and _NAME_RE.match(child.name)
-                and (child / GRAPH_FILE).exists()
-                and not self._pending_remove(child)
-            ):
-                out.append(child.name)
-        return out
+        """Sorted names of all registered graphs: the directories that
+        hold a ``delta.log``.  Directories whose names this catalog
+        could not have created (failing the name rules) are ignored
+        rather than poisoning listings."""
+        return [
+            child.name
+            for child in sorted(self.root.iterdir())
+            if _NAME_RE.match(child.name) and (child / LOG_FILE).exists()
+        ]
 
     def info(self, name: str) -> Dict[str, object]:
-        """The entry's effective state (the last valid delta-log record,
-        else the sidecar) plus residency."""
-        directory = self._entry_dir(name)
+        """The entry's effective state (the last valid update record,
+        else the snapshot record) plus residency."""
         with self._lock:
-            self._recover(directory)
-            if not (directory / GRAPH_FILE).exists():
-                raise CatalogError(f"unknown catalog entry {name!r}")
-            log = self._log(directory)
-            return self._info(
-                name, log.top, (log.meta or {}).get("format_version")
-            )
+            return self._info(name, self._log(self._entry_dir(name)).top)
 
-    def _info(
-        self, name: str, state: Dict[str, object], format_version: object
-    ) -> Dict[str, object]:
+    def _info(self, name: str, state: Dict[str, object]) -> Dict[str, object]:
         return {
             "name": name,
-            "num_vertices": state.get("num_vertices"),
-            "num_edges": state.get("num_edges"),
-            "graph_checksum": state.get("graph_checksum"),
-            "format_version": format_version,
-            "epoch": state.get("epoch"),
+            "num_vertices": state["num_vertices"],
+            "num_edges": state["num_edges"],
+            "graph_checksum": state["graph_checksum"],
+            "format_version": CATALOG_FORMAT_VERSION,
+            "epoch": state["epoch"],
             "resident": name in self._resident,
         }
 
@@ -447,25 +438,19 @@ class GraphCatalog:
         (:meth:`DataArtifacts.apply_delta` — counted under
         ``artifact_patches``, never a from-scratch build), the epoch is
         bumped, and a fresh warm engine is installed that inherits the
-        old engine's build-invariant cache (those entries never go
-        stale).  The
-        update persists as one fsynced record appended to ``delta.log``
-        — epoch, delta payload, new graph checksum and sizes — and is
-        acknowledged only after that fsync, so a crash leaves the entry
-        wholly at the old epoch or wholly at the new one.  The update
-        that would make the log reach :data:`LOG_COMPACT_RECORDS`
-        records instead commits a full snapshot in one journaled
-        transaction (compaction), as does an update whose base is not
-        the entry's effective state on disk (another writer got there
+        old engine's build-invariant cache.  The update is one fsynced
+        record appended to ``delta.log``, acknowledged only after that
+        fsync.  The update that would make the log reach
+        :data:`LOG_COMPACT_RECORDS` records writes a new snapshot
+        instead (compaction), as does an update whose base is not the
+        entry's effective state on disk (another writer got there
         first: last write wins).  Returns ``(info, summary)``, the info
         built from the values this update wrote.
 
-        Updates serialize against each other on a dedicated mutex; the
-        catalog lock is held only to fetch the engine and to persist and
-        swap in the new state, so the patch never stalls concurrent
-        ``engine()`` calls (the same contract :meth:`add` keeps for its
-        artifact build).  Engines handed out earlier keep serving the
-        pre-update graph snapshot.
+        Updates serialize on a dedicated mutex; the catalog lock is held
+        only to fetch the engine and to persist and swap in the new
+        state, so the patch never stalls concurrent ``engine()`` calls.
+        Engines handed out earlier keep serving the pre-update graph.
         """
         with self._update_mutex:
             with self._lock:
@@ -488,13 +473,14 @@ class GraphCatalog:
                 record["epoch"] = log.epoch + 1
                 if (
                     len(log.records) + 1 < LOG_COMPACT_RECORDS
-                    and log.top.get("graph_checksum") == base_checksum
+                    and log.top["graph_checksum"] == base_checksum
                 ):
                     self._append(directory, log, record)
                 else:
-                    self._persist_entry(
-                        directory, new_graph, saves_graph(new_graph),
-                        epoch=record["epoch"],
+                    self._write_snapshot(
+                        directory, new_graph,
+                        saves_graph(new_graph).encode("utf-8"),
+                        record["epoch"],
                     )
                     self.counters["log_compactions"] += 1
                 self._epochs[name] = record["epoch"]
@@ -509,41 +495,26 @@ class GraphCatalog:
                         invariants=engine.invariants,
                     ),
                 )
-                info = self._info(name, record, CATALOG_FORMAT_VERSION)
-                return info, summary
+                return self._info(name, record), summary
 
     def remove(self, name: str) -> None:
-        """Delete an entry (its directory and any resident engine).
-
-        Journaled like every other mutation: a remove-intent record is
-        made durable first, so a crash mid-deletion is rolled *forward*
-        on the next load — the entry is never resurrected half-deleted.
-        """
+        """Delete an entry and any resident engine.  Unlinking its log is
+        the commit point; the next ``add`` of the name also clears what
+        a kill left of the directory after it."""
         directory = self._entry_dir(name)
         with self._lock:
-            self._recover(directory)
-            if not (directory / GRAPH_FILE).exists():
+            if not (directory / LOG_FILE).exists():
                 raise CatalogError(f"unknown catalog entry {name!r}")
             self._resident.pop(name, None)
             self.faults.reach("catalog.remove.begin")
-            journal = {"op": "remove", "name": directory.name}
-            _write_durable(
-                directory / JOURNAL_FILE,
-                (json.dumps(journal) + "\n").encode("utf-8"),
-            )
+            (directory / LOG_FILE).unlink()
             _fsync_dir(directory)
-            self.faults.reach("catalog.remove.journal")
-            for filename in _ENTRY_FILES:
-                try:
-                    (directory / filename).unlink()
-                except FileNotFoundError:
-                    pass
-                self.faults.reach(f"catalog.remove.unlink.{filename}")
-            shutil.rmtree(directory)
-            _fsync_dir(self.root)
             self.counters["removes"] += 1
             self._epochs.pop(name, None)
             self._logs.pop(name, None)
+            self.faults.reach("catalog.remove.log")
+            shutil.rmtree(directory, ignore_errors=True)
+            _fsync_dir(self.root)
             self.faults.reach("catalog.remove.commit")
 
     # -- engines -------------------------------------------------------
@@ -554,9 +525,8 @@ class GraphCatalog:
 
     def engine_ex(self, name: str) -> Tuple[GuPEngine, str, int]:
         """Like :meth:`engine`, plus provenance for request logs:
-        ``(engine, source, epoch)`` with ``source`` one of
-        ``"resident"`` (LRU hit), ``"load"`` (cold load, valid sidecar),
-        or ``"repair"`` (cold load that rewrote the sidecar)."""
+        ``(engine, source, epoch)`` with ``source`` ``"resident"`` (LRU
+        hit) or ``"load"`` (cold load)."""
         with self._lock:
             engine = self._resident.get(name)
             if engine is not None:
@@ -564,60 +534,37 @@ class GraphCatalog:
                 self._resident.move_to_end(name)
                 return engine, "resident", self._epochs.get(name, 1)
             self.counters["engine_misses"] += 1
-            graph, artifacts, repaired = self._load(name)
+            graph, artifacts = self._load(name)
             engine = GuPEngine(graph, self.config, artifacts=artifacts)
             self._install(name, engine)
-            source = "repair" if repaired else "load"
-            return engine, source, self._epochs.get(name, 1)
+            return engine, "load", self._epochs.get(name, 1)
 
-    def warm(self, name: str) -> bool:
-        """Ensure ``name``'s on-disk sidecar is valid and its engine
-        resident.  Returns whether the sidecar had to be repaired."""
-        with self._lock:
-            if name in self._resident:
-                # Residency says nothing about the disk copy: re-verify it
-                # so ``warm`` always leaves a loadable store behind.
-                graph, artifacts, repaired = self._load(name)
-                self._install(name, GuPEngine(graph, self.config, artifacts=artifacts))
-                return repaired
-            return self.engine_ex(name)[1] == "repair"
+    def holds(self, name: str, epoch: int) -> bool:
+        """Whether ``name`` is an entry last seen at ``epoch``.  One
+        in-memory dict read: no disk read, and no lock, so a caller
+        holding its own lock never waits on a load holding this one."""
+        return self._epochs.get(name) == epoch
 
     # -- zero-downtime reload (DESIGN.md §13) --------------------------
 
     def reload(
         self, faults: Optional[FaultPlan] = None
     ) -> Dict[str, Dict[str, object]]:
-        """Re-scan the store and atomically refresh resident engines.
+        """Re-scan the store and atomically refresh resident engines
+        (the server's zero-downtime ``reload`` op, DESIGN.md §13).
 
-        Built for the server's zero-downtime ``reload`` op: another
-        process (or a ``repro catalog`` invocation) may have added,
-        updated, repaired, or removed entries under this root since we
-        opened it.  The scan and any loads happen **without replacing a
-        single resident engine**; only then does one locked *swap phase*
-        install every staged engine and epoch at once.  Engines handed
-        out before the swap keep serving their admitted epoch — the
-        epoch-handoff half of the proof obligation; the server's
-        lifecycle layer owes the other half (subscription diff-replay).
-
-        Per entry the returned report records ``action`` —
-
-        * ``"kept"``: the effective disk epoch and graph checksum (delta
-          log included) match the resident engine; nothing moved.
-        * ``"reloaded"``: the entry changed on disk; a new-epoch engine
-          was staged and swapped in.
-        * ``"removed"``: the directory is gone; the resident engine was
-          evicted at swap.
-        * ``"lazy"``: the entry is not resident; the next ``engine()``
-          call loads whatever epoch disk then holds (nothing to swap).
-
-        — plus ``old_epoch``/``epoch``.  ``faults`` (default: the
-        catalog's own plan) fires the
-        ``lifecycle.reload.{begin,scan,build,swap}`` hooks; an injected
-        crash before the swap point leaves every resident engine and
-        remembered epoch untouched (old state), a crash at/after it
-        leaves the new state — never a mix, which is exactly the
-        journaled old-or-new invariant lifted from files to the resident
-        set.
+        The scan and any loads happen **without replacing a single
+        resident engine**; then one locked *swap phase* installs every
+        staged engine and epoch at once.  Engines handed out before the
+        swap keep serving their admitted epoch.  Per entry the report
+        gives ``old_epoch``, ``epoch`` and ``action``: ``"kept"`` (disk
+        matches the resident engine), ``"reloaded"`` (a new-epoch engine
+        was swapped in), ``"removed"`` (evicted at swap) or ``"lazy"``
+        (not resident: the next ``engine()`` loads whatever disk holds).
+        ``faults`` (default: the catalog's plan) fires the
+        ``lifecycle.reload.{begin,scan,build,swap}`` hooks; a crash
+        before the swap leaves the old resident set, at or after it the
+        new one — never a mix.
         """
         plan = self.faults if faults is None else faults
         plan.reach("lifecycle.reload.begin")
@@ -627,47 +574,35 @@ class GraphCatalog:
         disk_names = set(self.names())
         plan.reach("lifecycle.reload.scan")
 
+        def action(name: str, what: str, old, new) -> None:
+            report[name] = {"action": what, "old_epoch": old, "epoch": new}
+
         report: Dict[str, Dict[str, object]] = {}
         staged: Dict[str, Tuple[GuPEngine, int]] = {}
-        for name in sorted(resident):
-            if name not in disk_names:
-                report[name] = {
-                    "action": "removed",
-                    "old_epoch": old_epochs.get(name, 1),
-                    "epoch": None,
-                }
+        for name in sorted(set(resident) - disk_names):
+            action(name, "removed", old_epochs.get(name, 1), None)
         for name in sorted(disk_names):
             old_epoch = old_epochs.get(name)
             engine = resident.get(name)
             if engine is None:
-                report[name] = {
-                    "action": "lazy",
-                    "old_epoch": old_epoch,
-                    "epoch": None,
-                }
+                action(name, "lazy", old_epoch, None)
                 continue
             with self._lock:
-                directory = self._entry_dir(name)
-                self._recover(directory)
-                log = self._log(directory)
+                log = self._log(self._entry_dir(name))
                 disk_epoch = log.epoch
-                disk_checksum = log.top.get("graph_checksum")
+                disk_checksum = log.top["graph_checksum"]
             if (
                 disk_epoch == (old_epoch or 1)
                 and disk_checksum == graph_checksum(engine.data)
             ):
-                report[name] = {
-                    "action": "kept",
-                    "old_epoch": old_epoch or 1,
-                    "epoch": old_epoch or 1,
-                }
+                action(name, "kept", old_epoch or 1, old_epoch or 1)
                 continue
             # Changed on disk: load the new epoch WITHOUT touching the
             # resident map, and put the remembered epoch back until the
             # swap phase so concurrent requests keep logging the epoch
             # they are actually served from.
             with self._lock:
-                graph, artifacts, _repaired = self._load(name)
+                graph, artifacts = self._load(name)
                 new_epoch = self._epochs.get(name, disk_epoch)
                 if old_epoch is not None:
                     self._epochs[name] = old_epoch
@@ -677,11 +612,7 @@ class GraphCatalog:
                 GuPEngine(graph, self.config, artifacts=artifacts),
                 new_epoch,
             )
-            report[name] = {
-                "action": "reloaded",
-                "old_epoch": old_epoch or 1,
-                "epoch": new_epoch,
-            }
+            action(name, "reloaded", old_epoch or 1, new_epoch)
         plan.reach("lifecycle.reload.build")
 
         with self._lock:
@@ -696,163 +627,123 @@ class GraphCatalog:
         plan.reach("lifecycle.reload.swap")
         return report
 
-    # -- transactions (DESIGN.md §10) ----------------------------------
+    # -- persistence (DESIGN.md §10) -----------------------------------
 
-    def _txn_commit(
-        self, directory: Path, files: Dict[str, bytes], epoch: int
+    def _write_snapshot(
+        self,
+        directory: Path,
+        graph: Graph,
+        graph_bytes: bytes,
+        epoch: int,
+        tail: bytes = b"",
     ) -> None:
-        """Replace ``files`` in ``directory`` all-or-nothing.
+        """Commit ``graph`` as the entry's snapshot at ``epoch``: the one
+        writer behind ``add``, overwrite, compaction and migration.
 
-        Write ordering is the whole proof: (1) stage every new version
-        as an fsynced ``*.tmp``; (2) make the journal — target epoch +
-        per-file SHA-256 — durable; (3) rename each file into place;
-        (4) delete the journal.  The journal's existence therefore
-        implies every staged byte is durable, so recovery can always
-        roll forward once it finds a journal, and must always discard
-        when it does not.  ``self.faults`` fires after each step — the
-        points listed by :func:`txn_points`.
+        Write ordering is the whole proof: (1) write and fsync the graph
+        file; (2) write and fsync ``delta.log.new`` — the snapshot
+        record, then ``tail`` (update records that replay on top of it;
+        only a migration passes any); (3) fsync the directory; (4)
+        ``os.replace`` it onto ``delta.log``, the commit point; (5)
+        fsync the directory again; (6) delete every file the new log
+        does not name.  Before (4) the old log names the old, untouched
+        snapshot; from (4) on the new log names a durable graph file.
+        ``self.faults`` fires after each step — the points listed by
+        :func:`txn_points`.  Call with ``self._lock`` held.
         """
         faults = self.faults
-        faults.reach("catalog.txn.begin")
-        for filename, blob in files.items():
-            _write_durable(directory / (filename + TMP_SUFFIX), blob)
-            faults.reach(f"catalog.txn.tmp.{filename}")
-        journal = {
-            "op": "write",
+        faults.reach("catalog.snapshot.begin")
+        graph_file = graph_file_name(epoch)
+        _write_durable(directory / graph_file, graph_bytes)
+        faults.reach("catalog.snapshot.graph")
+        snapshot = {
             "epoch": epoch,
-            "files": {
-                filename: _sha256(blob) for filename, blob in files.items()
-            },
+            "format_version": CATALOG_FORMAT_VERSION,
+            "graph_checksum": graph_checksum(graph),
+            "graph_file": graph_file,
+            "graph_file_sha256": _sha256(graph_bytes),
+            "num_edges": graph.num_edges,
+            "num_vertices": graph.num_vertices,
         }
-        _write_durable(
-            directory / JOURNAL_FILE,
-            (json.dumps(journal, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        next_log = directory / NEXT_LOG_FILE
+        _write_durable(next_log, _encode_record(snapshot) + tail)
         _fsync_dir(directory)
-        faults.reach("catalog.txn.journal")
-        for filename in files:
-            os.replace(
-                directory / (filename + TMP_SUFFIX), directory / filename
-            )
-            faults.reach(f"catalog.txn.rename.{filename}")
+        faults.reach("catalog.snapshot.log")
+        os.replace(next_log, directory / LOG_FILE)
         _fsync_dir(directory)
-        (directory / JOURNAL_FILE).unlink()
-        _fsync_dir(directory)
-        faults.reach("catalog.txn.commit")
+        self._logs.pop(directory.name, None)
+        faults.reach("catalog.snapshot.commit")
+        _delete_unnamed(directory, graph_file)
+        faults.reach("catalog.snapshot.clean")
 
-    def _recover(self, directory: Path) -> Optional[int]:
-        """Finish or discard an interrupted transaction in ``directory``.
-
-        Returns an epoch hint for the caller's repair path: when a
-        *forged* torn state left the new graph renamed into place but
-        the journal unable to roll forward (impossible under our own
-        write ordering, but the tests forge it), the graph content
-        belongs to the journal's target epoch and the repaired sidecar
-        should say so.  ``None`` otherwise.  Call with ``self._lock``
-        held.
-        """
-        journal_path = directory / JOURNAL_FILE
-        try:
-            raw = journal_path.read_text(encoding="utf-8")
-        except OSError:
-            # No journal: any leftover tmps predate the commit record
-            # and are garbage from a pre-journal crash.
-            self._discard_tmps(directory)
-            return None
-        try:
-            journal = json.loads(raw)
-        except ValueError:
-            journal = None
-        if not isinstance(journal, dict):
-            logger.warning("catalog %s: corrupt journal, discarding", directory)
-            self._discard_tmps(directory)
+    def _migrate(self, directory: Path) -> None:
+        """Rewrite one entry of the older layout (``graph.graph``, a
+        ``meta.json`` sidecar, ``*.tmp`` files staged under a
+        ``journal.json``) in this one.  A remove journal finishes the
+        remove.  A write journal rolls forward only if every file it
+        names is intact at its SHA-256, renamed or still staged.  The
+        snapshot writer then commits the graph and the log's valid
+        records at the same effective epoch (the snapshot epoch is the
+        sidecar's, else the first record's − 1, else 1) and deletes the
+        old files.  Nothing changes before that commit, so a kill
+        anywhere redoes the migration on the next open."""
+        self.faults.reach("catalog.migrate.begin")
+        snapshot, _ = _parse_snapshot(_read_bytes(directory / LOG_FILE) or b"")
+        if snapshot is not None:
+            # Killed after the commit: only the cleanup is left.
+            _delete_unnamed(directory, snapshot["graph_file"])
+            return
+        files = {
+            filename: _read_bytes(directory / filename)
+            for filename in (LEGACY_GRAPH, LEGACY_META, LOG_FILE)
+        }
+        journal = _json_object(_read_bytes(directory / LEGACY_JOURNAL))
+        staged = journal.get("files")
+        if journal.get("op") == "write" and isinstance(staged, dict):
+            new = {
+                filename: blob
+                for filename, sha in staged.items()
+                for blob in (
+                    files.get(filename),
+                    _read_bytes(directory / (filename + LEGACY_TMP_SUFFIX)),
+                )
+                if blob is not None and _sha256(blob) == sha
+            }
+            if len(new) == len(staged):
+                files.update(new)
+        if journal.get("op") == "remove" or files[LEGACY_GRAPH] is None:
+            # Finish the remove (a directory without a graph held no
+            # entry either).  The journal goes last, so a kill here
+            # cannot bring the entry back.
+            journal_path = directory / LEGACY_JOURNAL
+            for child in directory.iterdir():
+                if child != journal_path:
+                    child.unlink()
+            self.faults.reach("catalog.migrate.remove")
             journal_path.unlink(missing_ok=True)
-            self.counters["txn_rollbacks"] += 1
-            return None
-
-        if journal.get("op") == "remove":
-            # The remove intent was durable: the entry is logically
-            # gone — complete the deletion.
-            logger.info("catalog %s: rolling forward remove", directory)
-            shutil.rmtree(directory, ignore_errors=True)
+            directory.rmdir()
             _fsync_dir(self.root)
-            self.counters["txn_rollforwards"] += 1
-            return None
-
-        files = journal.get("files")
-        if not isinstance(files, dict):
-            self._discard_tmps(directory)
-            journal_path.unlink(missing_ok=True)
-            self.counters["txn_rollbacks"] += 1
-            return None
-
-        # A file is recoverable at its new version if either the rename
-        # already happened (final bytes match the journal) or the staged
-        # tmp is intact.
-        state: Dict[str, Optional[str]] = {}
-        for filename, sha in files.items():
-            if _file_sha256(directory / filename) == sha:
-                state[filename] = "done"
-            elif _file_sha256(directory / (filename + TMP_SUFFIX)) == sha:
-                state[filename] = "staged"
-            else:
-                state[filename] = None
-
-        if all(state.values()):
-            logger.info(
-                "catalog %s: rolling forward to epoch %s",
-                directory, journal.get("epoch"),
-            )
-            for filename, how in state.items():
-                if how == "staged":
-                    os.replace(
-                        directory / (filename + TMP_SUFFIX),
-                        directory / filename,
-                    )
-            self._discard_tmps(directory)
-            _fsync_dir(directory)
-            journal_path.unlink(missing_ok=True)
-            _fsync_dir(directory)
-            self.counters["txn_rollforwards"] += 1
-            return None
-
-        # Roll back: some staged version is torn or missing.  Under our
-        # own write ordering this only happens *before* the journal was
-        # written, i.e. before any rename — the final files are still
-        # wholly the old epoch.  Forged states (renames done, tmps torn)
-        # degrade gracefully: the graph file is the source of truth and
-        # the ordinary load path repairs the sidecar from it.
-        logger.info("catalog %s: discarding unrecoverable txn", directory)
-        self._discard_tmps(directory)
-        journal_path.unlink(missing_ok=True)
-        _fsync_dir(directory)
-        self.counters["txn_rollbacks"] += 1
-        graph_sha = files.get(GRAPH_FILE)
-        if (
-            graph_sha is not None
-            and _file_sha256(directory / GRAPH_FILE) == graph_sha
-        ):
-            try:
-                return max(1, int(journal.get("epoch") or 1))
-            except (TypeError, ValueError):
-                return None
-        return None
-
-    @staticmethod
-    def _discard_tmps(directory: Path) -> None:
-        for tmp in directory.glob("*" + TMP_SUFFIX):
-            tmp.unlink(missing_ok=True)
-
-    @staticmethod
-    def _pending_remove(directory: Path) -> bool:
-        """Whether ``directory`` holds a durable remove intent."""
+            return
         try:
-            journal = json.loads(
-                (directory / JOURNAL_FILE).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return False
-        return isinstance(journal, dict) and journal.get("op") == "remove"
+            graph = loads_graph(files[LEGACY_GRAPH].decode("utf-8"))
+        except ValueError as exc:
+            logger.warning("catalog %s: not migrated: %s", directory, exc)
+            return
+        base = _json_object(files[LEGACY_META]).get("epoch")
+        if type(base) is not int or base < 1:
+            base = None
+        log = files[LOG_FILE] or b""
+        records, ends = _parse_log(log, base)
+        if base is None:
+            base = max(1, records[0]["epoch"] - 1) if records else 1
+        logger.info(
+            "catalog %s: migrating to format %d at epoch %d",
+            directory, CATALOG_FORMAT_VERSION, base + len(records),
+        )
+        self._write_snapshot(
+            directory, graph, files[LEGACY_GRAPH], base,
+            tail=log[:ends[-1]] if ends else b"",
+        )
 
     # -- internals -----------------------------------------------------
 
@@ -864,79 +755,28 @@ class GraphCatalog:
             )
         return self.root / name
 
-    def _read_meta(self, directory: Path) -> Optional[Dict[str, object]]:
-        try:
-            meta = json.loads((directory / META_FILE).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        return meta if isinstance(meta, dict) else None
-
-    def _persist_entry(
-        self,
-        directory: Path,
-        graph: Graph,
-        graph_text: str,
-        epoch: int = 1,
-        include_graph: bool = True,
-    ) -> None:
-        """Persist one snapshot as a single journaled transaction.
-
-        A full snapshot (``add``, compaction) commits an empty delta log
-        with it and deletes any leftover :data:`LEGACY_FILES`.
-        ``include_graph=False`` is the sidecar repair: the
-        graph file on disk *is* the source being recovered from and must
-        not be rewritten, and the delta log is kept — its records still
-        replay on top of this snapshot, and resetting it would silently
-        drop acknowledged updates.
-        """
-        graph_bytes = graph_text.encode("utf-8")
-        meta = {
-            "format_version": CATALOG_FORMAT_VERSION,
-            "name": directory.name,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-            "epoch": epoch,
-            "graph_checksum": graph_checksum(graph),
-            "graph_file_sha256": _sha256(graph_bytes),
-        }
-        files: Dict[str, bytes] = {}
-        if include_graph:
-            files[GRAPH_FILE] = graph_bytes
-        files[META_FILE] = (
-            json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
-        if include_graph:
-            files[LOG_FILE] = b""
-        self._txn_commit(directory, files, epoch)
-        if include_graph:
-            # Best effort: a crash before this unlink leaves a file that
-            # loads ignore and the next full snapshot drops.
-            for legacy in LEGACY_FILES:
-                try:
-                    (directory / legacy).unlink(missing_ok=True)
-                except OSError:
-                    pass
-        self._epochs[directory.name] = epoch
-        self._logs.pop(directory.name, None)
-
     def _log(self, directory: Path) -> _EntryLog:
-        """The entry's sidecar and valid delta-log prefix, re-parsed only
-        when either file's ``os.stat`` identity changed.  Readers never
-        modify the log.  Call with ``self._lock`` held."""
-        key = (
-            _stat_key(directory / LOG_FILE),
-            _stat_key(directory / META_FILE),
-        )
+        """The entry's parsed delta log, re-parsed only when the file's
+        ``os.stat`` identity changed; :class:`CatalogError` without a log
+        or a valid snapshot record.  Call with ``self._lock`` held."""
+        key = _stat_key(directory / LOG_FILE)
         log = self._logs.get(directory.name)
         if log is None or log.key != key:
-            meta = self._read_meta(directory)
-            try:
-                blob = (directory / LOG_FILE).read_bytes()
-            except OSError:
-                blob = b""
-            base = None if meta is None else _meta_epoch(meta)
-            records, ends = _parse_log(blob, base)
-            log = _EntryLog(key, meta, records, ends, len(blob))
+            blob = _read_bytes(directory / LOG_FILE)
+            if blob is None:
+                self._logs.pop(directory.name, None)
+                raise CatalogError(f"unknown catalog entry {directory.name!r}")
+            snapshot, start = _parse_snapshot(blob)
+            if snapshot is None:
+                raise CatalogError(
+                    f"catalog entry {directory.name!r} has no valid "
+                    "snapshot record"
+                )
+            records, ends = _parse_log(blob[start:], snapshot["epoch"])
+            log = _EntryLog(
+                key, snapshot, start, records, [start + e for e in ends],
+                len(blob),
+            )
             self._logs[directory.name] = log
         return log
 
@@ -948,15 +788,13 @@ class GraphCatalog:
         Cuts any invalid tail first (a torn append, or records replay
         rejected) and fsyncs the cut, so the new record lands right
         after the last good one.  Then one ``os.write`` on an
-        ``O_APPEND`` fd and an fsync; the directory is fsynced only when
-        this call created the file (stores from before the log).  No
-        caller sees the update before the fsync returns.
+        ``O_APPEND`` fd and an fsync.  No caller sees the update before
+        the fsync returns.
         """
         line = _encode_record(record)
         path = directory / LOG_FILE
         self.faults.reach("catalog.log.begin")
-        created = not path.exists()
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:
             if log.size > log.end:
                 os.ftruncate(fd, log.end)
@@ -973,59 +811,39 @@ class GraphCatalog:
                 raise
         finally:
             os.close(fd)
-        if created:
-            _fsync_dir(directory)
         self.faults.reach("catalog.log.sync")
         log.records.append(record)
         log.ends.append(log.end + len(line))
         log.size = log.end
-        log.key = (_stat_key(path), log.key[1])
+        log.key = _stat_key(path)
         self.counters["log_appends"] += 1
 
-    def _load(self, name: str) -> Tuple[Graph, DataArtifacts, bool]:
-        """Load an entry from disk: recover any interrupted transaction,
-        parse the graph, repair the sidecar when needed, replay the
-        delta log, then build the artifacts once.  Returns the graph,
-        its artifacts and whether the sidecar was repaired."""
+    def _load(self, name: str) -> Tuple[Graph, DataArtifacts]:
+        """Load an entry from disk: read the snapshot the log names,
+        check its SHA-256, parse it, replay the log, then build the
+        artifacts once.  When another process committed a new snapshot
+        meanwhile (maybe deleting the one read), start over from it."""
         directory = self._entry_dir(name)
-        epoch_hint: Optional[int] = None
-        if directory.exists():
-            epoch_hint = self._recover(directory)
-        try:
-            graph_text = (directory / GRAPH_FILE).read_text(encoding="utf-8")
-        except OSError:
-            raise CatalogError(f"unknown catalog entry {name!r}")
-        try:
-            graph = loads_graph(graph_text)
-        except ValueError as exc:
-            raise CatalogError(f"catalog entry {name!r} graph is corrupt: {exc}")
-
-        meta = self._read_meta(directory)
-        repaired = not (
-            meta is not None
-            and meta.get("format_version") == CATALOG_FORMAT_VERSION
-            and meta.get("graph_file_sha256")
-            == _sha256(graph_text.encode("utf-8"))
-        )
-        if repaired:
-            self.counters["sidecar_repairs"] += 1
-            # A repair recovers the sidecar, not the entry's history:
-            # keep whatever snapshot epoch the (possibly corrupt) sidecar
-            # still had, unless recovery determined the graph content
-            # already belongs to an aborted transaction's target epoch.
-            # Without a sidecar, the log's first record names its base.
-            epoch = epoch_hint or _meta_epoch(meta)
-            if epoch_hint is None and meta is None:
-                records = self._log(directory).records
-                if records:
-                    epoch = max(1, records[0]["epoch"] - 1)
-            self._persist_entry(
-                directory, graph, graph_text, epoch=epoch, include_graph=False
-            )
-        else:
-            self.counters["artifact_loads"] += 1
-        graph = self._replay(directory, graph)
-        return graph, DataArtifacts(graph), repaired
+        while True:
+            snapshot = self._log(directory).snapshot
+            blob = _read_bytes(directory / snapshot["graph_file"])
+            if blob is not None and _sha256(blob) == snapshot["graph_file_sha256"]:
+                try:
+                    graph = loads_graph(blob.decode("utf-8"))
+                except ValueError as exc:
+                    raise CatalogError(
+                        f"catalog entry {name!r} graph is corrupt: {exc}"
+                    )
+                graph = self._replay(directory, graph)
+                if self._log(directory).snapshot == snapshot:
+                    self.counters["artifact_loads"] += 1
+                    return graph, DataArtifacts(graph)
+            elif self._log(directory).snapshot == snapshot:
+                raise CatalogError(
+                    f"catalog entry {name!r} graph file "
+                    f"{snapshot['graph_file']} is missing or corrupt"
+                )
+            self._logs.pop(directory.name, None)
 
     def _replay(self, directory: Path, graph: Graph) -> Graph:
         """Roll the snapshot graph forward through the delta log.

@@ -6,7 +6,7 @@ exact, named point and asserts the system ends up in a declared-legal
 state.  This module is the injection mechanism those tests share.
 
 Production code declares **hook points** — short dotted names like
-``"catalog.txn.journal"`` or ``"procpool.task.3"`` — and calls
+``"catalog.snapshot.log"`` or ``"procpool.task.3"`` — and calls
 :meth:`FaultPlan.reach` at each one.  A plan with no matching armed rule
 makes ``reach`` a dictionary miss and an integer compare (nanoseconds);
 the default plan :data:`NO_FAULTS` has no rules at all.  There is no
@@ -110,7 +110,7 @@ class FaultPlan:
     The empty plan is the production configuration: ``reach`` returns
     immediately.  Tests typically build one plan per scenario::
 
-        plan = FaultPlan([FaultRule("catalog.txn.journal", "crash")])
+        plan = FaultPlan([FaultRule("catalog.snapshot.log", "crash")])
         catalog = GraphCatalog(root, faults=plan)
         with pytest.raises(InjectedCrash):
             catalog.update(name, delta)

@@ -8,7 +8,7 @@ The other half of ROADMAP item 4 (DESIGN.md §13).  A running
     serving  →  draining   →  stopped          (``drain`` op / SIGTERM)
 
 **Reload** picks up whatever another process left under the catalog
-root — new entries, new epochs from out-of-band updates or repairs,
+root — new entries, new epochs from out-of-band updates or overwrites,
 removed entries — without dropping a single in-flight query or
 standing subscription:
 
@@ -44,7 +44,7 @@ Every decision point is a named :class:`FaultPlan` hook
 style sweep can crash or delay at each one; the catalog-side points
 (`begin`/`scan`/`build`/`swap`) bracket the resident-set swap and a
 crash on either side of it leaves a consistent old-or-new epoch —
-the journaled file-level invariant lifted to the serving layer.
+the catalog's file-level invariant lifted to the serving layer.
 """
 
 from __future__ import annotations
@@ -180,13 +180,14 @@ class LifecycleManager:
                     # and this very invalidation step.
                     epoch = info["epoch"]
                     if epoch is None:  # removed, or loaded lazily
-                        with server._counters_lock:
-                            server._caches.pop(name, None)
+                        server._drop_cache(name)
                     elif info["action"] == "reloaded" or \
                             name in server._caches:
                         # Made if absent: a search still running on the
                         # old engine then cannot store into a new cache.
-                        server._cache_for(name, epoch).reset(epoch)
+                        cache = server._cache_for(name, epoch)
+                        if cache is not None:
+                            cache.reset(epoch)
                 replayed = await self._replay_subscriptions(
                     report, trace=trace
                 )

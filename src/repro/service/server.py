@@ -304,8 +304,8 @@ class MatchingServer:
     One :class:`QueryCache` per catalog entry (results are only valid
     for the data graph + config that produced them).  All counters are
     exposed by the ``stats`` op — including the catalog's artifact
-    build/load and sidecar-repair counters, which is how tests assert
-    that the warm path builds and repairs nothing.
+    build/load counters, which is how tests assert that the warm path
+    builds and loads nothing.
     """
 
     def __init__(
@@ -409,7 +409,7 @@ class MatchingServer:
         )
         reg.attach_group(
             "repro_catalog", self.catalog.counters,
-            help_text="GraphCatalog artifact/engine/transaction counters",
+            help_text="GraphCatalog artifact/engine/delta-log counters",
         )
         reg.attach_group(
             "repro_pool", POOL_COUNTERS,
@@ -470,10 +470,13 @@ class MatchingServer:
         )
 
     def _refresh_gauges(self) -> None:
-        with self._counters_lock:
-            caches = dict(self._caches)
-            subscriptions = sum(len(per) for per in self._subs.values())
         g = self._gauges
+        with self._counters_lock:
+            # Under the lock that _drop_cache takes: a dropped entry's
+            # gauge cannot come back.
+            for name, cache in self._caches.items():
+                g["qcache_entries"].labels(data=name).set(len(cache))
+            subscriptions = sum(len(per) for per in self._subs.values())
         g["active"].set(self._active)
         g["capacity"].set(self.max_inflight + self.max_pending)
         g["subscriptions"].set(subscriptions)
@@ -482,8 +485,6 @@ class MatchingServer:
             if self._started_at is not None else 0.0
         )
         g["builds_in_process"].set(DataArtifacts.builds_performed)
-        for name, cache in caches.items():
-            g["qcache_entries"].labels(data=name).set(len(cache))
         for name, state in self.tenants.states().items():
             g["tenant_inflight"].labels(tenant=name).set(state.inflight)
 
@@ -779,7 +780,9 @@ class MatchingServer:
             return
         # The entry may have replaced a different graph under the same
         # name: results cached against the old graph are now wrong.
-        self._cache_for(name, info["epoch"]).reset(info["epoch"])
+        cache = self._cache_for(name, info["epoch"])
+        if cache is not None:
+            cache.reset(info["epoch"])
         await self._send(writer, {"ok": True, "entry": info})
 
     # -- dynamic ops (DESIGN.md §9) ------------------------------------
@@ -947,9 +950,10 @@ class MatchingServer:
 
             # Made if the entry has none, so that a search still running
             # on the old epoch finds the new one and cannot store.
-            kept, evicted = self._cache_for(
-                name, info["epoch"]
-            ).invalidate_labels(summary.touched_labels, info["epoch"])
+            cache = self._cache_for(name, info["epoch"])
+            kept, evicted = (0, 0) if cache is None else cache.invalidate_labels(
+                summary.touched_labels, info["epoch"]
+            )
 
             def diff(engine, sub: _Subscription):
                 change = embedding_diff(
@@ -1451,12 +1455,16 @@ class MatchingServer:
             raise ValueError("'explain' must be null, 'plan', or 'analyze'")
         return name, query, limits, workers, use_cache, explain
 
-    def _cache_for(self, name: str, epoch: int) -> QueryCache:
-        """``name``'s cache, made at ``epoch`` if it has none.  Call it
-        only once ``name`` is known to be a catalog entry."""
+    def _cache_for(self, name: str, epoch: int) -> Optional[QueryCache]:
+        """``name``'s cache, made at ``epoch`` if it has none and the
+        catalog still holds ``name`` at ``epoch``; else ``None``.  A
+        removing reload drops the cache under this same lock after the
+        catalog forgot the entry, so a request that resolved its engine
+        before that reload cannot make the cache again.  (``holds``
+        takes no lock: no wait on a cold load holding the catalog's.)"""
         with self._counters_lock:
             cache = self._caches.get(name)
-            if cache is None:
+            if cache is None and self.catalog.holds(name, epoch):
                 cache = QueryCache(
                     max_entries=self.cache_entries,
                     cap_serving=not self.catalog.config.break_symmetry,
@@ -1470,6 +1478,14 @@ class MatchingServer:
                     help_text="QueryCache counters (per catalog entry)",
                 )
             return cache
+
+    def _drop_cache(self, name: str) -> None:
+        """Forget ``name``'s cache and its ``repro_qcache`` metrics."""
+        with self._counters_lock:
+            cache = self._caches.pop(name, None)
+            if cache is not None:
+                self.obs.registry.detach_group(cache.counters)
+                self._gauges["qcache_entries"].remove(data=name)
 
     def _execute(
         self,
@@ -1488,7 +1504,7 @@ class MatchingServer:
 
         Returns ``(result, cache_state, provenance)`` where provenance
         carries the request-log detail: engine source
-        (resident/load/repair) + epoch, effective workers, and the
+        (resident/load) + epoch, effective workers, and the
         EXPLAIN/ANALYZE report when ``explain`` is set.  The trace id
         and structured log are bound thread-locally for the duration,
         so the procpool (and its fault hooks) log under this request's
@@ -1496,11 +1512,13 @@ class MatchingServer:
         span) parents the engine's build/search spans the same way.
 
         The entry's cache is fetched once ``engine_ex`` has proved the
-        entry exists (it is made then if there is none) and before the
-        search, whose result is stored there at the epoch the engine
-        ran at.  A reload or update meanwhile either moves that cache's
-        epoch, so the store is refused, or drops the cache, so the
-        store lands in an object no later query reads.  ``form`` is
+        entry exists (it is made then if there is none, unless a reload
+        removed the entry in between: then nothing is stored) and
+        before the search, whose result is stored there at the epoch
+        the engine ran at.  A reload or update meanwhile either moves
+        that cache's epoch, so the store is refused, or drops the
+        cache, so the store lands in an object no later query reads.
+        ``form`` is
         the query's canonical form when the event loop looked it up
         and missed; without it the lookup happens here, and may hit.
 
@@ -1548,7 +1566,7 @@ class MatchingServer:
                 report["qcache"] = {"decision": "bypass", "reason": "analyze"}
             else:
                 result = engine.match(query, limits=limits, workers=workers)
-                if form is not None:
+                if form is not None and cache is not None:
                     # Packed once: the reply and the cache entry share
                     # this frame.
                     result.embeddings = FrameRows.pack(result.embeddings)

@@ -1,16 +1,14 @@
 """The catalog's delta log: durability, replay and its failure modes.
 
 An update persists as one SHA-framed, fsynced record appended to
-``<entry>/delta.log``; a cold load verifies the snapshot, then replays
-the log.  These tests pin the log's own failure modes (torn tails,
-flipped bytes, a hand-edited snapshot, a stale sidecar), the
-effective-state rules of ``add``/``info``, the update reply's own
+``<entry>/delta.log`` after its snapshot record; a cold load verifies
+the snapshot, then replays the log.  These tests pin the log's own
+failure modes (torn tails, flipped bytes), the effective-state rules of ``add``/``info``, the update reply's own
 epoch under concurrency, and a restart differential: after any mix of
 updates, compactions and cold reopens, a cold engine equals the live
 one and a from-scratch build (``tests.oracle_engines.artifact_values``).
 """
 
-import json
 import logging
 import random
 import tempfile
@@ -28,14 +26,14 @@ from repro.graph.generators import random_connected_graph
 from repro.graph.io import graph_checksum, saves_graph
 from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    GRAPH_FILE,
     LOG_FILE,
-    META_FILE,
     CatalogError,
     GraphCatalog,
+    graph_file_name,
 )
 from repro.service.client import ServiceClient
 from repro.service.server import ServerThread
+from tests.legacy_store import legacy_files
 from tests.oracle_engines import artifact_values
 
 UPDATES = (
@@ -88,16 +86,14 @@ class TestAppendPath:
         catalog = GraphCatalog(tmp_path)
         catalog.add("g", data)
         entry = tmp_path / "g"
-        snapshot = {
-            name: (entry / name).read_bytes()
-            for name in (GRAPH_FILE, META_FILE)
-        }
-        assert (entry / LOG_FILE).read_bytes() == b""
+        graph = (entry / graph_file_name(1)).read_bytes()
+        log = (entry / LOG_FILE).read_bytes()
+        assert log.count(b"\n") == 1  # the snapshot record alone
         info, _ = catalog.update("g", UPDATES[0])
         assert info["epoch"] == 2
-        for name, blob in snapshot.items():
-            assert (entry / name).read_bytes() == blob
-        assert len((entry / LOG_FILE).read_bytes().splitlines()) == 1
+        assert (entry / graph_file_name(1)).read_bytes() == graph
+        after = (entry / LOG_FILE).read_bytes()
+        assert after.startswith(log) and after.count(b"\n") == 2
         assert catalog.counters["log_appends"] == 1
         assert catalog.counters["log_compactions"] == 0
         assert catalog.info("g") == info
@@ -109,15 +105,19 @@ class TestAppendPath:
         assert engine.data == graphs[-1]
         assert fresh.counters["log_replayed"] == len(UPDATES)
         assert fresh.counters["artifact_loads"] == 1
-        assert fresh.counters["sidecar_repairs"] == 0
         assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
         assert fresh.info("g")["graph_checksum"] == graph_checksum(graphs[-1])
         assert_cold_equals_build(engine)
 
-    def test_log_file_created_for_a_store_without_one(self, tmp_path):
+    def test_legacy_store_without_a_log_is_migrated(self, tmp_path):
         """Stores written before the log existed have no delta.log."""
-        graphs = logged_store(tmp_path, updates=())
-        (tmp_path / "g" / LOG_FILE).unlink()
+        data, _ = world()
+        graphs = [data]
+        files, _ = legacy_files(data, 1)
+        del files[LOG_FILE]
+        (tmp_path / "g").mkdir()
+        for filename, blob in files.items():
+            (tmp_path / "g" / filename).write_bytes(blob)
         catalog = GraphCatalog(tmp_path)
         assert catalog.info("g")["epoch"] == 1
         catalog.update("g", UPDATES[0])
@@ -131,9 +131,14 @@ class TestAppendPath:
         entry = tmp_path / "g"
         # Two appends, then the update that would make three compacts.
         catalog = GraphCatalog(tmp_path)
-        assert (entry / LOG_FILE).read_bytes() == b""
+        assert (entry / LOG_FILE).read_bytes().count(b"\n") == 1
         assert catalog.info("g")["epoch"] == 4
-        assert (entry / GRAPH_FILE).read_text() == saves_graph(graphs[-1])
+        assert sorted(p.name for p in entry.iterdir()) == [
+            LOG_FILE, graph_file_name(4)
+        ]
+        assert (entry / graph_file_name(4)).read_text() == saves_graph(
+            graphs[-1]
+        )
         engine = catalog.engine("g")
         assert catalog.counters["log_replayed"] == 0
         assert engine.data == graphs[-1]
@@ -185,7 +190,6 @@ class TestLogFailureModes:
             engine = fresh.engine("g")
             assert engine.data == graphs[1], offset
             assert fresh.info("g")["epoch"] == 2
-            assert fresh.counters["sidecar_repairs"] == 0
             assert fresh.counters["log_replayed"] == 1
             assert fresh.counters["log_rejections"] == 1
             assert path.read_bytes() == full[:offset]  # readers never cut
@@ -204,7 +208,7 @@ class TestLogFailureModes:
         graphs = logged_store(tmp_path)
         path = tmp_path / "g" / LOG_FILE
         log = bytearray(path.read_bytes())
-        start, end = record_spans(bytes(log))[1]
+        start, end = record_spans(bytes(log))[2]  # 0: the snapshot
         log[(start + end) // 2] ^= 0x01
         path.write_bytes(bytes(log))
 
@@ -217,89 +221,6 @@ class TestLogFailureModes:
         assert fresh.counters["log_rejections"] == 1
         assert any("delta log invalid" in r.message for r in caplog.records)
         assert_cold_equals_build(engine)
-
-    def test_hand_edited_graph_with_stale_meta_rejects_the_log(self, tmp_path):
-        graphs = logged_store(tmp_path)
-        edited = graph_from_adjacency(
-            list(graphs[0].labels),
-            list(graphs[0].edges()) + [(1, 5)],
-        )
-        (tmp_path / "g" / GRAPH_FILE).write_text(saves_graph(edited))
-
-        fresh = GraphCatalog(tmp_path)
-        engine = fresh.engine("g")
-        # The graph file is the source of truth; the first record's
-        # delta still applies to it, but its checksum does not match.
-        assert engine.data == edited
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.counters["log_replayed"] == 0
-        assert fresh.counters["log_rejections"] == 1
-        info = fresh.info("g")
-        assert info["epoch"] == 1
-        assert info["graph_checksum"] == graph_checksum(edited)
-        assert_cold_equals_build(engine)
-
-        info, _ = fresh.update("g", UPDATES[0])
-        assert info["epoch"] == 2
-        assert fresh.counters["log_truncations"] == 1
-        again = GraphCatalog(tmp_path)
-        assert again.engine("g").data == apply_delta(edited, UPDATES[0])[0]
-        assert again.counters["log_rejections"] == 0
-
-    def test_stale_sidecar_repair_then_replay(self, tmp_path):
-        graphs = logged_store(tmp_path)
-        entry = tmp_path / "g"
-        log = (entry / LOG_FILE).read_bytes()
-        meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
-        meta["format_version"] = 0
-        (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
-
-        fresh = GraphCatalog(tmp_path)
-        engine = fresh.engine("g")
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.counters["log_replayed"] == len(UPDATES)
-        assert engine.data == graphs[-1]
-        assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
-        # The repair must not reset the log: its updates were acked.
-        assert (entry / LOG_FILE).read_bytes() == log
-        assert_cold_equals_build(engine)
-        again = GraphCatalog(tmp_path)
-        again.engine("g")
-        assert again.counters["artifact_loads"] == 1
-        assert again.counters["sidecar_repairs"] == 0
-
-    def test_lost_sidecar_keeps_the_logged_updates(self, tmp_path):
-        graphs = logged_store(tmp_path)
-        (tmp_path / "g" / META_FILE).unlink()
-        fresh = GraphCatalog(tmp_path)
-        assert fresh.engine("g").data == graphs[-1]
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.info("g")["epoch"] == 1 + len(UPDATES)
-
-    def test_lost_sidecar_after_compaction_takes_the_log_base(
-        self, tmp_path, monkeypatch
-    ):
-        """Without a sidecar, the snapshot epoch is the log's first
-        record - 1, also for a snapshot compacted at a later epoch."""
-        monkeypatch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 3)
-        later = (
-            GraphDelta(add_edges=((0, 5),)),
-            GraphDelta(remove_edges=((0, 3),)),
-        )
-        # Updates 1-2 append, update 3 compacts at epoch 4, and the two
-        # later ones append epochs 5 and 6 on top of that snapshot.
-        graphs = logged_store(tmp_path, UPDATES + later)
-        entry = tmp_path / "g"
-        assert len((entry / LOG_FILE).read_bytes().splitlines()) == 2
-        (entry / META_FILE).unlink()
-        fresh = GraphCatalog(tmp_path)
-        assert fresh.engine("g").data == graphs[-1]
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.counters["log_replayed"] == 2
-        repaired = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
-        assert repaired["epoch"] == 4
-        assert fresh.info("g")["epoch"] == 6
-        assert GraphCatalog(tmp_path).info("g")["epoch"] == 6
 
 
 class TestEffectiveState:
@@ -318,7 +239,7 @@ class TestEffectiveState:
 
         info = catalog.add("g", graphs[0], overwrite=True)
         assert info["epoch"] == 2 + len(UPDATES)
-        assert (entry / LOG_FILE).read_bytes() == b""
+        assert (entry / LOG_FILE).read_bytes().count(b"\n") == 1
         fresh = GraphCatalog(tmp_path)
         assert fresh.engine("g").data == graphs[0]
         assert fresh.info("g")["epoch"] == 2 + len(UPDATES)
@@ -366,6 +287,28 @@ class TestEffectiveState:
         fresh = GraphCatalog(tmp_path)
         assert fresh.engine("g").data == apply_delta(graphs[0], UPDATES[1])[0]
         assert fresh.info("g")["epoch"] == 3
+
+    def test_racing_add_takes_the_next_epoch(self, tmp_path, monkeypatch):
+        """An add that another writer beat to the commit must not reuse
+        the committed epoch, nor overwrite the graph file it names."""
+        data, _ = world()
+        other = apply_delta(data, UPDATES[0])[0]
+        real = catalog_module.DataArtifacts
+
+        def build_while_another_add_commits(graph):
+            monkeypatch.setattr(catalog_module, "DataArtifacts", real)
+            assert GraphCatalog(tmp_path).add("g", other)["epoch"] == 1
+            return real(graph)
+
+        monkeypatch.setattr(
+            catalog_module, "DataArtifacts", build_while_another_add_commits
+        )
+        assert GraphCatalog(tmp_path).add("g", data)["epoch"] == 2
+        fresh = GraphCatalog(tmp_path)
+        assert fresh.engine("g").data == data
+        assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
+            LOG_FILE, graph_file_name(2)
+        ]
 
     def test_remove_deletes_the_log(self, tmp_path):
         logged_store(tmp_path)
@@ -438,7 +381,10 @@ def replay_against_cold_opens(root, data, rng, steps):
             engine.artifacts
         )
         assert_cold_equals_build(cold_engine)
-        assert cold.counters["sidecar_repairs"] == 0
+        snapshot = cold._log(root / "g").snapshot["graph_file"]
+        assert sorted(p.name for p in (root / "g").iterdir()) == [
+            LOG_FILE, snapshot
+        ]
 
 
 class TestServedRestart:
@@ -452,8 +398,8 @@ class TestServedRestart:
                     reply = client.update("g", delta)
                     graph = apply_delta(graph, delta)[0]
                     assert reply.entry["graph_checksum"] == graph_checksum(graph)
-        assert (tmp_path / "g" / LOG_FILE).read_bytes().count(b"\n") == len(
-            UPDATES
+        assert (tmp_path / "g" / LOG_FILE).read_bytes().count(b"\n") == (
+            1 + len(UPDATES)
         )
         with ServerThread(GraphCatalog(tmp_path)) as thread:
             with ServiceClient(*thread.address) as client:

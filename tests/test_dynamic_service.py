@@ -57,13 +57,12 @@ class TestCatalogUpdate:
         assert catalog.counters["artifact_patches"] == 1
 
         # A cold catalog over the same root loads the patched store
-        # cleanly: correct graph, correct epoch, zero repairs.
+        # cleanly: correct graph, correct epoch, no build.
         cold = GraphCatalog(tmp_path)
         engine = cold.engine("g")
         assert engine.data.has_edge(0, 3)
         assert cold.info("g")["epoch"] == 2
         assert cold.counters["artifact_loads"] == 1
-        assert cold.counters["sidecar_repairs"] == 0
         assert cold.counters["artifact_builds"] == 0
 
     def test_update_unknown_entry_raises(self, tmp_path):
@@ -206,8 +205,8 @@ class TestServerUpdate:
             assert reply.qcache_evicted == 1
 
             # AB: kept entry serves a hit; CD: evicted, re-runs and sees
-            # the new match.  Neither path builds artifacts or repairs the
-            # sidecar — the update only *patched*.
+            # the new match.  Neither path builds or loads artifacts —
+            # the update only *patched*.
             ab = client.query(ab_query, "g")
             assert ab.cache == "hit"
             cd = client.query(cd_query, "g")
@@ -217,7 +216,6 @@ class TestServerUpdate:
             stats = client.stats()
             assert stats["catalog"]["artifact_patches"] == 1
             assert stats["catalog"]["artifact_builds"] == 0
-            assert stats["catalog"]["sidecar_repairs"] == 0
             assert (
                 stats["artifact_builds_in_process"]
                 == base["artifact_builds_in_process"]
@@ -250,7 +248,6 @@ class TestServerUpdate:
                 assert reply.embeddings == [(5, 4)]
                 stats = client.stats()
                 assert stats["catalog"]["artifact_loads"] == 1
-                assert stats["catalog"]["sidecar_repairs"] == 0
 
     def test_bad_deltas_are_rejected_cleanly(self, dynamic_service):
         with ServiceClient(*dynamic_service.address) as client:

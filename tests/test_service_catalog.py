@@ -1,14 +1,15 @@
-"""Catalog durability: entries survive restarts, a bad sidecar is
-repaired.
+"""Catalog durability: entries survive restarts, corruption is an
+error, older layouts are migrated.
 
 Differential style (as in ``tests/test_parallel_exact.py``): whatever
-the store's state — freshly built, reloaded in another process,
-recovered from deliberate corruption, or written in the older layout
-with ``artifacts.bin`` — a catalog engine must return byte-identical
-``match`` results to a fresh ``GuPEngine`` on the same graph.
+the store's state — freshly built, reloaded in another process, or
+written in the older layout (``graph.graph`` + ``meta.json``, maybe a
+journal and an ``artifacts.bin``) — a catalog engine must return
+byte-identical ``match`` results to a fresh ``GuPEngine`` on the same
+graph.  A snapshot whose bytes do not match its log record is never
+served.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -25,13 +26,15 @@ from repro.graph.io import graph_checksum, save_graph, saves_graph
 from repro.matching.limits import SearchLimits
 from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    GRAPH_FILE,
     LOG_FILE,
-    META_FILE,
     CatalogError,
     GraphCatalog,
+    _encode_record,
+    _sha256,
+    graph_file_name,
 )
 from repro.workload.querygen import generate_query
+from tests.legacy_store import forge_legacy_entry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,9 +63,7 @@ class TestCatalogBasics:
         catalog = GraphCatalog(tmp_path / "cat")
         info = catalog.add("g", data)
         entry = tmp_path / "cat" / "g"
-        assert sorted(os.listdir(entry)) == sorted(
-            [GRAPH_FILE, META_FILE, LOG_FILE]
-        )
+        assert sorted(os.listdir(entry)) == [LOG_FILE, graph_file_name(1)]
         assert info["graph_checksum"] == graph_checksum(data)
         assert catalog.names() == ["g"]
         assert_matches_direct(catalog.engine("g"), data, queries)
@@ -108,7 +109,7 @@ class TestCatalogBasics:
 
 
 class TestCatalogDurability:
-    def test_reopen_builds_once_from_a_valid_sidecar(self, instance, tmp_path):
+    def test_reopen_builds_once_and_writes_nothing(self, instance, tmp_path):
         data, queries = instance
         GraphCatalog(tmp_path / "cat").add("g", data)
         entry = tmp_path / "cat" / "g"
@@ -118,17 +119,15 @@ class TestCatalogDurability:
         engine = reopened.engine("g")
         assert DataArtifacts.builds_performed == before + 1
         assert reopened.counters["artifact_loads"] == 1
-        assert reopened.counters["sidecar_repairs"] == 0
-        # A clean load writes nothing.
+        # A load writes nothing.
         assert {
             n: (entry / n).read_bytes() for n in os.listdir(entry)
         } == files
         assert_matches_direct(engine, data, queries)
 
     def test_subprocess_round_trip(self, instance, tmp_path):
-        """An entry written here is loaded — not repaired — by a fresh
-        process, which builds the artifacts once and serves
-        byte-identical results."""
+        """An entry written here is loaded by a fresh process, which
+        builds the artifacts once and serves byte-identical results."""
         data, queries = instance
         GraphCatalog(tmp_path / "cat").add("g", data)
         script = """
@@ -147,7 +146,6 @@ print(json.dumps({
     "num": result.num_embeddings,
     "status": result.status.value,
     "loads": catalog.counters["artifact_loads"],
-    "repairs": catalog.counters["sidecar_repairs"],
     "builds_in_process": DataArtifacts.builds_performed,
 }))
 """
@@ -169,154 +167,156 @@ print(json.dumps({
         assert reply["num"] == direct.num_embeddings
         assert reply["status"] == direct.status.value
         assert reply["loads"] == 1
-        assert reply["repairs"] == 0
         assert reply["builds_in_process"] == 1
 
     @pytest.mark.parametrize(
-        "corruption", ["corrupt_meta", "delete_meta", "stale_graph"]
+        "corruption",
+        ["corrupt_record", "delete_graph", "stale_graph", "unparseable"],
     )
-    def test_corruption_triggers_rebuild_not_crash(
-        self, instance, tmp_path, corruption
-    ):
-        """A bad sidecar is rebuilt from the graph file, never trusted."""
-        data, queries = instance
+    def test_corruption_is_an_error(self, instance, tmp_path, corruption):
+        """A snapshot that does not match its log record is never served
+        and never rewritten: every read raises, and leaves the bytes."""
+        data, _ = instance
         root = tmp_path / "cat"
         GraphCatalog(root).add("g", data)
         entry = root / "g"
-        if corruption == "corrupt_meta":
-            (entry / META_FILE).write_text("{ not json", encoding="utf-8")
-        elif corruption == "delete_meta":
-            (entry / META_FILE).unlink()
-        else:  # stale_graph: the graph file changed under the sidecar
+        graph_path = entry / graph_file_name(1)
+        if corruption == "corrupt_record":
+            log = bytearray((entry / LOG_FILE).read_bytes())
+            log[40] ^= 0x01
+            (entry / LOG_FILE).write_bytes(bytes(log))
+        elif corruption == "delete_graph":
+            graph_path.unlink()
+        elif corruption == "stale_graph":  # the graph changed under the log
             smaller = powerlaw_cluster_graph(25, 2, 0.2, num_labels=2, seed=4)
-            save_graph(smaller, entry / GRAPH_FILE)
-            data, queries = smaller, [
-                generate_query(smaller, 4, "sparse", seed=1)
-            ]
+            save_graph(smaller, graph_path)
+        else:  # bytes the record vouches for, but not a graph
+            forge_snapshot(entry, b"v broken\n", data, epoch=1)
+        files = {n: (entry / n).read_bytes() for n in os.listdir(entry)}
         catalog = GraphCatalog(root)
-        engine = catalog.engine("g")
-        assert catalog.counters["sidecar_repairs"] == 1
-        assert catalog.counters["artifact_loads"] == 0
-        assert_matches_direct(engine, data, queries)
-        # The repair rewrote the sidecar: a fresh catalog loads cleanly.
-        after = GraphCatalog(root)
-        after.engine("g")
-        assert after.counters["artifact_loads"] == 1
-        assert after.counters["sidecar_repairs"] == 0
+        assert catalog.names() == ["g"]
+        with pytest.raises(CatalogError):
+            catalog.engine("g")
+        if corruption == "corrupt_record":
+            with pytest.raises(CatalogError, match="snapshot record"):
+                catalog.info("g")
+        assert catalog.reload()["g"]["action"] == "lazy"
+        assert {
+            n: (entry / n).read_bytes() for n in os.listdir(entry)
+        } == files
+        # An overwrite needs a readable epoch; a remove always works.
+        catalog.remove("g")
+        assert catalog.add("g", data)["epoch"] == 1
 
-    def test_entry_with_artifacts_bin_loads_without_repair(
-        self, instance, tmp_path
+    @pytest.mark.parametrize("journal", [None, "committed", "uncommitted"])
+    def test_legacy_entry_is_migrated_on_open(
+        self, instance, tmp_path, journal
     ):
-        """An entry in the older layout — an ``artifacts.bin`` beside the
-        graph, its sidecar carrying ``artifacts_format_version`` and
-        ``artifacts_sha256``, and an ``analyze.json`` EXPLAIN ANALYZE
-        sidecar with a staged ``analyze.json.tmp`` — loads as it is: the
-        blob and the analyze sidecar are ignored (the blob here truncated
-        to 0 bytes), recovery sweeps the stray tmp, the sidecar is valid,
-        and updates, compaction and removal all work on it; the
-        compaction deletes the blob and the analyze sidecar."""
+        """An entry in the older layout — ``graph.graph``, a
+        ``meta.json`` at epoch 3, a non-empty ``delta.log``, the
+        ``artifacts.bin`` and ``analyze.json`` of still older versions,
+        maybe a journal — loads at its effective epoch, and after the
+        open holds only the new layout's two files."""
         data, queries = instance
         root = tmp_path / "cat"
-        entry = root / "g"
-        entry.mkdir(parents=True)
-        graph_bytes = saves_graph(data).encode("utf-8")
-        (entry / GRAPH_FILE).write_bytes(graph_bytes)
-        (entry / "artifacts.bin").write_bytes(b"")
-        (entry / "analyze.json").write_text(
-            '{"version": 1, "records": [{"trace": "t1"}]}\n',
-            encoding="utf-8",
-        )
-        (entry / "analyze.json.tmp").write_bytes(b'{"version": 1, "rec')
-        (entry / LOG_FILE).write_bytes(b"")
-        meta = {
-            "format_version": 1,
-            "artifacts_format_version": 2,
-            "name": "g",
-            "num_vertices": data.num_vertices,
-            "num_edges": data.num_edges,
-            "epoch": 3,
-            "graph_checksum": graph_checksum(data),
-            "graph_file_sha256": hashlib.sha256(graph_bytes).hexdigest(),
-            "artifacts_sha256": hashlib.sha256(b"the old blob").hexdigest(),
-        }
-        (entry / META_FILE).write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-        catalog = GraphCatalog(root)
-        engine = catalog.engine("g")
-        assert catalog.counters["sidecar_repairs"] == 0
-        assert catalog.counters["artifact_loads"] == 1
-        assert catalog.info("g")["epoch"] == 3
-        assert not (entry / "analyze.json.tmp").exists()
-        assert (entry / "analyze.json").exists()  # loads leave it alone
-        fresh = GraphCatalog(tmp_path / "fresh")
-        fresh.add("g", data)
-        assert_matches_direct(engine, data, queries)
-        limits = SearchLimits(max_embeddings=500)
-        for query in queries:
-            assert engine.match(query, limits=limits).embeddings == (
-                fresh.engine("g").match(query, limits=limits).embeddings
-            )
-
         u, v = next(
             (u, v) for u in data.vertices() for v in data.vertices()
             if u < v and not data.has_edge(u, v)
         )
-        info, _ = catalog.update("g", GraphDelta(add_edges=((u, v),)))
-        assert info["epoch"] == 4
-        assert catalog.counters["log_appends"] == 1
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 2)
-            info, _ = catalog.update("g", GraphDelta(remove_edges=((u, v),)))
-        assert info["epoch"] == 5
-        assert catalog.counters["log_compactions"] == 1
-        compacted = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
-        assert compacted["epoch"] == 5
-        assert "artifacts_sha256" not in compacted
-        assert not (entry / "artifacts.bin").exists()
-        assert not (entry / "analyze.json").exists()
-        reopened = GraphCatalog(root)
-        assert reopened.engine("g").data == data
-        assert reopened.counters["sidecar_repairs"] == 0
-        assert reopened.info("g")["epoch"] == 5
+        other = powerlaw_cluster_graph(30, 3, 0.3, num_labels=2, seed=3)
+        epoch, graph = forge_legacy_entry(
+            root / "g", data, epoch=3,
+            updates=(GraphDelta(add_edges=((u, v),)),),
+            journal=journal, target=other,
+        )
+        catalog = GraphCatalog(root)
+        entry = root / "g"
+        assert catalog.info("g")["epoch"] == epoch
+        assert catalog.info("g")["graph_checksum"] == graph_checksum(graph)
+        engine = catalog.engine("g")
+        assert engine.data == graph
+        assert_matches_direct(engine, graph, queries[:1])
+        snapshot_epoch = 5 if journal == "committed" else 3
+        assert sorted(os.listdir(entry)) == [
+            LOG_FILE, graph_file_name(snapshot_epoch)
+        ]
+        assert catalog.counters["log_replayed"] == epoch - snapshot_epoch
+        files = {n: (entry / n).read_bytes() for n in os.listdir(entry)}
+        GraphCatalog(root)  # migrated once: a second open writes nothing
+        assert {n: (entry / n).read_bytes() for n in os.listdir(entry)} == files
 
+        info, _ = catalog.update("g", GraphDelta(add_vertices=("A",)))
+        assert info["epoch"] == epoch + 1
+        reopened = GraphCatalog(root)
+        assert reopened.engine("g").data.num_vertices == graph.num_vertices + 1
         reopened.remove("g")
         assert not entry.exists()
-        assert reopened.names() == []
 
-    def test_overwrite_drops_artifacts_bin(self, instance, tmp_path):
-        """``add(overwrite=True)`` is a full snapshot too: it deletes an
-        older entry's ``artifacts.bin`` and ``analyze.json`` after
-        committing."""
+    def test_legacy_entry_without_sidecar_after_compaction(
+        self, instance, tmp_path
+    ):
+        """Without ``meta.json`` the snapshot epoch is the first log
+        record's epoch - 1, also for a snapshot compacted at epoch 4."""
+        data, _ = instance
+        root = tmp_path / "cat"
+        edges = [
+            (u, v) for u in data.vertices() for v in data.vertices()
+            if u < v and not data.has_edge(u, v)
+        ][:2]
+        epoch, graph = forge_legacy_entry(
+            root / "g", data, epoch=4,
+            updates=tuple(GraphDelta(add_edges=(e,)) for e in edges),
+            meta=False,
+        )
+        assert epoch == 6
+        catalog = GraphCatalog(root)
+        assert catalog.engine("g").data == graph
+        assert catalog.info("g")["epoch"] == 6
+        assert catalog.counters["log_replayed"] == 2
+        assert sorted(os.listdir(root / "g")) == [LOG_FILE, graph_file_name(4)]
+
+    def test_legacy_remove_journal_finishes_the_remove(
+        self, instance, tmp_path
+    ):
+        data, _ = instance
+        root = tmp_path / "cat"
+        assert forge_legacy_entry(root / "g", data, journal="remove") is None
+        catalog = GraphCatalog(root)
+        assert not (root / "g").exists()
+        assert catalog.names() == []
+
+    def test_snapshot_writes_drop_unnamed_files(self, instance, tmp_path):
+        """``add(overwrite=True)`` is a snapshot write: after its commit
+        it deletes every file the new log does not name (here leftovers
+        of older versions and of a killed write); loads leave them."""
         data, _ = instance
         catalog = GraphCatalog(tmp_path / "cat")
         catalog.add("g", data)
         entry = tmp_path / "cat" / "g"
-        leftovers = [entry / "artifacts.bin", entry / "analyze.json"]
+        leftovers = [
+            entry / "artifacts.bin", entry / "analyze.json",
+            entry / graph_file_name(2), entry / (LOG_FILE + ".tmp"),
+        ]
         for leftover in leftovers:
             leftover.write_bytes(b"an old file")
-        catalog.engine("g")
+        GraphCatalog(tmp_path / "cat").engine("g")
         assert all(p.exists() for p in leftovers)  # loads leave them alone
         catalog.add("g", data, overwrite=True)
-        assert not any(p.exists() for p in leftovers)
+        assert sorted(os.listdir(entry)) == [LOG_FILE, graph_file_name(2)]
         assert GraphCatalog(tmp_path / "cat").engine("g").data == data
 
-    def test_unparseable_graph_is_an_error(self, instance, tmp_path):
-        data, _ = instance
-        root = tmp_path / "cat"
-        GraphCatalog(root).add("g", data)
-        (root / "g" / GRAPH_FILE).write_text("v broken", encoding="utf-8")
-        with pytest.raises(CatalogError):
-            GraphCatalog(root).engine("g")
 
-    def test_warm_verifies_disk_state(self, instance, tmp_path):
-        data, _ = instance
-        root = tmp_path / "cat"
-        catalog = GraphCatalog(root)
-        catalog.add("g", data)
-        assert catalog.warm("g") is False  # store valid, nothing repaired
-        (root / "g" / META_FILE).write_text("junk", encoding="utf-8")
-        assert catalog.warm("g") is True
-        assert GraphCatalog(root).warm("g") is False
+def forge_snapshot(entry, graph_bytes, graph, epoch):
+    """Commit ``graph_bytes`` as ``entry``'s snapshot by hand, with a
+    snapshot record vouching for them (sizes and checksum of ``graph``)."""
+    name = graph_file_name(epoch)
+    (entry / name).write_bytes(graph_bytes)
+    (entry / LOG_FILE).write_bytes(_encode_record({
+        "epoch": epoch,
+        "format_version": catalog_module.CATALOG_FORMAT_VERSION,
+        "graph_checksum": graph_checksum(graph),
+        "graph_file": name,
+        "graph_file_sha256": _sha256(graph_bytes),
+        "num_edges": graph.num_edges,
+        "num_vertices": graph.num_vertices,
+    }))

@@ -1,26 +1,32 @@
 """Fault-injection suite: every recovery path, forced and verified.
 
-The crash-point sweep is the core proof: for each catalog operation it
-kills the process (``InjectedCrash``) at *every* declared persistence
-point (:func:`repro.service.catalog.txn_points`), reopens the store
-cold, and asserts the entry is **byte-identical** to either the state
-before the operation or the state after an uninterrupted run — never
-anything in between.  Updates are swept on both of their paths: the
-delta-log append, and the compaction an entry whose log is one record
-short takes.  The sidecar repair a stale ``meta.json`` triggers on load
-is swept too.  The point list is generated, so adding a hook to the
-catalog automatically extends the sweep.
+The crash-point sweeps are the core proof.  For each catalog operation
+the sweep kills the process (``InjectedCrash``) at *every* declared
+persistence point (:func:`repro.service.catalog.txn_points`), reopens
+the store cold, and asserts that the files the entry's log references
+are **byte-identical** to either the state before the operation or the
+state after an uninterrupted run — never anything in between — and
+that the next snapshot write deletes whatever the kill left behind.
+Updates are swept on both of their paths: the delta-log append, and
+the compaction an entry whose log is one record short takes.  The point
+lists are generated, so adding a hook to the catalog automatically
+extends the sweeps.
 
-Alongside it: forged torn states (partial writes journaling could not
-have produced), procpool worker-death differentials, client
-retry/backoff with a recorded schedule, priority load shedding, slow
-subscribers under both backpressure policies, ``healthz``, and the
+On top of the single-operation sweeps: a composed sweep (seeded random
+sequences of updates, compactions, overwrites, removes and re-adds,
+killed once at each point, checked against the last acknowledged
+state), a second catalog reading the store at every persistence point
+of a writer, and the one-time migration of the older on-disk layout,
+killed at each of its points.  Alongside: procpool worker-death
+differentials, client retry/backoff with a recorded schedule, priority
+load shedding, slow subscribers under both backpressure policies,
+``healthz``, the reload race of a query's cache, and the
 clean-signal-shutdown regression for ``repro serve``.
 """
 
 import errno
-import json
 import os
+import random
 import shutil
 import signal
 import socket
@@ -38,19 +44,17 @@ from repro.core.procpool import (
     reset_pool_counters,
     run_partitioned,
 )
-from repro.dynamic.delta import GraphDelta
+from repro.dynamic.delta import GraphDelta, apply_delta
 from repro.graph.builder import graph_from_adjacency
+from repro.graph.io import graph_checksum
 from repro.matching.limits import SearchLimits
 from repro.service import catalog as catalog_module
 from repro.service.catalog import (
-    GRAPH_FILE,
-    JOURNAL_FILE,
     LOG_COMPACT_RECORDS,
     LOG_FILE,
-    META_FILE,
     CatalogError,
     GraphCatalog,
-    _sha256,
+    _parse_snapshot,
     txn_points,
 )
 from repro.service.client import (
@@ -67,20 +71,25 @@ from repro.service.faults import (
     crash_at,
 )
 from repro.service.server import MatchingServer, ServerThread
+from tests.legacy_store import JOURNALS, forge_legacy_entry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 DELTA = GraphDelta(add_edges=((0, 3),))
+LABELS = ["A", "B", "A", "C", "D", "C"]
+EDGES = [(u, v) for u in range(6) for v in range(u + 1, 6)]
 
 
 def bipartite_world():
     """Two label-disjoint components: A-B path and C-D path."""
-    data = graph_from_adjacency(
-        ["A", "B", "A", "C", "D", "C"],
-        [(0, 1), (1, 2), (3, 4), (4, 5)],
-    )
+    data = graph_from_adjacency(LABELS, [(0, 1), (1, 2), (3, 4), (4, 5)])
     ab_query = graph_from_adjacency(["A", "B"], [(0, 1)])
     return data, ab_query
+
+
+def other_world():
+    """A different graph on the same labels: an overwrite's target."""
+    return graph_from_adjacency(LABELS, [(0, 1), (2, 3), (3, 4)])
 
 
 def toggles(count):
@@ -128,91 +137,77 @@ def snapshot(directory: Path):
     }
 
 
-def epoch2_snapshot(root: Path):
-    """Add the bipartite world at epoch 1 under ``root`` and return the
-    ``{filename: bytes}`` snapshot a compacting ``DELTA`` update would
-    write (made on a scratch copy; the store stays at epoch 1)."""
-    GraphCatalog(root).add("g", bipartite_world()[0])
-    scratch = root.parent / (root.name + "-scratch")
-    shutil.copytree(root, scratch)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 1)
-        GraphCatalog(scratch).update("g", DELTA)
-    new = snapshot(scratch / "g")
-    shutil.rmtree(scratch)
-    return new
+def referenced(directory: Path):
+    """``{filename: bytes}`` of the entry's log and the snapshot it
+    names: the files a load reads ({} when there is no log)."""
+    files = snapshot(directory)
+    if LOG_FILE not in files:
+        return {}
+    graph_file = _parse_snapshot(files[LOG_FILE])[0]["graph_file"]
+    return {name: files[name] for name in (LOG_FILE, graph_file)}
 
 
-def stale_sidecar_store(root: Path) -> bytes:
-    """An epoch-1 store whose graph file was hand-edited to the epoch-2
-    graph, so its sidecar is stale.  Returns the graph file's bytes."""
-    graph_bytes = epoch2_snapshot(root)[GRAPH_FILE]
-    (root / "g" / GRAPH_FILE).write_bytes(graph_bytes)
-    return graph_bytes
+def expected_side(point: str) -> str:
+    """Which state a kill at ``point`` must leave: the old one before
+    the commit point (the log append's fsync, the snapshot log's
+    ``os.replace``, the remove's unlink of the log), else the new."""
+    old = (
+        "catalog.log.begin", "catalog.remove.begin",
+        "catalog.snapshot.begin", "catalog.snapshot.graph",
+        "catalog.snapshot.log", "catalog.migrate.begin",
+    )
+    return "old" if point in old else "new"
 
 
-def recover(root: Path, name: str):
-    """Open the store cold and force recovery of ``name``.
-
-    Returns the fresh catalog (entry may legitimately not exist)."""
-    fresh = GraphCatalog(root)
-    try:
-        fresh.engine(name)
-    except CatalogError:
-        pass
-    return fresh
-
-
-def expected_side(op: str, point: str) -> str:
-    """Which state a kill at ``point`` must recover to.
-
-    The journal write is the pivot: before it is durable nothing may
-    survive; from it on, everything must."""
-    if op == "remove":
-        return "old" if point == "catalog.remove.begin" else "new"
-    if point in ("catalog.txn.begin", "catalog.log.begin"):
-        return "old"
-    if ".txn.tmp." in point:
-        return "old"
-    return "new"
-
-
-def rollforward_expected(op: str, point: str) -> bool:
-    """Whether recovery itself must do work (vs. a completed commit)."""
-    if op == "remove":
-        return point not in ("catalog.remove.begin", "catalog.remove.commit")
-    return point == "catalog.txn.journal" or ".txn.rename." in point
+def assert_next_snapshot_cleans(root: Path, graph) -> None:
+    """The next snapshot write leaves exactly its log and graph file."""
+    GraphCatalog(root).add("g", graph, overwrite=True)
+    assert sorted(snapshot(root / "g")) == sorted(referenced(root / "g"))
 
 
 class TestCrashPointSweep:
-    """Kill at every declared point; recover to old-or-new, byte for byte."""
+    """Kill at every declared point; the referenced files are old or
+    new, byte for byte."""
 
+    @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("point", txn_points("add"))
-    def test_add(self, tmp_path, point):
+    def test_add(self, tmp_path, point, overwrite):
         data, _ = bipartite_world()
-        # The uninterrupted run, for the "new"-side reference bytes.
-        GraphCatalog(tmp_path / "ref").add("g", data)
-        after = snapshot(tmp_path / "ref" / "g")
-
         root = tmp_path / "store"
+        root.mkdir()
+        if overwrite:  # an entry at epoch 2, one logged update
+            GraphCatalog(root).add("g", data)
+            GraphCatalog(root).update("g", DELTA)
+        before = referenced(root / "g")
+        target = other_world()
+        # The uninterrupted run, for the "new"-side reference bytes.
+        shutil.copytree(root, tmp_path / "ref", dirs_exist_ok=True)
+        GraphCatalog(tmp_path / "ref").add("g", target, overwrite=overwrite)
+        after = snapshot(tmp_path / "ref" / "g")
+        assert after == referenced(tmp_path / "ref" / "g")
+
         plan = crash_at(point)
         with pytest.raises(InjectedCrash):
-            GraphCatalog(root, faults=plan).add("g", data)
+            GraphCatalog(root, faults=plan).add(
+                "g", target, overwrite=overwrite
+            )
         assert plan.fired() == 1, f"{point} was not on the executed path"
 
-        fresh = recover(root, "g")
-        state = snapshot(root / "g")
-        if expected_side("add", point) == "old":
-            assert state == {}
-            with pytest.raises(CatalogError):
-                fresh.info("g")
+        fresh = GraphCatalog(root)
+        if expected_side(point) == "old":
+            assert referenced(root / "g") == before
+            if overwrite:
+                assert fresh.info("g")["epoch"] == 2
+                assert fresh.engine("g").data.has_edge(0, 3)
+            else:
+                assert fresh.names() == []
+                with pytest.raises(CatalogError):
+                    fresh.info("g")
         else:
-            assert state == after
-            assert fresh.info("g")["epoch"] == 1
-        assert fresh.counters["txn_rollbacks"] == 0
-        assert fresh.counters["txn_rollforwards"] == (
-            1 if rollforward_expected("add", point) else 0
-        )
+            assert referenced(root / "g") == after
+            assert fresh.info("g")["epoch"] == (3 if overwrite else 1)
+            assert fresh.engine("g").data == target
+        assert_next_snapshot_cleans(root, target)
 
     @pytest.mark.parametrize(
         "point", txn_points("update") + txn_points("compact")
@@ -220,25 +215,28 @@ class TestCrashPointSweep:
     def test_update(self, tmp_path, point, short_log):
         root = tmp_path / "store"
         epoch = update_store(root, point, short_log)
-        before = snapshot(root / "g")
+        before = referenced(root / "g")
         # Reference: the same update, uninterrupted, on a tree copy.
         shutil.copytree(root, tmp_path / "ref")
         GraphCatalog(tmp_path / "ref").update("g", DELTA)
         after = snapshot(tmp_path / "ref" / "g")
+        assert after == referenced(tmp_path / "ref" / "g")
         assert before != after
         if point in txn_points("compact"):
-            assert after[LOG_FILE] == b""  # the snapshot absorbed the log
+            # the snapshot absorbed the log
+            assert after[LOG_FILE].count(b"\n") == 1
         else:  # an append leaves the snapshot alone
-            assert after[META_FILE] == before[META_FILE]
+            assert after[LOG_FILE].startswith(before[LOG_FILE])
+            assert set(after) == set(before)
 
         plan = crash_at(point)
         with pytest.raises(InjectedCrash):
             GraphCatalog(root, faults=plan).update("g", DELTA)
         assert plan.fired() == 1, f"{point} was not on the executed path"
 
-        fresh = recover(root, "g")
-        side = expected_side("update", point)
-        assert snapshot(root / "g") == (before if side == "old" else after)
+        fresh = GraphCatalog(root)
+        side = expected_side(point)
+        assert referenced(root / "g") == (before if side == "old" else after)
         info = fresh.info("g")
         engine = fresh.engine("g")
         if side == "old":
@@ -247,209 +245,294 @@ class TestCrashPointSweep:
         else:
             assert info["epoch"] == epoch + 1
             assert engine.data.has_edge(0, 3)
-        assert fresh.counters["sidecar_repairs"] == 0
-        assert fresh.counters["txn_rollbacks"] == 0
-        assert fresh.counters["txn_rollforwards"] == (
-            1 if rollforward_expected("update", point) else 0
-        )
-
-    @pytest.mark.parametrize("point", txn_points("repair"))
-    def test_repair(self, tmp_path, point):
-        """A load that finds a stale sidecar (the graph file hand-edited)
-        rewrites ``meta.json`` alone; a kill anywhere in that rewrite
-        still ends, after one reopen, at the repaired bytes."""
-        root = tmp_path / "store"
-        new_graph = stale_sidecar_store(root)
-        shutil.copytree(root, tmp_path / "ref")
-        GraphCatalog(tmp_path / "ref").engine("g")  # the uninterrupted repair
-        after = snapshot(tmp_path / "ref" / "g")
-        assert after[GRAPH_FILE] == new_graph
-        assert after[META_FILE] != snapshot(root / "g")[META_FILE]
-
-        plan = crash_at(point)
-        with pytest.raises(InjectedCrash):
-            GraphCatalog(root, faults=plan).engine("g")
-        assert plan.fired() == 1, f"{point} was not on the executed path"
-
-        fresh = recover(root, "g")
-        assert snapshot(root / "g") == after
-        assert fresh.engine("g").data.has_edge(0, 3)  # the graph file wins
-        assert fresh.info("g")["epoch"] == 1
-        rolled = rollforward_expected("repair", point)
-        assert fresh.counters["txn_rollforwards"] == (1 if rolled else 0)
-        assert fresh.counters["sidecar_repairs"] == (
-            0 if rolled or point == "catalog.txn.commit" else 1
-        )
-        assert fresh.counters["txn_rollbacks"] == 0
-        again = GraphCatalog(root)
-        again.engine("g")
-        assert again.counters["sidecar_repairs"] == 0
-        assert again.counters["artifact_loads"] == 1
+        assert_next_snapshot_cleans(root, engine.data)
 
     @pytest.mark.parametrize("point", txn_points("remove"))
     def test_remove(self, tmp_path, point):
         data, _ = bipartite_world()
         root = tmp_path / "store"
         GraphCatalog(root).add("g", data)
-        before = snapshot(root / "g")
+        before = referenced(root / "g")
 
         plan = crash_at(point)
         with pytest.raises(InjectedCrash):
             GraphCatalog(root, faults=plan).remove("g")
         assert plan.fired() == 1, f"{point} was not on the executed path"
 
-        if expected_side("remove", point) == "new":
-            # Even before recovery runs, a durable remove intent hides
-            # the entry from listings.
-            assert "g" not in GraphCatalog(root).names()
-        fresh = recover(root, "g")
-        if expected_side("remove", point) == "old":
-            assert snapshot(root / "g") == before
+        fresh = GraphCatalog(root)
+        if expected_side(point) == "old":
+            assert referenced(root / "g") == before
             assert fresh.info("g")["epoch"] == 1
-            assert fresh.counters["txn_rollforwards"] == 0
         else:
-            assert not (root / "g").exists()
+            assert referenced(root / "g") == {}
+            assert fresh.names() == []
             with pytest.raises(CatalogError):
                 fresh.info("g")
-            assert fresh.counters["txn_rollforwards"] == (
-                1 if rollforward_expected("remove", point) else 0
-            )
-        assert fresh.counters["txn_rollbacks"] == 0
+            # A re-add starts the history over and clears the debris.
+            assert fresh.add("g", data)["epoch"] == 1
+            assert snapshot(root / "g") == before
 
     def test_every_declared_point_is_reached(self, tmp_path):
         """The sweep's point lists are exactly the executed hook path."""
         data, _ = bipartite_world()
         plan = FaultPlan()
         plan.record_history = True
-        GraphCatalog(tmp_path, faults=plan).add("g", data)
-        # The same graph, re-spelled: the sidecar's file hash goes stale,
-        # so the next cold load repairs it.
-        graph_file = tmp_path / "g" / GRAPH_FILE
-        graph_file.write_bytes(graph_file.read_bytes() + b"\n")
         catalog = GraphCatalog(tmp_path, faults=plan)
-        catalog.engine("g")
-        assert catalog.counters["sidecar_repairs"] == 1
+        catalog.add("g", data)
         appends = LOG_COMPACT_RECORDS - 1
         for delta in toggles(appends):
             catalog.update("g", delta)
         catalog.update("g", DELTA)  # the log is full: this one compacts
+        catalog.add("g", other_world(), overwrite=True)
         catalog.remove("g")
         assert tuple(plan.history) == (
             txn_points("add")
-            + txn_points("repair")
             + txn_points("update") * appends
             + txn_points("compact")
+            + txn_points("add")
             + txn_points("remove")
         )
 
     @pytest.mark.parametrize(
-        "point", ["catalog.log.begin", "catalog.txn.tmp.meta.json"]
+        "point", ["catalog.log.begin", "catalog.snapshot.graph"]
     )
     def test_disk_full_is_reported_and_recoverable(
         self, tmp_path, point, short_log
     ):
-        """ENOSPC surfaces as OSError; the store still recovers clean."""
+        """ENOSPC surfaces as OSError; the store still loads clean."""
         root = tmp_path / "store"
         epoch = update_store(root, point, short_log)
-        before = snapshot(root / "g")
+        before = referenced(root / "g")
 
         plan = FaultPlan([FaultRule(point, "oserror")])
         with pytest.raises(OSError) as exc_info:
             GraphCatalog(root, faults=plan).update("g", DELTA)
         assert exc_info.value.errno == errno.ENOSPC
 
-        fresh = recover(root, "g")
-        side = expected_side("update", point)
-        info = fresh.info("g")
-        if side == "old":
-            assert snapshot(root / "g") == before
-            assert info["epoch"] == epoch
-        else:
-            assert info["epoch"] == epoch + 1
-
-
-class TestForgedTornStates:
-    """Partial-write states the journal protocol cannot produce itself.
-
-    Forged directly on disk (the pre-journaling failure modes); ``_load``
-    must still converge on a consistent epoch, with the honest counters.
-    """
-
-    def test_graph_written_meta_stale(self, tmp_path):
-        stale_sidecar_store(tmp_path)
-
-        fresh = GraphCatalog(tmp_path)
-        engine = fresh.engine("g")
-        assert engine.data.has_edge(0, 3)  # the graph file wins
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.counters["txn_rollbacks"] == 0
-        # No journal -> no transaction to attribute the graph to: the
-        # stale sidecar's epoch is all the history we honestly have.
-        assert fresh.info("g")["epoch"] == 1
-        # The repair rewrote the sidecar: a second cold open is clean.
-        again = GraphCatalog(tmp_path)
-        again.engine("g")
-        assert again.counters["artifact_loads"] == 1
-        assert again.counters["sidecar_repairs"] == 0
-
-    def test_artifacts_torn(self, tmp_path):
-        """A torn ``artifacts.bin`` left by the older store layout is
-        never read: the load is clean and keeps the epoch."""
-        epoch2_snapshot(tmp_path)
-        (tmp_path / "g" / "artifacts.bin").write_bytes(b"\x80\x05torn")
-
-        fresh = GraphCatalog(tmp_path)
+        fresh = GraphCatalog(root)
+        assert referenced(root / "g") == before
+        assert fresh.info("g")["epoch"] == epoch
         assert not fresh.engine("g").data.has_edge(0, 3)
-        assert fresh.counters["artifact_loads"] == 1
-        assert fresh.counters["sidecar_repairs"] == 0
-        assert fresh.info("g")["epoch"] == 1
 
-    def test_journal_dangling_after_partial_rename(self, tmp_path):
-        """Graph renamed to epoch 2, meta old, tmps gone."""
-        new = epoch2_snapshot(tmp_path)
-        (tmp_path / "g" / GRAPH_FILE).write_bytes(new[GRAPH_FILE])
-        journal = {
-            "op": "write",
-            "epoch": 2,
-            "files": {name: _sha256(new[name]) for name in new},
-        }
-        (tmp_path / "g" / JOURNAL_FILE).write_text(json.dumps(journal))
 
-        fresh = GraphCatalog(tmp_path)
-        engine = fresh.engine("g")
-        assert engine.data.has_edge(0, 3)
-        # Unrecoverable as a transaction (staged bytes missing), but the
-        # journal proves the graph content *is* epoch 2 — the repaired
-        # sidecar must say so instead of reviving epoch 1.
-        assert fresh.counters["txn_rollbacks"] == 1
-        assert fresh.counters["sidecar_repairs"] == 1
-        assert fresh.info("g")["epoch"] == 2
-        assert not (tmp_path / "g" / JOURNAL_FILE).exists()
+def next_op(rng, graph, epoch):
+    """One random operation on an entry in state ``(graph, epoch)``
+    (``graph=None``: absent): ``(op, argument, new_graph, new_epoch)``.
+    """
+    if graph is None:
+        new = graph_from_adjacency(LABELS, rng.sample(EDGES, 4))
+        return "add", new, new, 1
+    r = rng.random()
+    if r < 0.6:
+        edge = (rng.choice(EDGES),)
+        delta = (
+            GraphDelta(remove_edges=edge) if graph.has_edge(*edge[0])
+            else GraphDelta(add_edges=edge)
+        )
+        return "update", delta, apply_delta(graph, delta)[0], epoch + 1
+    if r < 0.8:
+        new = graph_from_adjacency(LABELS, rng.sample(EDGES, 4))
+        return "overwrite", new, new, epoch + 1
+    return "remove", None, None, None
 
-    def test_journal_corrupt(self, tmp_path):
-        epoch2_snapshot(tmp_path)
-        (tmp_path / "g" / JOURNAL_FILE).write_text("{not json")
 
-        fresh = GraphCatalog(tmp_path)
-        fresh.engine("g")
-        assert fresh.counters["txn_rollbacks"] == 1
-        assert fresh.counters["artifact_loads"] == 1
-        assert fresh.info("g")["epoch"] == 1
-        assert not (tmp_path / "g" / JOURNAL_FILE).exists()
+def run_op(catalog, op, argument):
+    if op == "update":
+        catalog.update("g", argument)
+    elif op == "remove":
+        catalog.remove("g")
+    else:
+        catalog.add("g", argument, overwrite=op == "overwrite")
 
-    def test_dangling_tmps_without_journal(self, tmp_path):
-        new = epoch2_snapshot(tmp_path)
-        for name in new:
-            (tmp_path / "g" / (name + ".tmp")).write_bytes(new[name])
 
-        fresh = GraphCatalog(tmp_path)
-        fresh.engine("g")
-        # Pre-journal garbage: silently discarded, clean load, epoch 1.
-        assert fresh.counters["artifact_loads"] == 1
-        assert fresh.counters["sidecar_repairs"] == 0
-        assert fresh.counters["txn_rollbacks"] == 0
-        assert fresh.info("g")["epoch"] == 1
-        assert not list((tmp_path / "g").glob("*.tmp"))
+def assert_state(root: Path, graph, epoch) -> None:
+    """A cold catalog sees exactly ``(graph, epoch)``, or no entry."""
+    cold = GraphCatalog(root)
+    if graph is None:
+        assert cold.names() == []
+        with pytest.raises(CatalogError):
+            cold.info("g")
+        return
+    info = cold.info("g")
+    assert (info["epoch"], info["graph_checksum"]) == (
+        epoch, graph_checksum(graph)
+    )
+    assert cold.engine("g").data == graph
+
+
+def composed_run(root: Path, seed: int, plan: FaultPlan, steps: int = 16):
+    """Run ``steps`` seeded random operations with ``plan`` armed; a
+    kill reopens the store and checks it against the last acknowledged
+    state (or, past the commit point, the killed operation's own).
+    Every acknowledged operation is checked by a cold reopen too."""
+    rng = random.Random(seed)
+    catalog = GraphCatalog(root, faults=plan)
+    graph = epoch = None
+    for _ in range(steps):
+        op, argument, new_graph, new_epoch = next_op(rng, graph, epoch)
+        try:
+            run_op(catalog, op, argument)
+        except InjectedCrash as crash:
+            if expected_side(crash.point) == "new":
+                graph, epoch = new_graph, new_epoch
+            assert_state(root, graph, epoch)
+            catalog = GraphCatalog(root, faults=plan)
+            continue
+        graph, epoch = new_graph, new_epoch
+        assert_state(root, graph, epoch)
+    if graph is not None:
+        assert_next_snapshot_cleans(root, graph)
+
+
+COMPOSED_POINTS = sorted(set(
+    txn_points("update") + txn_points("add") + txn_points("remove")
+))
+
+
+class TestComposedCrashSweep:
+    """Random operation sequences, killed once at each point."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("point", COMPOSED_POINTS)
+    def test_sequence(self, tmp_path, monkeypatch, point, seed):
+        monkeypatch.setattr(catalog_module, "LOG_COMPACT_RECORDS", 3)
+        # A dry run counts the point's hits; the kill lands on one of
+        # them, chosen by the seed.
+        for base in range(seed * 100, seed * 100 + 50):
+            dry = FaultPlan()
+            dry.record_history = True
+            composed_run(tmp_path / f"dry{base}", base, dry)
+            hits = dry.history.count(point)
+            if hits:
+                break
+        assert hits, f"no sequence reaches {point}"
+        plan = crash_at(point, after=random.Random(seed).randrange(hits))
+        composed_run(tmp_path / "store", base, plan)
+        assert plan.fired() == 1
+
+
+class ReaderAtEveryPoint(FaultPlan):
+    """Runs a second catalog's reads at every persistence point of the
+    writer it is handed to, and checks what they see."""
+
+    def __init__(self, root: Path, states) -> None:
+        super().__init__()
+        self.root = root
+        self.states = states
+        self.reader = GraphCatalog(root)
+        self.reached = []
+
+    def reach(self, point: str) -> None:
+        super().reach(point)
+        self.reached.append(point)
+        files = snapshot(self.root / "g")
+        try:
+            info = self.reader.info("g")
+            state = (info["epoch"], info["graph_checksum"])
+            engine = GraphCatalog(self.root).engine("g")
+            assert graph_checksum(engine.data) == state[1]
+        except CatalogError:
+            state = None
+        assert state in self.states, point
+        assert ("g" in self.reader.names()) == (state is not None), point
+        if state is not None:
+            self.reader.engine("g")
+        self.reader.reload()
+        assert snapshot(self.root / "g") == files, f"a read wrote at {point}"
+
+
+class TestConcurrentReader:
+    """A reader on the same root never disturbs a write in flight, and
+    sees the old effective state or the new one at every point."""
+
+    @pytest.mark.parametrize(
+        "op", ["add", "overwrite", "compact", "update", "remove"]
+    )
+    def test_reader_at_every_point(self, tmp_path, op, short_log):
+        data, _ = bipartite_world()
+        root = tmp_path / "store"
+        if op == "compact":
+            shutil.copytree(short_log, root)
+        elif op != "add":
+            GraphCatalog(root).add("g", data)
+        old = None
+        if op != "add":
+            info = GraphCatalog(root).info("g")
+            old = (info["epoch"], info["graph_checksum"])
+        writer = GraphCatalog(root)
+        if op != "add":
+            base = writer.engine("g").data
+        if op == "add":
+            new = (1, graph_checksum(data))
+        elif op == "overwrite":
+            new = (old[0] + 1, graph_checksum(other_world()))
+        elif op == "remove":
+            new = None
+        else:
+            new = (old[0] + 1, graph_checksum(apply_delta(base, DELTA)[0]))
+        plan = ReaderAtEveryPoint(root, (old, new))
+        writer.faults = plan
+        if op == "add":
+            writer.add("g", data)
+        elif op == "overwrite":
+            writer.add("g", other_world(), overwrite=True)
+        elif op == "remove":
+            writer.remove("g")
+        else:
+            writer.update("g", DELTA)
+        expected = {"add": "add", "overwrite": "add", "remove": "remove"}
+        assert tuple(plan.reached) == txn_points(expected.get(op, op))
+        if new is None:
+            assert not (root / "g").exists()
+        else:
+            assert snapshot(root / "g") == referenced(root / "g")
+            info = GraphCatalog(root).info("g")
+            assert (info["epoch"], info["graph_checksum"]) == new
+
+
+MIGRATION_CASES = [
+    (journal, point)
+    for journal in JOURNALS
+    for point in txn_points(
+        "migrate_remove" if journal == "remove" else "migrate"
+    )
+]
+
+
+class TestMigrationSweep:
+    """The one-time rewrite of an older-layout entry, killed at each
+    of its points: the next open finishes it, byte for byte."""
+
+    @pytest.mark.parametrize("journal,point", MIGRATION_CASES)
+    def test_migration(self, tmp_path, journal, point):
+        data, _ = bipartite_world()
+        root = tmp_path / "store"
+        target = apply_delta(data, DELTA)[0]
+        expected = forge_legacy_entry(
+            root / "g", data, epoch=2, updates=tuple(toggles(3)),
+            journal=journal, target=target,
+        )
+        before = snapshot(root / "g")
+        shutil.copytree(root, tmp_path / "ref")
+        GraphCatalog(tmp_path / "ref")  # the uninterrupted migration
+        after = snapshot(tmp_path / "ref" / "g")
+        assert after == referenced(tmp_path / "ref" / "g")
+
+        plan = crash_at(point)
+        with pytest.raises(InjectedCrash):
+            GraphCatalog(root, faults=plan)
+        assert plan.fired() == 1, f"{point} was not on the executed path"
+        state = snapshot(root / "g")
+        if expected_side(point) == "old":
+            # Nothing the old layout reads has changed yet.
+            assert {n: state[n] for n in before if n in state} == {
+                n: before[n] for n in state if n in before
+            }
+        else:
+            assert referenced(root / "g") == after
+
+        assert_state(root, *(expected or (None, None))[::-1])
+        assert snapshot(root / "g") == after
 
 
 @pytest.fixture(scope="module")

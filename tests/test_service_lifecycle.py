@@ -191,6 +191,53 @@ class TestServerReload:
             assert stats["catalog"]["reloads"] == 1
             assert health["entries"]["g"] == 2
 
+    def test_removing_reload_during_a_miss_leaves_no_cache(self, tmp_path):
+        """A miss that resolved its engine just before a reload removed
+        the entry must not make the entry's cache again, nor its
+        ``repro_qcache{data=...}`` metrics, once the reload dropped
+        them."""
+        resolved, release = threading.Event(), threading.Event()
+
+        class PausingCatalog(GraphCatalog):
+            pause = False
+
+            def engine_ex(self, name):
+                out = super().engine_ex(name)
+                if self.pause:
+                    self.pause = False
+                    resolved.set()
+                    release.wait(30)
+                return out
+
+        root = tmp_path / "catalog"
+        GraphCatalog(root).add("g", world_v1())
+        catalog = PausingCatalog(root)
+        aba = graph_from_adjacency(["A", "B", "A"], [(0, 1), (1, 2)])
+        replies = []
+        with ServerThread(catalog) as thread:
+            with ServiceClient(*thread.address) as client, \
+                    ServiceClient(*thread.address) as ops:
+                client.query(ab_query(), "g")  # the entry's cache exists
+                assert 'data="g"' in ops.metrics()
+                catalog.pause = True
+                miss = threading.Thread(
+                    target=lambda: replies.append(client.query(aba, "g"))
+                )
+                miss.start()
+                try:
+                    assert resolved.wait(30)
+                    GraphCatalog(root).remove("g")
+                    out = ops.reload()
+                    assert out["report"]["g"]["action"] == "removed"
+                finally:
+                    release.set()
+                    miss.join(30)
+                assert not miss.is_alive()
+                metrics = ops.metrics()
+            assert "g" not in thread.server._caches
+        assert 'data="g"' not in metrics
+        assert replies[0].num_embeddings == 2  # served from its engine
+
     def test_noop_reload_reports_kept(self, tmp_path):
         thread, _root = serve_world(tmp_path)
         with thread:

@@ -94,7 +94,6 @@ class TestEndToEndExactness:
             cold = client.stats()
             assert cold["catalog"]["artifact_loads"] == 1
             assert cold["catalog"]["artifact_builds"] == 0
-            assert cold["catalog"]["sidecar_repairs"] == 0
 
             # Pass 2 — warm cache: every query hits, nothing builds.
             for query, expected in zip(queries, direct):
@@ -103,8 +102,7 @@ class TestEndToEndExactness:
                 assert_reply_identical(reply, expected)
             warm = client.stats()
             assert warm["qcache"]["hits"] >= len(queries)
-            for counter in ("artifact_builds", "sidecar_repairs",
-                            "artifact_loads"):
+            for counter in ("artifact_builds", "artifact_loads"):
                 assert warm["catalog"][counter] == cold["catalog"][counter]
             assert (
                 warm["artifact_builds_in_process"]
@@ -966,7 +964,7 @@ class TestServeSubprocessSmoke:
                 assert_reply_identical(reply, direct)
                 stats = client.stats()
                 assert stats["server"]["served"] == 1
-                assert stats["catalog"]["sidecar_repairs"] == 0
+                assert stats["catalog"]["artifact_loads"] == 1
                 client.shutdown()
             assert proc.wait(timeout=60) == 0
         finally:
